@@ -25,7 +25,6 @@ from . import __version__
 from .dynamics import limiting_distribution
 from .equilibration import QuadratureError, equilibration_report
 from .eth import (
-    cluster_averaged_diagonal,
     eth_report,
     eth_symmetry_check,
     haar_entropy_baseline,
@@ -206,10 +205,7 @@ def _cmd_spectrum(args) -> int:
     g = _resolve_graph(args)
     s = eigendecompose(adjacency(g), degeneracy_tol=args.tol)
     meta = _meta(args, edge_checksum(g))
-
-    cluster_index = np.empty(s.n, dtype=int)
-    for ci, members in enumerate(s.clusters):
-        cluster_index[list(members)] = ci
+    cluster_index = s.cluster_index
 
     if args.format == "json":
         payload = {
@@ -217,7 +213,7 @@ def _cmd_spectrum(args) -> int:
             "eigenvalues": s.eigenvalues,
             "cluster_index": cluster_index,
             "cluster_values": s.cluster_values(),
-            "degeneracies": [len(c) for c in s.clusters],
+            "degeneracies": np.bincount(cluster_index),
             "n_distinct": s.n_distinct,
             "degeneracy_tol": s.degeneracy_tol,
         }
@@ -391,6 +387,8 @@ def _cmd_gibbs(args) -> int:
 
 def _cmd_eth(args) -> int:
     t0 = time.perf_counter()
+    if args.haar_samples < 0:
+        raise ValueError(f"--haar-samples must be >= 0, got {args.haar_samples}")
     g = _resolve_graph(args)
     s = eigendecompose(adjacency(g), degeneracy_tol=args.tol)
     o = _parse_observable(args.observable, g.n_nodes)
@@ -407,7 +405,6 @@ def _cmd_eth(args) -> int:
         return 0
 
     rep = eth_report(s, o)
-    eb = observable_in_energy_basis(s, o)
     node_table = [projector_eth_stats(s, x) for x in range(1, s.n + 1)]
     payload = {
         "observable": args.observable,
@@ -415,8 +412,8 @@ def _cmd_eth(args) -> int:
         "diag_mean": rep.diag_mean,
         "diag_std": rep.diag_std,
         "offdiag_rms": rep.offdiag_rms,
-        "diagonal": np.diag(eb.o_mn),
-        "cluster_averaged_diagonal": cluster_averaged_diagonal(s, o),
+        "diagonal": rep.diagonal,
+        "cluster_averaged_diagonal": rep.cluster_averaged_diagonal,
         "node_table": [
             {"x": x + 1, "diag_mean": m, "diag_std": sd}
             for x, (m, sd) in enumerate(node_table)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Spectrum
+from .spectral import Spectrum, cluster_pairs
 
 # the closed-form average is real; a larger imaginary residue means the
 # cluster bookkeeping went wrong
@@ -67,14 +67,6 @@ def node_probability(s: Spectrum, start: int, end: int, t: float) -> float:
     return float(np.abs(state.amplitudes[end - 1]) ** 2)
 
 
-def _cluster_amplitudes(s: Spectrum, start: int, end: int):
-    """Per-cluster sums s_j = sum_{k in C_j} <end|lam_k><lam_k|start> and the
-    representative eigenvalue of each cluster."""
-    prod = s.eigenvectors[end - 1, :] * s.eigenvectors[start - 1, :]
-    sums = np.array([prod[list(c)].sum() for c in s.clusters])
-    return sums, s.cluster_values()
-
-
 def cumulative_time_average(s: Spectrum, start: int, end: int, tau_grid) -> np.ndarray:
     """Exact running time average of the transition probability.
 
@@ -82,7 +74,7 @@ def cumulative_time_average(s: Spectrum, start: int, end: int, tau_grid) -> np.n
     (1/tau) int_0^tau |<end|e^{-iHt}|start>|^2 dt, evaluated in closed form:
     the diagonal (same-cluster) part is the limiting value u(start, end) and
     every distinct-cluster pair (j, l) contributes its amplitude product
-    times (e^{i(lam_l - lam_j) tau} - 1)/(i(lam_l - lam_j) tau).
+    times (e^{-i g tau} - 1)/(-i g tau) with g = lam_j - lam_l.
 
     Raises
     ------
@@ -102,19 +94,14 @@ def cumulative_time_average(s: Spectrum, start: int, end: int, tau_grid) -> np.n
     if np.any(np.diff(taus) < 0):
         raise ValueError("tau_grid must be ascending")
 
-    sums, levels = _cluster_amplitudes(s, start, end)
+    # per-cluster sums s_j = sum_{k in C_j} <end|lam_k><lam_k|start>
+    sums = s.cluster_sums(s.eigenvectors[end - 1, :] * s.eigenvectors[start - 1, :])
     stationary = float(np.sum(sums**2))
-
-    # distinct-cluster pair coefficients c_jl = s_j s_l and gaps lam_l - lam_j
-    nc = len(sums)
-    jj, ll = np.meshgrid(np.arange(nc), np.arange(nc), indexing="ij")
-    off = jj != ll
-    coeff = (sums[jj] * sums[ll])[off]
-    gap = (levels[ll] - levels[jj])[off]
+    coeff, gap = cluster_pairs(s, np.outer(sums, sums))
 
     out = np.empty(len(taus))
     for i, tau in enumerate(taus):
-        kernel = (np.exp(1j * gap * tau) - 1.0) / (1j * gap * tau)
+        kernel = (np.exp(-1j * gap * tau) - 1.0) / (-1j * gap * tau)
         val = stationary + np.sum(coeff * kernel)
         if abs(val.imag) > IMAG_RESIDUE_TOL:
             raise ArithmeticError(
@@ -131,11 +118,17 @@ def limiting_distribution(s: Spectrum) -> LimitingDistribution:
     Normalized so every row sums to 1 (it is a probability distribution
     over the end node y; with orthonormal eigenvectors this holds exactly,
     no prefactor needed).
+
+    P_j o P_j = sum_{k,l in C_j} (v_k o v_l)(v_k o v_l)^T, so u = Z Z^T with
+    one column v_k o v_l per same-cluster pair (k, l), formed N columns at
+    a time to keep memory O(N^2) when one cluster holds most levels.
     """
+    k, l = np.nonzero(s.same_cluster())
+    v = s.eigenvectors
     u = np.zeros((s.n, s.n))
-    for c in s.clusters:
-        vc = s.eigenvectors[:, list(c)]
-        p = vc @ vc.T
-        u += p * p
+    for lo in range(0, len(k), max(s.n, 1)):
+        z = v[:, k[lo : lo + s.n]]
+        z *= v[:, l[lo : lo + s.n]]
+        u += z @ z.T
     u.flags.writeable = False
     return LimitingDistribution(u=u)

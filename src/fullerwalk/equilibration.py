@@ -3,7 +3,7 @@
 The analytic bound on the time-averaged deviation
 <|tr(O rho(t)) - tr(O omega)|^2>_tau is compared against a direct
 quadrature of the left-hand side. The dephased state omega is always
-computed exactly by projector pinching; quadrature appears only in the
+computed exactly by eigenbasis pinching; quadrature appears only in the
 left-hand side, where the integrand is genuinely time dependent.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, adjacency
-from .spectral import DEGENERACY_TOL, Spectrum, eigendecompose, eigenspace_projectors, gap_count
+from .spectral import DEGENERACY_TOL, Spectrum, cluster_pairs, eigendecompose, gap_count
 
 LHS_REL_TOL = 1e-4
 MAX_HALVINGS = 6
@@ -29,28 +29,28 @@ class QuadratureError(RuntimeError):
         self.estimates = tuple(estimates)
 
 
-def effective_dimension(projectors, rho0) -> float:
+def effective_dimension(s: Spectrum, rho0) -> float:
     """Inverse participation of rho0 over the energy eigenspaces.
 
     d_eff = 1 / sum_n tr(P_n rho0)^2. Equals 1 for an eigenstate and the
-    number of levels for uniform weights; depends only on the projectors,
-    not on any basis choice inside degenerate clusters.
+    number of levels for uniform weights; tr(P_n rho0) is the cluster sum
+    of diag(V^T rho0 V), independent of the basis inside each cluster.
     """
     rho0 = np.asarray(rho0, dtype=float)
     tr = float(np.trace(rho0))
     if abs(tr - 1.0) > 1e-9:
         raise ValueError(f"rho0 must have unit trace, got {tr}")
-    weights = np.array([float(np.sum(p * rho0.T)) for p in projectors])
+    v = s.eigenvectors
+    weights = s.cluster_sums(np.sum(v * (rho0 @ v), axis=0))
     return float(1.0 / np.sum(weights**2))
 
 
-def time_averaged_state(projectors, rho0) -> np.ndarray:
-    """omega = sum_n P_n rho0 P_n, the exact infinite-time average of rho(t)."""
-    rho0 = np.asarray(rho0, dtype=float)
-    omega = np.zeros_like(rho0)
-    for p in projectors:
-        omega += p @ rho0 @ p
-    return omega
+def time_averaged_state(s: Spectrum, rho0) -> np.ndarray:
+    """omega = sum_n P_n rho0 P_n, the exact infinite-time average of rho(t):
+    the same-cluster blocks of V^T rho0 V, rotated back."""
+    v = s.eigenvectors
+    rt = v.T @ np.asarray(rho0, dtype=float) @ v
+    return v @ (rt * s.same_cluster()) @ v.T
 
 
 def bound_rhs(
@@ -81,16 +81,7 @@ def _deviation_signal(s: Spectrum, rho0, o):
     ot = v.T @ np.asarray(o, dtype=float) @ v
     rt = v.T @ np.asarray(rho0, dtype=float) @ v
     w = ot.T * rt  # w[m, n] multiplies e^{-i(lam_m - lam_n) t}
-    levels = s.cluster_values()
-    coeffs = []
-    gaps = []
-    for a, ca in enumerate(s.clusters):
-        for b, cb in enumerate(s.clusters):
-            if a == b:
-                continue
-            coeffs.append(w[np.ix_(list(ca), list(cb))].sum())
-            gaps.append(levels[a] - levels[b])
-    return np.array(coeffs), np.array(gaps)
+    return cluster_pairs(s, s.cluster_sums(s.cluster_sums(w, axis=0), axis=1))
 
 
 def _lhs_trapezoid(coeffs, gaps, tau: float, dt: float) -> float:
@@ -195,11 +186,10 @@ def equilibration_report(
     if not (1 <= start <= s.n):
         raise ValueError(f"start must be in 1..{s.n}, got {start}")
     o = np.asarray(o, dtype=float)
-    projectors = eigenspace_projectors(s)
     rho0 = np.zeros((s.n, s.n))
     rho0[start - 1, start - 1] = 1.0
 
-    d_eff = effective_dimension(projectors, rho0)
+    d_eff = effective_dimension(s, rho0)
     n_eps = gap_count(s, epsilon)
     norm_sq = operator_norm_sq(o)
     taus = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=float)

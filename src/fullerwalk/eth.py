@@ -71,9 +71,7 @@ def measurement_entropy(s: Spectrum, x: int) -> float:
     """
     if not (1 <= x <= s.n):
         raise ValueError(f"x must be in 1..{s.n}, got {x}")
-    p = s.eigenvectors[x - 1, :] ** 2
-    mask = p > ENTROPY_FLOOR
-    return float(-(p[mask] * np.log(p[mask])).sum())
+    return _entropy_of(s.eigenvectors[x - 1, :] ** 2)
 
 
 def node_entropies(s: Spectrum) -> np.ndarray:
@@ -113,18 +111,21 @@ def haar_entropy_baseline(n: int, n_samples: int, seed: int = 0):
 
 @dataclass(frozen=True)
 class EthReport:
-    """Summary statistics of one observable in the energy eigenbasis."""
+    """Summary statistics of one observable in the energy eigenbasis, with
+    its diagonal and that diagonal averaged over each degeneracy cluster."""
 
     diag_mean: float
     diag_std: float
     offdiag_rms: float
     basis_tag: str
+    diagonal: np.ndarray
+    cluster_averaged_diagonal: np.ndarray
 
 
 def eth_report(s: Spectrum, o) -> EthReport:
-    """Diagonal mean/std and off-diagonal rms of O in the energy basis."""
+    """Diagonal statistics and off-diagonal rms of O in the energy basis."""
     eb = observable_in_energy_basis(s, o)
-    diag = np.diag(eb.o_mn)
+    diag = eb.diagonal()
     off = eb.o_mn - np.diag(diag)
     n = s.n
     rms = float(np.sqrt((off**2).sum() / (n * n - n))) if n > 1 else 0.0
@@ -133,6 +134,8 @@ def eth_report(s: Spectrum, o) -> EthReport:
         diag_std=float(diag.std()),
         offdiag_rms=rms,
         basis_tag=eb.basis_tag,
+        diagonal=diag,
+        cluster_averaged_diagonal=s.cluster_means(diag),
     )
 
 
@@ -142,10 +145,7 @@ def cluster_averaged_diagonal(s: Spectrum, o) -> np.ndarray:
     Insensitive to the basis chosen inside each cluster, unlike the raw
     diagonal of observable_in_energy_basis.
     """
-    o = np.asarray(o, dtype=float)
-    eb = s.eigenvectors.T @ o @ s.eigenvectors
-    diag = np.diag(eb)
-    return np.array([diag[list(c)].mean() for c in s.clusters])
+    return eth_report(s, o).cluster_averaged_diagonal
 
 
 class SymmetryCheck(NamedTuple):
@@ -165,8 +165,7 @@ def eth_symmetry_check(s: Spectrum) -> SymmetryCheck:
         raise ValueError("mirror check needs an even number of nodes")
     v = s.eigenvectors
     mirror = float(np.abs(np.abs(v) - np.abs(np.flipud(v))).max())
-    pos = position_observable(s.n)
-    diag = np.diag(v.T @ pos @ v)
+    diag = observable_in_energy_basis(s, position_observable(s.n)).diagonal()
     flat = float(np.abs(diag - (s.n + 1) / 2.0).max())
     return SymmetryCheck(
         passed=bool(mirror < 1e-10 and flat < 1e-9),

@@ -2,14 +2,17 @@
 
 Everything downstream (limiting distributions, dephasing, the equilibration
 bound) is phrased in terms of eigenspace projectors, so the Spectrum value
-carries the degeneracy clustering alongside the raw eigenpairs. The C60
-buckyball additionally gets a symmetry-adapted basis built from its
+carries the degeneracy clustering alongside the raw eigenpairs. Clusters
+are contiguous runs of the eigen-index, so per-eigenspace quantities are
+segment sums (Spectrum.cluster_sums) and no projector need be formed. The
+C60 buckyball additionally gets a symmetry-adapted basis built from its
 centrosymmetric block structure, for which the mirror relation
 |<x|lam_k>| = |<61-x|lam_k>| holds exactly by construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +49,10 @@ class Spectrum:
     degeneracy_tol: float
     basis_tag: str = "plain"
 
+    def __post_init__(self):
+        if [k for c in self.clusters for k in c] != list(range(len(self.eigenvalues))):
+            raise ValueError("clusters must be contiguous runs covering 0..N-1 in order")
+
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
@@ -54,9 +61,29 @@ class Spectrum:
     def n_distinct(self) -> int:
         return len(self.clusters)
 
+    @property
+    def cluster_index(self) -> np.ndarray:
+        """Cluster number of each eigen-index (column of eigenvectors)."""
+        return np.repeat(np.arange(self.n_distinct), [len(c) for c in self.clusters])
+
+    def cluster_sums(self, x, axis: int = -1) -> np.ndarray:
+        """Segment sums of x over each cluster's eigen-indices along axis."""
+        starts = [c[0] for c in self.clusters]
+        return np.add.reduceat(np.asarray(x, dtype=float), starts, axis=axis)
+
+    def same_cluster(self) -> np.ndarray:
+        """(N, N) mask, True where two eigen-indices share a cluster."""
+        return self.cluster_index[:, None] == self.cluster_index
+
+    def cluster_means(self, x: np.ndarray) -> np.ndarray:
+        """Mean of the length-N array x over each cluster, each by numpy's
+        own reduction so reported means keep their bits (reduceat's
+        sequential order differs in the last bit)."""
+        return np.array([x[list(c)].mean() for c in self.clusters])
+
     def cluster_values(self) -> np.ndarray:
         """Representative (mean) eigenvalue of each cluster."""
-        return np.array([self.eigenvalues[list(c)].mean() for c in self.clusters])
+        return self.cluster_means(self.eigenvalues)
 
 
 def cluster_eigenvalues(values, tol: float) -> tuple:
@@ -66,16 +93,12 @@ def cluster_eigenvalues(values, tol: float) -> tuple:
     tol. Returns a tuple of index tuples covering 0..len(values)-1.
     """
     values = np.asarray(values, dtype=float)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if len(values) == 0:
         return ()
-    groups = [[0]]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > tol:
-            groups.append([])
-        groups[-1].append(i)
-    return tuple(tuple(c) for c in groups)
+    splits = np.flatnonzero(np.diff(values) > tol) + 1
+    return tuple(tuple(c.tolist()) for c in np.split(np.arange(len(values)), splits))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -161,6 +184,14 @@ def symmetry_adapted_c60_basis(degeneracy_tol: float = DEGENERACY_TOL) -> Spectr
     )
 
 
+def cluster_pairs(s: Spectrum, w):
+    """(w[j, l], lam_j - lam_l) over ordered pairs of distinct clusters
+    j != l of an (L, L) per-cluster matrix w, in row-major order."""
+    levels = s.cluster_values()
+    off = ~np.eye(s.n_distinct, dtype=bool)
+    return np.asarray(w)[off], np.subtract.outer(levels, levels)[off]
+
+
 def gap_count(s: Spectrum, epsilon: float) -> int:
     """Maximum number of distinct-level gaps inside any window of width epsilon.
 
@@ -169,23 +200,10 @@ def gap_count(s: Spectrum, epsilon: float) -> int:
     sorted gap multiset; the maximum is attained with the window anchored
     at some gap, so only those anchors are scanned.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     levels = s.cluster_values()
-    gaps = sorted(
-        levels[a] - levels[b]
-        for a in range(len(levels))
-        for b in range(len(levels))
-        if levels[a] > levels[b]
-    )
-    if not gaps:
-        return 0
-    best = 0
-    hi = 0
-    for lo in range(len(gaps)):
-        if hi < lo:
-            hi = lo
-        while hi < len(gaps) and gaps[hi] < gaps[lo] + epsilon:
-            hi += 1
-        best = max(best, hi - lo)
-    return best
+    diffs = np.subtract.outer(levels, levels)
+    gaps = np.sort(diffs[diffs > 0])
+    ends = np.searchsorted(gaps, gaps + epsilon)  # first gap outside [g, g + eps)
+    return int((ends - np.arange(len(gaps))).max(initial=0))

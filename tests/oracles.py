@@ -91,6 +91,57 @@ def _grouped_projectors(a, decimals=8):
     return np.array(levels), projectors
 
 
+def greedy_clusters(values, tol=1e-6):
+    """Index lists of an ascending sequence, split wherever the step
+    between neighbours exceeds tol."""
+    groups = [[0]]
+    for i in range(1, len(values)):
+        if values[i] - values[i - 1] > tol:
+            groups.append([])
+        groups[-1].append(i)
+    return groups
+
+
+def jacobi_projectors(a, tol=1e-6):
+    """Mean level and eigenprojector of each greedy cluster of the Jacobi
+    oracle's spectrum."""
+    w, v = jacobi_eigh(a)
+    groups = greedy_clusters(w, tol)
+    levels = np.array([w[g].mean() for g in groups])
+    return levels, [v[:, g] @ v[:, g].T for g in groups]
+
+
+def eigenpair_time_average(a, start, end, taus):
+    """(1/tau) int_0^tau |<end|e^{-iAt}|start>|^2 dt as a double sum over
+    eigenpairs (k, l) of the Jacobi basis, each integrated in closed form."""
+    w, v = jacobi_eigh(a)
+    c = v[end - 1, :] * v[start - 1, :]
+    out = []
+    for tau in taus:
+        total = 0.0 + 0.0j
+        for k in range(len(w)):
+            for l in range(len(w)):
+                g = w[k] - w[l]
+                kernel = 1.0 if g == 0.0 else (np.exp(-1j * g * tau) - 1.0) / (-1j * g * tau)
+                total += c[k] * c[l] * kernel
+        out.append(total.real)
+    return np.array(out)
+
+
+def brute_force_gap_count(levels, epsilon):
+    """Largest number of positive level differences inside one half-open
+    window [x, x + epsilon), by a two-pointer scan anchored at each gap."""
+    gaps = sorted(a - b for a in levels for b in levels if a > b)
+    best = 0
+    hi = 0
+    for lo in range(len(gaps)):
+        hi = max(hi, lo)
+        while hi < len(gaps) and gaps[hi] < gaps[lo] + epsilon:
+            hi += 1
+        best = max(best, hi - lo)
+    return best
+
+
 def closed_form_lhs(a, rho0, o, tau, decimals=8):
     """Exact time average of |tr(O rho(t)) - tr(O omega)|^2 over [0, tau].
 

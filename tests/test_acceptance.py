@@ -58,8 +58,7 @@ def _node_rho(n, x):
 
 def test_acceptance_01_c60_equilibration_constants(c60_spectrum):
     """d_eff = 12.5 +- 0.1 and log2(N_lambda) = 3.90 +- 0.02 for rho0 = |1><1|."""
-    projs = eigenspace_projectors(c60_spectrum)
-    d_eff = effective_dimension(projs, _node_rho(60, 1))
+    d_eff = effective_dimension(c60_spectrum, _node_rho(60, 1))
     n_lambda = c60_spectrum.n_distinct
     log2n = float(np.log2(n_lambda))
 
@@ -272,13 +271,13 @@ def test_acceptance_09_property_suite(c60, c60_spectrum, c60_sym_spectrum):
             failures.append(f"quadrature agreement on {name} (dev {dev:.1e})")
 
     rho = _node_rho(60, 1)
-    omega = time_averaged_state(projs, rho)
+    omega = time_averaged_state(c60_spectrum, rho)
     u_rot = expm_evolution(adjacency(c60), 2.1)
     if np.abs(u_rot @ omega @ u_rot.conj().T - omega).max() > 1e-10:
         failures.append("omega fixed point")
 
-    d_plain = effective_dimension(projs, rho)
-    d_sym = effective_dimension(eigenspace_projectors(c60_sym_spectrum), rho)
+    d_plain = effective_dimension(c60_spectrum, rho)
+    d_sym = effective_dimension(c60_sym_spectrum, rho)
     if abs(d_plain - d_sym) > 1e-10:
         failures.append("d_eff basis invariance")
 

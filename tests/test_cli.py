@@ -128,6 +128,13 @@ def test_limiting_csv_triples_and_matrix(tmp_path):
     assert len(rows[0].split(",")) == 30
 
 
+def test_limiting_rejects_non_finite_tol(tmp_path, capsys):
+    out = tmp_path / "u.json"
+    assert run("limiting", "--c60", "--tol", "nan", "-o", str(out)) == 2
+    assert "tol must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_limiting_outputs_are_deterministic(tmp_path):
     csv = tmp_path / "u.csv"
     run("limiting", "--c60", "-o", str(csv), "--format", "csv")
@@ -184,6 +191,14 @@ def test_bound_start_out_of_range(tmp_path, capsys):
     rc = run("bound", "--tube", "30", "--start", "31", "-o", str(tmp_path / "b.json"))
     assert rc == 2
     assert "start" in capsys.readouterr().err
+
+
+def test_bound_rejects_non_finite_epsilon(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    rc = run("bound", "--c60", "--start", "1", "--epsilon", "nan", "-o", str(out))
+    assert rc == 2
+    assert "epsilon must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bound_bad_tau_grid(tmp_path):
@@ -276,6 +291,16 @@ def test_eth_node_projector_fluctuates(tmp_path):
     )
     doc2 = read_json(out2)
     assert doc2["haar_entropy_mean"] == doc["haar_entropy_mean"]
+
+
+def test_eth_rejects_negative_haar_samples(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    rc = run(
+        "eth", "--c60", "--observable", "node:1", "--haar-samples", "-5", "-o", str(out)
+    )
+    assert rc == 2
+    assert "--haar-samples must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eth_energy_basis_matrix_csv(tmp_path):

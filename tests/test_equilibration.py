@@ -4,12 +4,12 @@ import pytest
 import fullerwalk.equilibration as eq
 from fullerwalk import (
     QuadratureError,
+    Spectrum,
     adjacency,
     bound_rhs,
     default_tau_grid,
     effective_dimension,
     eigendecompose,
-    eigenspace_projectors,
     empirical_lhs,
     equilibration_report,
     graph_from_edges,
@@ -33,49 +33,43 @@ def _node_proj(n, x):
 def test_effective_dimension_of_an_eigenstate_is_one(c60_spectrum):
     psi = c60_spectrum.eigenvectors[:, 0]
     rho = np.outer(psi, psi)
-    projs = eigenspace_projectors(c60_spectrum)
-    assert abs(effective_dimension(projs, rho) - 1.0) < 1e-9
+    assert abs(effective_dimension(c60_spectrum, rho) - 1.0) < 1e-9
 
 
 def test_effective_dimension_c60_node_is_3600_over_284(c60_spectrum):
     # the honest value from the level weights of |1><1|; the commonly
     # quoted 12.5 is the reciprocal-rounding of 1/d_eff ~ 0.0789
-    projs = eigenspace_projectors(c60_spectrum)
-    d = effective_dimension(projs, _node_rho(60, 1))
+    d = effective_dimension(c60_spectrum, _node_rho(60, 1))
     assert abs(d - 3600.0 / 284.0) < 1e-9
 
 
 def test_effective_dimension_is_basis_invariant(c60_spectrum, c60_sym_spectrum):
     rho = _node_rho(60, 1)
-    d_plain = effective_dimension(eigenspace_projectors(c60_spectrum), rho)
-    d_sym = effective_dimension(eigenspace_projectors(c60_sym_spectrum), rho)
+    d_plain = effective_dimension(c60_spectrum, rho)
+    d_sym = effective_dimension(c60_sym_spectrum, rho)
     assert abs(d_plain - d_sym) < 1e-10
 
 
 def test_effective_dimension_survives_a_foreign_eigensolver(f30):
-    # projectors rebuilt from the Jacobi oracle basis give the same answer
+    # a Spectrum rebuilt from the Jacobi oracle basis gives the same answer
     a = adjacency(f30)
     s = eigendecompose(a)
     rho = _node_rho(30, 1)
     w, v = jacobi_eigh(np.array(a))
-    projs = []
-    for c in s.clusters:
-        cols = v[:, list(c)]
-        projs.append(cols @ cols.T)
-    d_oracle = effective_dimension(projs, rho)
-    d_lib = effective_dimension(eigenspace_projectors(s), rho)
+    foreign = Spectrum(w, v, s.clusters, s.degeneracy_tol)
+    d_oracle = effective_dimension(foreign, rho)
+    d_lib = effective_dimension(s, rho)
     assert abs(d_lib - d_oracle) < 1e-8
 
 
 def test_effective_dimension_rejects_unnormalized_rho(c60_spectrum):
-    projs = eigenspace_projectors(c60_spectrum)
     with pytest.raises(ValueError, match="unit trace"):
-        effective_dimension(projs, np.eye(60))
+        effective_dimension(c60_spectrum, np.eye(60))
 
 
 def test_omega_is_a_fixed_point_of_the_evolution(c60, c60_spectrum):
     rho = _node_rho(60, 1)
-    omega = time_averaged_state(eigenspace_projectors(c60_spectrum), rho)
+    omega = time_averaged_state(c60_spectrum, rho)
     assert abs(np.trace(omega) - 1.0) < 1e-12
     u = expm_evolution(adjacency(c60), 1.3)
     rotated = u @ omega @ u.conj().T
@@ -84,7 +78,7 @@ def test_omega_is_a_fixed_point_of_the_evolution(c60, c60_spectrum):
 
 def test_omega_commutes_with_the_hamiltonian(f30, f30_spectrum):
     rho = _node_rho(30, 5)
-    omega = time_averaged_state(eigenspace_projectors(f30_spectrum), rho)
+    omega = time_averaged_state(f30_spectrum, rho)
     a = adjacency(f30)
     assert np.abs(a @ omega - omega @ a).max() < 1e-10
 

@@ -3,7 +3,10 @@ import pytest
 
 from fullerwalk import (
     DEGENERACY_TOL,
+    Spectrum,
     adjacency,
+    build_c60_blocked,
+    build_tube_fullerene,
     cluster_eigenvalues,
     eigendecompose,
     eigenspace_projectors,
@@ -11,7 +14,7 @@ from fullerwalk import (
     graph_from_edges,
     symmetry_adapted_c60_basis,
 )
-from oracles import SMALL_GRAPHS, jacobi_eigh
+from oracles import SMALL_GRAPHS, brute_force_gap_count, jacobi_eigh
 
 C60_DEGENERACIES = [3, 4, 4, 5, 3, 5, 3, 3, 5, 9, 4, 3, 5, 3, 1]
 
@@ -43,6 +46,18 @@ def test_cluster_eigenvalues_greedy_merge():
         cluster_eigenvalues(vals, 0.0)
     with pytest.raises(ValueError):
         cluster_eigenvalues(vals, -1e-6)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_cluster_eigenvalues_rejects_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="finite"):
+        cluster_eigenvalues([0.0, 1.0], tol)
+
+
+def test_spectrum_rejects_non_contiguous_clusters():
+    w = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="contiguous"):
+        Spectrum(w, np.eye(3), ((0, 2), (1,)), DEGENERACY_TOL)
 
 
 def test_c60_degeneracy_pattern(c60_spectrum):
@@ -124,6 +139,35 @@ def test_gap_count_single_level_is_zero():
     s = eigendecompose(np.zeros((3, 3)))
     assert s.n_distinct == 1
     assert gap_count(s, 1.0) == 0
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+def test_gap_count_rejects_bad_epsilon(epsilon):
+    s = eigendecompose(np.diag([0.0, 1.0, 3.0]))
+    with pytest.raises(ValueError, match="finite and positive"):
+        gap_count(s, epsilon)
+
+
+def test_gap_count_window_is_half_open():
+    # gaps {1, 2, 3}: a window of width 1 or 2 starting at a gap excludes
+    # the gap at its right end
+    s = eigendecompose(np.diag([0.0, 1.0, 3.0]))
+    for epsilon, expected in ((1.0, 1), (2.0, 2)):
+        assert gap_count(s, epsilon) == expected
+        assert brute_force_gap_count(s.cluster_values(), epsilon) == expected
+
+
+@pytest.mark.parametrize("name", ["c60"] + [f"f{n}" for n in range(30, 140, 10)])
+def test_gap_count_matches_brute_force_scan(name):
+    g = build_c60_blocked() if name == "c60" else build_tube_fullerene(int(name[1:]))
+    s = eigendecompose(adjacency(g))
+    levels = s.cluster_values()
+    gaps = np.sort(np.subtract.outer(levels, levels).ravel())
+    gaps = gaps[gaps > 0]
+    # the last epsilon equals an actual gap, so the open window end lands
+    # exactly on gaps at that distance
+    for epsilon in (0.1, 1.0, 3.0, gaps[len(gaps) // 3]):
+        assert gap_count(s, epsilon) == brute_force_gap_count(levels, epsilon)
 
 
 def test_c60_gap_count_at_unit_window(c60_spectrum):
