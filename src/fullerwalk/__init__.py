@@ -40,7 +40,6 @@ from .dynamics import (
 )
 from .equilibration import (
     EquilibrationReport,
-    QuadratureError,
     bound_rhs,
     default_tau_grid,
     effective_dimension,

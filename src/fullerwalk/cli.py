@@ -8,7 +8,7 @@ as '#' comment lines. Timing appears only in JSON (timing_seconds); CSV
 and graph files are byte-identical across reruns of the same command.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical
-non-convergence.
+failure (an ArithmeticError, such as a time average that is not real).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import limiting_distribution
-from .equilibration import QuadratureError, equilibration_report
+from .equilibration import equilibration_report
 from .eth import (
     eth_report,
     eth_symmetry_check,
@@ -604,9 +604,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"fullerwalk: error: {exc}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:
-        print(f"fullerwalk: quadrature did not converge: {exc}", file=sys.stderr)
-        return 3
     except ArithmeticError as exc:
         print(f"fullerwalk: numerical failure: {exc}", file=sys.stderr)
         return 3

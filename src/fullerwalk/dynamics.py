@@ -51,6 +51,17 @@ def _check_node(s: Spectrum, node: int, name: str) -> None:
         raise ValueError(f"{name} must be in 1..{s.n}, got {node}")
 
 
+def _check_tau_grid(tau_grid) -> np.ndarray:
+    taus = np.asarray(tau_grid, dtype=float)
+    if taus.ndim != 1 or len(taus) == 0:
+        raise ValueError("tau_grid must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(taus) & (taus > 0)):
+        raise ValueError("all tau values must be finite and positive")
+    if np.any(np.diff(taus) < 0):
+        raise ValueError("tau_grid must be ascending")
+    return taus
+
+
 def evolve(s: Spectrum, start: int, t: float) -> WalkState:
     """Amplitudes alpha_y(t) = sum_k e^{-i lam_k t} <y|lam_k><lam_k|start>."""
     _check_node(s, start, "start")
@@ -79,20 +90,14 @@ def cumulative_time_average(s: Spectrum, start: int, end: int, tau_grid) -> np.n
     Raises
     ------
     ValueError
-        On a non-positive or non-ascending tau grid.
+        On a non-finite, non-positive or non-ascending tau grid.
     ArithmeticError
         If the imaginary residue of the (mathematically real) result
         exceeds 1e-10.
     """
     _check_node(s, start, "start")
     _check_node(s, end, "end")
-    taus = np.asarray(tau_grid, dtype=float)
-    if taus.ndim != 1 or len(taus) == 0:
-        raise ValueError("tau_grid must be a non-empty 1-d sequence")
-    if np.any(taus <= 0):
-        raise ValueError("all tau values must be positive")
-    if np.any(np.diff(taus) < 0):
-        raise ValueError("tau_grid must be ascending")
+    taus = _check_tau_grid(tau_grid)
 
     # per-cluster sums s_j = sum_{k in C_j} <end|lam_k><lam_k|start>
     sums = s.cluster_sums(s.eigenvectors[end - 1, :] * s.eigenvectors[start - 1, :])

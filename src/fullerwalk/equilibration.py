@@ -9,24 +9,21 @@ left-hand side, where the integrand is genuinely time dependent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _check_tau_grid
 from .graphs import Graph, adjacency
-from .spectral import DEGENERACY_TOL, Spectrum, cluster_pairs, eigendecompose, gap_count
+from .spectral import DEGENERACY_TOL, Spectrum, eigendecompose, gap_count
 
-LHS_REL_TOL = 1e-4
-MAX_HALVINGS = 6
-
-
-class QuadratureError(RuntimeError):
-    """Raised when the lhs quadrature fails to converge; carries the last
-    two trapezoid estimates for diagnosis."""
-
-    def __init__(self, message, estimates):
-        super().__init__(message)
-        self.estimates = tuple(estimates)
+# 32-point Gauss-Legendre integrates e^{i w t} over a panel of length h to
+# rounding for every |w| h <= 62 (checked numerically); 50 leaves margin
+GL_NODES = 32
+GL_PHASE_SPAN = 50.0
+# panels evaluated per block: the largest temporary is 256 x n_lambda
+PANEL_BLOCK = 8
 
 
 def effective_dimension(s: Spectrum, rho0) -> float:
@@ -74,66 +71,64 @@ def operator_norm_sq(o) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(np.asarray(o, dtype=float)))) ** 2)
 
 
-def _deviation_signal(s: Spectrum, rho0, o):
-    """Coefficients c and gaps g with tr(O rho(t)) - tr(O omega) =
-    sum c_i e^{-i g_i t}, grouped by distinct-cluster pair."""
+def _deviation_signal(s: Spectrum, rho0, o) -> np.ndarray:
+    """Per-cluster matrix w with zero diagonal such that
+    tr(O rho(t)) - tr(O omega) = sum_jl w[j, l] cos((lam_j - lam_l) t);
+    w is symmetric for real symmetric O and rho0, so the signal is real."""
     v = s.eigenvectors
     ot = v.T @ np.asarray(o, dtype=float) @ v
     rt = v.T @ np.asarray(rho0, dtype=float) @ v
     w = ot.T * rt  # w[m, n] multiplies e^{-i(lam_m - lam_n) t}
-    return cluster_pairs(s, s.cluster_sums(s.cluster_sums(w, axis=0), axis=1))
+    w = s.cluster_sums(s.cluster_sums(w, axis=0), axis=1)
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
-def _lhs_trapezoid(coeffs, gaps, tau: float, dt: float) -> float:
-    t = np.arange(0.0, tau + 0.5 * dt, dt)
-    if t[-1] < tau:
-        t = np.append(t, tau)
-    f = np.exp(-1j * np.outer(t, gaps)) @ coeffs
-    g = np.abs(f) ** 2
-    return float(np.trapezoid(g, t) / tau)
+def empirical_lhs(s: Spectrum, rho0, o, tau_grid) -> np.ndarray:
+    """Time average of |tr(O rho(t)) - tr(O omega)|^2 over [0, tau] for
+    every tau in tau_grid, for real symmetric O and rho0.
 
-
-def empirical_lhs(s: Spectrum, rho0, o, tau: float, dt: float) -> float:
-    """Trapezoidal time average of |tr(O rho(t)) - tr(O omega)|^2 over [0, tau].
-
-    The integrand is evaluated exactly from the spectral form of rho(t),
-    so dt controls only the quadrature of the time average. The step is
-    halved until the estimate changes by less than 1e-4 relative.
+    The signal is an exact finite cosine sum over level differences, so its
+    square holds no frequency above B = 2 (lam_max - lam_min). Composite
+    32-point Gauss-Legendre on equal panels of length at most 50/B
+    integrates it to rounding, with no step size or convergence test. The
+    integral is accumulated interval by interval along the grid, so every
+    node is evaluated once.
 
     Raises
     ------
     ValueError
-        If tau <= 0 or dt > tau/100.
-    QuadratureError
-        If 6 halvings do not reach the relative tolerance; the exception
-        carries the last two estimates.
+        On a non-finite, non-positive or non-ascending tau grid.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if dt <= 0 or dt > tau / 100.0:
-        raise ValueError(f"dt must satisfy 0 < dt <= tau/100 = {tau / 100.0}")
-    coeffs, gaps = _deviation_signal(s, rho0, o)
+    taus = _check_tau_grid(tau_grid)
+    w = _deviation_signal(s, rho0, o)
     # coefficients at rounding-noise scale mean a stationary signal (an
     # eigenstate start, or O commuting with H); quadrature of that noise
     # would report ~1e-30 garbage instead of the exact 0
     noise_floor = 1e-13 * max(
         1e-300, float(np.linalg.norm(o)) * float(np.linalg.norm(rho0))
     )
-    if len(coeffs) == 0 or np.max(np.abs(coeffs)) < noise_floor:
-        return 0.0
-    prev = _lhs_trapezoid(coeffs, gaps, tau, dt)
-    for _ in range(MAX_HALVINGS):
-        dt *= 0.5
-        cur = _lhs_trapezoid(coeffs, gaps, tau, dt)
-        denom = max(abs(cur), 1e-300)
-        if abs(cur - prev) / denom < LHS_REL_TOL:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"lhs quadrature did not converge after {MAX_HALVINGS} halvings "
-        f"(last estimates {prev!r}, {cur!r})",
-        estimates=(prev, cur),
-    )
+    if np.max(np.abs(w)) < noise_floor:
+        return np.zeros(len(taus))
+    levels = s.cluster_values()
+    max_panel = GL_PHASE_SPAN / (2.0 * (levels[-1] - levels[0]))
+    x, weights = np.polynomial.legendre.leggauss(GL_NODES)
+    x, weights = 0.5 * (x + 1.0), 0.5 * weights  # rule on [0, 1]
+
+    out = np.empty(len(taus))
+    total, lo = 0.0, 0.0
+    for k, hi in enumerate(taus):
+        n_panels = math.ceil((hi - lo) / max_panel)
+        h = (hi - lo) / max(n_panels, 1)
+        for first in range(0, n_panels, PANEL_BLOCK):
+            starts = lo + h * np.arange(first, min(first + PANEL_BLOCK, n_panels))
+            phase = np.outer(starts[:, None] + h * x, levels)
+            cos, sin = np.cos(phase), np.sin(phase)
+            f = np.sum((cos @ w) * cos + (sin @ w) * sin, axis=1)
+            total += h * float(np.sum((f * f).reshape(-1, GL_NODES) @ weights))
+        out[k] = total / hi
+        lo = hi
+    return out
 
 
 def default_tau_grid() -> np.ndarray:
@@ -177,11 +172,7 @@ def equilibration_report(
     n_eps_override: int | None = None,
     degeneracy_tol: float = DEGENERACY_TOL,
 ) -> EquilibrationReport:
-    """Assemble the full bound-vs-measurement table for one start node.
-
-    The initial quadrature step for each tau is min(tau/100, 0.02) so the
-    fastest gap-difference oscillation is resolved before halving begins.
-    """
+    """Assemble the full bound-vs-measurement table for one start node."""
     s = eigendecompose(adjacency(g), degeneracy_tol=degeneracy_tol)
     if not (1 <= start <= s.n):
         raise ValueError(f"start must be in 1..{s.n}, got {start}")
@@ -195,9 +186,7 @@ def equilibration_report(
     taus = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=float)
 
     n_eps_used = n_eps if n_eps_override is None else n_eps_override
-    lhs = np.array(
-        [empirical_lhs(s, rho0, o, tau, min(tau / 100.0, 0.02)) for tau in taus]
-    )
+    lhs = empirical_lhs(s, rho0, o, taus)
     rhs = np.array(
         [bound_rhs(d_eff, s.n_distinct, n_eps_used, norm_sq, epsilon, tau) for tau in taus]
     )

@@ -199,7 +199,9 @@ def closed_form_lhs(a, rho0, o, tau, decimals=8):
     Expands the signal as sum_{m != n} c_mn e^{-i(lam_m - lam_n)t} with
     c_mn = tr(P_m rho0 P_n O) and integrates each pair product
     analytically: (1/tau) int_0^tau e^{-i g t} dt = (e^{-i g tau}-1)/(-i g tau).
+    A sequence of taus gives an array, one value per tau.
     """
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
     rho0 = np.asarray(rho0, dtype=float)
     o = np.asarray(o, dtype=float)
     levels, projectors = _grouped_projectors(a, decimals)
@@ -210,17 +212,17 @@ def closed_form_lhs(a, rho0, o, tau, decimals=8):
                 continue
             c = np.trace(pm @ rho0 @ pn @ o)
             terms.append((levels[m] - levels[n], c))
-    total = 0.0 + 0.0j
+    total = np.zeros(len(taus), dtype=complex)
     for g1, c1 in terms:
         for g2, c2 in terms:
             delta = g1 - g2
             if abs(delta) < 1e-12:
                 kernel = 1.0
             else:
-                kernel = (np.exp(-1j * delta * tau) - 1.0) / (-1j * delta * tau)
+                kernel = (np.exp(-1j * delta * taus) - 1.0) / (-1j * delta * taus)
             total += c1 * np.conj(c2) * kernel
-    assert abs(total.imag) < 1e-10
-    return float(total.real)
+    assert np.all(np.abs(total.imag) < 1e-10)
+    return float(total.real[0]) if np.ndim(tau) == 0 else total.real
 
 
 PENTAGON_RING = np.array(

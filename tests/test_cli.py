@@ -1,11 +1,12 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-import fullerwalk.equilibration as eq
 from fullerwalk import __version__, adjacency, edge_checksum, load_graph
 from fullerwalk.cli import main
 from oracles import node_projector_widths
@@ -210,15 +211,37 @@ def test_bound_bad_tau_grid(tmp_path):
     assert rc == 2
 
 
-def test_bound_reports_quadrature_failure_as_exit_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(eq, "LHS_REL_TOL", -1.0)
-    rc = run(
-        "bound", "--tube", "30", "--start", "1",
-        "--tau-min", "1", "--tau-max", "5", "--tau-count", "2",
-        "-o", str(tmp_path / "b.json"),
-    )
+def test_arithmetic_error_exits_3(tmp_path, monkeypatch, capsys):
+    def fail(beta):
+        raise ArithmeticError("forced")
+
+    monkeypatch.setattr("fullerwalk.cli.pentagon_gibbs", fail)
+    rc = run("gibbs", "--beta", "1", "-o", str(tmp_path / "g.json"))
     assert rc == 3
-    assert "converge" in capsys.readouterr().err
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_bound_on_f80_default_grid_fits_in_1_gib(tmp_path):
+    # the lhs keeps O(N^2) temporaries; one BLAS thread keeps the per-thread
+    # buffers of the interpreter itself well under the cap
+    cap = 1 << 30
+    out = tmp_path / "b.json"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fullerwalk.cli", "bound", "--tube", "80", "--start", "1",
+         "-o", str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = read_json(out)
+    assert doc["bound_holds"] is True
+    lhs = np.array(doc["table"]["lhs"])
+    assert len(lhs) == 60
+    assert np.all(np.isfinite(lhs)) and np.all(lhs >= 0.0)
 
 
 def test_gibbs_single_beta(tmp_path):

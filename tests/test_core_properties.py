@@ -9,10 +9,11 @@ from fullerwalk import (
     cumulative_time_average,
     effective_dimension,
     eigendecompose,
+    empirical_lhs,
     limiting_distribution,
     time_averaged_state,
 )
-from oracles import eigenpair_time_average, jacobi_projectors
+from oracles import closed_form_lhs, eigenpair_time_average, jacobi_projectors
 
 
 @st.composite
@@ -63,3 +64,46 @@ def test_time_average_matches_eigenpair_sum(a, nodes, taus):
     taus = sorted(taus)
     lib = cumulative_time_average(eigendecompose(a), start, end, taus)
     assert np.abs(lib - eigenpair_time_average(a, start, end, taus)).max() < 1e-10
+
+
+def _floor(o):
+    # |f(t)| <= 2 ||O||; rounding in f is about 1e-16 of that, so relative
+    # agreement to 1e-12 needs lhs above about 1e-6 (2 ||O||)^2
+    return 4e-6 * np.linalg.norm(o, 2) ** 2
+
+
+def _density_and_observable(n, seed):
+    b = np.random.default_rng(seed).standard_normal((n, n))
+    return b @ b.T / np.sum(b * b), b + b.T
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    a=graphs(),
+    seed=st.integers(0, 2**32 - 1),
+    taus=st.lists(st.floats(0.01, 300.0), min_size=1, max_size=4),
+)
+def test_lhs_is_non_negative_and_matches_closed_form(a, seed, taus):
+    rho, o = _density_and_observable(a.shape[0], seed)
+    taus = sorted(taus)
+    lhs = empirical_lhs(eigendecompose(a), rho, o, taus)
+    assert np.all(lhs >= 0.0)
+    want = closed_form_lhs(a, rho, o, taus)
+    assert np.all(np.abs(lhs - want) <= 1e-12 * np.maximum(want, _floor(o)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    a=graphs(),
+    seed=st.integers(0, 2**32 - 1),
+    taus=st.lists(st.floats(0.01, 300.0), min_size=2, max_size=6),
+    pick=st.integers(0, 5),
+)
+def test_lhs_accumulated_along_a_grid_equals_lhs_alone(a, seed, taus, pick):
+    rho, o = _density_and_observable(a.shape[0], seed)
+    s = eigendecompose(a)
+    taus = sorted(taus)
+    i = pick % len(taus)
+    on_grid = empirical_lhs(s, rho, o, taus)[i]
+    (alone,) = empirical_lhs(s, rho, o, [taus[i]])
+    assert abs(on_grid - alone) <= 1e-12 * max(alone, _floor(o))

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-import fullerwalk.equilibration as eq
 from fullerwalk import (
-    QuadratureError,
     Spectrum,
     adjacency,
     bound_rhs,
@@ -14,6 +12,7 @@ from fullerwalk import (
     equilibration_report,
     graph_from_edges,
     operator_norm_sq,
+    position_observable,
     symmetry_adapted_c60_basis,
     time_averaged_state,
 )
@@ -111,17 +110,17 @@ def test_empirical_lhs_vanishes_for_an_eigenstate_start(c60_spectrum):
     psi = c60_spectrum.eigenvectors[:, 7]
     rho = np.outer(psi, psi)
     o = _node_proj(60, 1)
-    assert empirical_lhs(c60_spectrum, rho, o, tau=10.0, dt=0.01) == 0.0
+    lhs = empirical_lhs(c60_spectrum, rho, o, [1.0, 10.0])
+    assert np.array_equal(lhs, np.zeros(2))
 
 
-@pytest.mark.parametrize("tau", [1.0, 10.0, 100.0])
+@pytest.mark.parametrize("tau", [1.0, 10.0, 100.0, 1000.0])
 def test_empirical_lhs_matches_closed_form_oracle(c60, c60_spectrum, tau):
     rho = _node_rho(60, 1)
     o = _node_proj(60, 1)
-    got = empirical_lhs(c60_spectrum, rho, o, tau, dt=min(tau / 100.0, 0.02))
+    (got,) = empirical_lhs(c60_spectrum, rho, o, [tau])
     want = closed_form_lhs(adjacency(c60), rho, o, tau)
-    assert abs(got - want) < 2e-4 * max(1.0, abs(want) / max(abs(want), 1e-30))
-    assert abs(got - want) / abs(want) < 2e-3
+    assert abs(got - want) < 1e-12 * abs(want)
 
 
 def test_empirical_lhs_small_graph_against_oracle():
@@ -130,34 +129,34 @@ def test_empirical_lhs_small_graph_against_oracle():
     s = eigendecompose(a)
     rho = _node_rho(5, 1)
     o = np.diag([1.0, 0.0, -1.0, 0.5, 0.0])
-    for tau in (2.0, 20.0):
-        got = empirical_lhs(s, rho, o, tau, dt=tau / 1000.0)
-        want = closed_form_lhs(a, rho, o, tau)
-        assert abs(got - want) < 1e-3 * max(abs(want), 1e-3)
+    taus = [2.0, 20.0]
+    got = empirical_lhs(s, rho, o, taus)
+    want = closed_form_lhs(a, rho, o, taus)
+    assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("start", [15, 16])
+def test_empirical_lhs_f30_position_against_oracle(f30, f30_spectrum, start):
+    # the adaptive trapezoid this rule replaced was off by 1.15e-3 here
+    taus = np.logspace(-1.0, 1.0, 20)
+    rho = _node_rho(30, start)
+    o = position_observable(30)
+    got = empirical_lhs(f30_spectrum, rho, o, taus)
+    want = closed_form_lhs(adjacency(f30), rho, o, taus)
+    assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
 
 
 def test_empirical_lhs_validation(c60_spectrum):
     rho = _node_rho(60, 1)
     o = _node_proj(60, 1)
-    with pytest.raises(ValueError, match="tau"):
-        empirical_lhs(c60_spectrum, rho, o, tau=-1.0, dt=0.01)
-    with pytest.raises(ValueError, match="dt"):
-        empirical_lhs(c60_spectrum, rho, o, tau=1.0, dt=0.5)
-    with pytest.raises(ValueError, match="dt"):
-        empirical_lhs(c60_spectrum, rho, o, tau=1.0, dt=0.0)
-
-
-def test_quadrature_error_carries_estimates(monkeypatch, c60_spectrum):
-    # force non-convergence by making the acceptance threshold impossible
-    monkeypatch.setattr(eq, "LHS_REL_TOL", -1.0)
-    rho = _node_rho(60, 1)
-    o = _node_proj(60, 1)
-    with pytest.raises(QuadratureError) as info:
-        empirical_lhs(c60_spectrum, rho, o, tau=5.0, dt=0.05)
-    est = info.value.estimates
-    assert len(est) == 2
-    # the halvings were in fact converging; only the patched gate failed
-    assert abs(est[0] - est[1]) < 1e-3
+    with pytest.raises(ValueError, match="positive"):
+        empirical_lhs(c60_spectrum, rho, o, [-1.0])
+    with pytest.raises(ValueError, match="positive"):
+        empirical_lhs(c60_spectrum, rho, o, [0.0, 1.0])
+    with pytest.raises(ValueError, match="ascending"):
+        empirical_lhs(c60_spectrum, rho, o, [2.0, 1.0])
+    with pytest.raises(ValueError, match="1-d"):
+        empirical_lhs(c60_spectrum, rho, o, [])
 
 
 def test_default_tau_grid_shape():
