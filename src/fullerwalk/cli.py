@@ -7,8 +7,9 @@ can be reproduced from its own output. CSV files carry the same metadata
 as '#' comment lines. Timing appears only in JSON (timing_seconds); CSV
 and graph files are byte-identical across reruns of the same command.
 
-Exit codes: 0 success, 2 usage or validation error, 3 numerical
-failure (an ArithmeticError, such as a time average that is not real).
+Exit codes: 0 success, 2 usage or validation error or an allocation
+refused for lack of memory, 3 numerical failure (an ArithmeticError,
+such as a time average that is not real).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import sys
 import time
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -124,14 +126,37 @@ def _write_csv(path, meta, columns, rows, sig17=(), extra_comments=()) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _stream_csv(path, header, template, rows) -> None:
+    """Header lines, then one `template % row` per row.
+
+    An N x N table is formatted one row at a time, so the formatter holds
+    N Python values, never N^2. '%.17g' is the routine behind
+    format(v, '.17g'), so each value reads exactly as that gives it.
+    """
+    with open(path, "w") as fh:
+        fh.write("\n".join(header) + "\n")
+        for row in rows:
+            fh.write(template % row)
+
+
 def _write_matrix_csv(path, meta, matrix, extra_comments=()) -> None:
     """Full N x N matrix, one row per line, 17 significant digits."""
-    lines = _meta_comment_lines(meta)
-    lines.extend(extra_comments)
-    for row in np.asarray(matrix, dtype=float):
-        lines.append(",".join(format(v, ".17g") for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    m = np.asarray(matrix, dtype=float)
+    template = ",".join(["%.17g"] * m.shape[1]) + "\n"
+    header = [*_meta_comment_lines(meta), *extra_comments]
+    _stream_csv(path, header, template, (tuple(r.tolist()) for r in m))
+
+
+def _write_triples_csv(path, meta, matrix) -> None:
+    """Column line x,y,u, then one line per cell with 1-based x and y and
+    u to 17 significant digits."""
+    m = np.asarray(matrix, dtype=float)
+    template = "".join(f"%d,{y},%.17g\n" for y in range(1, m.shape[1] + 1))
+    rows = (
+        tuple(chain.from_iterable(zip(repeat(x), r.tolist())))
+        for x, r in enumerate(m, start=1)
+    )
+    _stream_csv(path, [*_meta_comment_lines(meta), "x,y,u"], template, rows)
 
 
 def _resolve_graph(args):
@@ -263,10 +288,7 @@ def _cmd_limiting(args) -> int:
     elif args.layout == "matrix":
         _write_matrix_csv(args.output, meta, u)
     else:
-        rows = [
-            (x + 1, y + 1, u[x, y]) for x in range(s.n) for y in range(s.n)
-        ]
-        _write_csv(args.output, meta, ("x", "y", "u"), rows, sig17=("u",))
+        _write_triples_csv(args.output, meta, u)
     return 0
 
 
@@ -609,6 +631,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"fullerwalk: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"fullerwalk: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -152,11 +152,14 @@ def build_tube_fullerene(n: int) -> Graph:
             f"tube generator needs a multiple of 10 with n >= 30, got {n}"
         )
 
-    m = np.zeros((n + 1, n + 1), dtype=int)  # 1-based scratch, row/col 0 unused
+    edges = set()  # sorted pairs; a later link of the same pair overrides
 
     def link(a: int, b: int, bond: int = 1) -> None:
-        m[a, b] = bond
-        m[b, a] = bond
+        pair = (a, b) if a < b else (b, a)
+        if bond:
+            edges.add(pair)
+        else:
+            edges.discard(pair)
 
     # long skip bonds along the tube wall
     for j in _mrange(7, 2, n - 16):
@@ -191,8 +194,7 @@ def build_tube_fullerene(n: int) -> Graph:
     for b in _mrange(15, 10, n - 25):
         link(b, b + 11, 0)
 
-    edges = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if m[a, b]]
-    g = graph_from_edges(n, edges)
+    g = graph_from_edges(n, sorted(edges))
     validate_fullerene(g)
     return g
 

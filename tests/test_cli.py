@@ -7,20 +7,86 @@ import sys
 import numpy as np
 import pytest
 
-from fullerwalk import __version__, adjacency, edge_checksum, load_graph
+import fullerwalk
+from fullerwalk import (
+    __version__,
+    adjacency,
+    edge_checksum,
+    limiting_distribution,
+    load_graph,
+    position_observable,
+)
 from fullerwalk.cli import main
 from oracles import node_projector_widths
 
 REFERENCE_ROW1 = [0.079, 0.024, 0.021, 0.021, 0.024]
+SRC = os.path.dirname(os.path.dirname(fullerwalk.__file__))
 
 
 def run(*argv):
     return main(list(argv))
 
 
+def run_process(*argv, cap=None, timeout=300):
+    """The CLI in a fresh interpreter, optionally under an address-space cap
+    in bytes. One BLAS thread keeps the per-thread buffers of the
+    interpreter itself well under any cap used here."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(
+        os.environ,
+        PYTHONPATH=path,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run(
+        [sys.executable, "-m", "fullerwalk.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=None if cap is None else limit,
+        timeout=timeout,
+    )
+
+
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def g17(v):
+    return format(v, ".17g")
+
+
+def matrix_body(m):
+    """CSV text of a matrix, one row per line, formatted cell by cell."""
+    return "".join(",".join(g17(v) for v in row) + "\n" for row in m.tolist())
+
+
+def triples_body(m):
+    """CSV text of (x, y, value) lines with 1-based x and y."""
+    return "".join(
+        ",".join((str(x + 1), str(y + 1), g17(v))) + "\n"
+        for x, row in enumerate(m.tolist())
+        for y, v in enumerate(row)
+    )
+
+
+def assert_csv_is(path, body, columns=None):
+    """The file is its '#' header lines, the optional column line, then body."""
+    text = path.read_text()
+    header = [ln for ln in text.splitlines(keepends=True) if ln.startswith("#")]
+    assert len(header) >= 4
+    if columns is not None:
+        header.append(columns + "\n")
+    assert text == "".join(header) + body
+
+
+GRAPH_SOURCES = [(("--c60",), "c60_spectrum"), (("--tube", "30"), "f30_spectrum")]
 
 
 def test_gen_tube_writes_a_loadable_file(tmp_path):
@@ -68,7 +134,7 @@ def test_unreadable_graph_file(tmp_path, capsys):
     assert rc == 2
 
 
-def test_spectrum_json_and_vectors(tmp_path):
+def test_spectrum_json_and_vectors(tmp_path, request):
     out = tmp_path / "s.json"
     vecs = tmp_path / "v.csv"
     assert run("spectrum", "--c60", "-o", str(out), "--vectors", str(vecs)) == 0
@@ -87,6 +153,11 @@ def test_spectrum_json_and_vectors(tmp_path):
     rows = [ln for ln in vecs.read_text().splitlines() if not ln.startswith("#")]
     assert len(rows) == 60
     assert len(rows[0].split(",")) == 60
+
+    for source, fixture in GRAPH_SOURCES:
+        s = request.getfixturevalue(fixture)
+        assert run("spectrum", *source, "-o", str(out), "--vectors", str(vecs)) == 0
+        assert_csv_is(vecs, matrix_body(s.eigenvectors))
 
 
 def test_spectrum_csv(tmp_path):
@@ -110,7 +181,7 @@ def test_limiting_json_matches_quoted_row(tmp_path):
     assert doc["mirror_residual"] < 1e-9
 
 
-def test_limiting_csv_triples_and_matrix(tmp_path):
+def test_limiting_csv_triples_and_matrix(tmp_path, request):
     tri = tmp_path / "u_tri.csv"
     assert run("limiting", "--tube", "30", "-o", str(tri), "--format", "csv") == 0
     data = [ln for ln in tri.read_text().splitlines() if not ln.startswith("#")]
@@ -128,6 +199,26 @@ def test_limiting_csv_triples_and_matrix(tmp_path):
     rows = [ln for ln in mat.read_text().splitlines() if not ln.startswith("#")]
     assert len(rows) == 30
     assert len(rows[0].split(",")) == 30
+
+    for source, fixture in GRAPH_SOURCES:
+        u = limiting_distribution(request.getfixturevalue(fixture)).u
+        assert run("limiting", *source, "-o", str(tri), "--format", "csv") == 0
+        assert_csv_is(tri, triples_body(u), columns="x,y,u")
+        assert run(
+            "limiting", *source, "-o", str(mat), "--format", "csv", "--layout", "matrix"
+        ) == 0
+        assert_csv_is(mat, matrix_body(u))
+
+
+def test_limiting_triples_csv_on_f1000_streams_under_320_mib(tmp_path):
+    # the N x N float arrays, not one Python object per cell; with numpy 2.4
+    # the per-cell writer needed 442 MiB of address space, the streaming one 180
+    out = tmp_path / "u.csv"
+    proc = run_process("limiting", "--tube", "1000", "--format", "csv", "-o", str(out),
+                       cap=320 << 20)
+    assert proc.returncode == 0, proc.stderr
+    with open(out) as fh:
+        assert sum(1 for ln in fh if not ln.startswith("#")) == 1 + 1000 * 1000
 
 
 def test_limiting_rejects_non_finite_tol(tmp_path, capsys):
@@ -222,26 +313,35 @@ def test_arithmetic_error_exits_3(tmp_path, monkeypatch, capsys):
 
 
 def test_bound_on_f80_default_grid_fits_in_1_gib(tmp_path):
-    # the lhs keeps O(N^2) temporaries; one BLAS thread keeps the per-thread
-    # buffers of the interpreter itself well under the cap
-    cap = 1 << 30
+    # the lhs keeps O(N^2) temporaries
     out = tmp_path / "b.json"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "fullerwalk.cli", "bound", "--tube", "80", "--start", "1",
-         "-o", str(out)],
-        capture_output=True,
-        text=True,
-        env=env,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
-        timeout=300,
-    )
+    proc = run_process("bound", "--tube", "80", "--start", "1", "-o", str(out), cap=1 << 30)
     assert proc.returncode == 0, proc.stderr
     doc = read_json(out)
     assert doc["bound_holds"] is True
     lhs = np.array(doc["table"]["lhs"])
     assert len(lhs) == 60
     assert np.all(np.isfinite(lhs)) and np.all(lhs >= 0.0)
+
+
+def test_out_of_memory_exits_2_without_traceback(tmp_path):
+    # the 40000 x 40000 adjacency is refused at once, so nothing large is touched
+    out = tmp_path / "u.json"
+    proc = run_process("limiting", "--tube", "40000", "-o", str(out), cap=1 << 30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("fullerwalk: out of memory: Unable to allocate")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_gen_tube_40000_fits_in_1_gib(tmp_path):
+    # the tube builder keeps an edge set, not an (n+1) x (n+1) scratch matrix
+    out = tmp_path / "f40000.graph"
+    proc = run_process("gen", "--tube", "40000", "-o", str(out), cap=1 << 30)
+    assert proc.returncode == 0, proc.stderr
+    body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert body[0] == "40000"
+    assert len(body) == 1 + 60000
 
 
 def test_gibbs_single_beta(tmp_path):
@@ -338,7 +438,7 @@ def test_eth_rejects_negative_haar_samples(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_eth_energy_basis_matrix_csv(tmp_path):
+def test_eth_energy_basis_matrix_csv(tmp_path, request):
     out = tmp_path / "omn.csv"
     rc = run(
         "eth", "--c60", "--observable", "position",
@@ -349,6 +449,13 @@ def test_eth_energy_basis_matrix_csv(tmp_path):
     assert len(rows) == 60
     first = [float(tok) for tok in rows[0].split(",")]
     assert len(first) == 60
+
+    for source, fixture in GRAPH_SOURCES:
+        s = request.getfixturevalue(fixture)
+        v = s.eigenvectors
+        rc = run("eth", *source, "--observable", "position", "-o", str(out), "--format", "csv")
+        assert rc == 0
+        assert_csv_is(out, matrix_body(v.T @ position_observable(s.n) @ v))
 
 
 def test_eth_observable_validation(tmp_path, capsys):
@@ -370,10 +477,6 @@ def test_symmetry_suite_passes(tmp_path):
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "fullerwalk.cli", "--version"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_process("--version")
     assert proc.returncode == 0
     assert __version__ in proc.stdout

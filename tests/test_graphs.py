@@ -79,6 +79,30 @@ def test_tube_family_is_cubic_and_connected(n):
     validate_fullerene(g)
 
 
+# edge-list checksums of the tube builder's output, recorded when it still
+# filled an (n+1) x (n+1) scratch matrix; the builder must keep every edge set
+TUBE_CHECKSUMS = {
+    30: "3a1dabcd964b22c167fe291a5577b5cc888a94be7fb7b26ac6058c575f4fe1ea",
+    40: "e625ac1d05e398e4ca2f87668d254606c64d1c32843ec8e015bd65fef5428ad6",
+    50: "adab931e7f97c9a325702416409dfe86e985401400e508298c8c8fc6c645145e",
+    60: "f94bf4e1326d29c9a5ecc33d35df4397b51cdcf94adcbece7247fd0a77423edb",
+    70: "0117ae57d8cfa3999626901f1006a96c25c699403a407a2141dca1aec1bf7a29",
+    80: "a1f495303cc505288b16cb890d59ccde023bcb792b938503b5152b469d69815a",
+    90: "379e881e14826790e1fc9f0736f74bbf555a84917f3d39b009cee406f436e983",
+    100: "dbcde5a5a7813b34ec6ca95f186e5342544dbc22cdd77b270596c4493e068868",
+    110: "406193257e8109a3ab46e86a989c50d9bd32494c84168aeb621624a07eded7a5",
+    120: "c42a0c5eb34cd3135f62f95b9ecb208a618f957d964546102b4f1b084b343491",
+    130: "0485a8317fef8494098c9c36345fcf7348fad4df37f3328c29a25b5601e00c1d",
+    500: "68dc9fb64c0daef7b749bc1d92f336a3a280739336934d89dbec595bddabf35f",
+    1000: "75951b1a7fbc90cf367db1fab063292171b27956710196065dbf2c17c3b548a4",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TUBE_CHECKSUMS))
+def test_tube_edge_sets_are_pinned(n):
+    assert edge_checksum(build_tube_fullerene(n)) == TUBE_CHECKSUMS[n]
+
+
 @pytest.mark.parametrize("n", [25, 35, 20, 0, -10])
 def test_tube_rejects_bad_sizes(n):
     with pytest.raises(ValueError, match="multiple of 10"):
