@@ -7,9 +7,10 @@ can be reproduced from its own output. CSV files carry the same metadata
 as '#' comment lines. Timing appears only in JSON (timing_seconds); CSV
 and graph files are byte-identical across reruns of the same command.
 
-Exit codes: 0 success, 2 usage or validation error or an allocation
-refused for lack of memory, 3 numerical failure (an ArithmeticError,
-such as a time average that is not real).
+Exit codes: 0 success, 2 usage or validation error, an allocation
+refused for lack of memory or a bound horizon over the lhs time budget,
+3 numerical failure (an ArithmeticError, such as a time average that is
+not real).
 """
 
 from __future__ import annotations

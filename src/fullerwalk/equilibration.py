@@ -9,7 +9,6 @@ left-hand side, where the integrand is genuinely time dependent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,46 @@ from .spectral import DEGENERACY_TOL, Spectrum, eigendecompose, gap_count
 # rounding for every |w| h <= 62 (checked numerically); 50 leaves margin
 GL_NODES = 32
 GL_PHASE_SPAN = 50.0
-# panels evaluated per block: the largest temporary is 256 x n_lambda
-PANEL_BLOCK = 8
+# elements in the largest temporary of one block of panels (at least one
+# panel per block, so the cap is 32 N_lambda when N_lambda > 512)
+BLOCK_ELEMENTS = 2**14
+# lhs time per panel is about LHS_SECONDS_PER_FLOP per flop plus
+# LHS_SECONDS_PER_LEVEL per level (start phases, elementwise passes),
+# fitted within 2x to timings of C60 and F30-F1000 at one BLAS thread on a
+# 2-vCPU x86 machine; longer estimates are refused up front
+LHS_SECONDS_PER_FLOP = 1e-10
+LHS_SECONDS_PER_LEVEL = 1.5e-7
+LHS_BUDGET_SECONDS = 30.0
+
+
+def _gauss_legendre(n: int):
+    """n-point Gauss-Legendre rule on [0, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Legendre recurrence. One Newton step on P_n takes them to rounding, and
+    the weights 2 / ((1 - x)(1 + x) P_n'(x)^2) follow with P_n' from its
+    own recurrence (1e-14 relative at n = 32 against a 50-digit reference).
+    """
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
+
+    def legendre(x):
+        # P_n and P_n' by P_{j+1} = ((2j+1) x P_j - j P_{j-1}) / (j+1)
+        # and P'_{j+1} = P'_{j-1} + (2j+1) P_j
+        p_prev, p, dp_prev, dp = np.ones_like(x), x, np.zeros_like(x), np.ones_like(x)
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+            dp_prev, dp = dp, dp_prev + (2 * j + 1) * p_prev
+        return p, dp
+
+    p, dp = legendre(x)
+    x = x - p / dp
+    _, dp = legendre(x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    # the rule is symmetric about 0; average away the rounding asymmetry
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def effective_dimension(s: Spectrum, rho0) -> float:
@@ -72,33 +109,57 @@ def operator_norm_sq(o) -> float:
 
 
 def _deviation_signal(s: Spectrum, rho0, o) -> np.ndarray:
-    """Per-cluster matrix w with zero diagonal such that
-    tr(O rho(t)) - tr(O omega) = sum_jl w[j, l] cos((lam_j - lam_l) t);
-    w is symmetric for real symmetric O and rho0, so the signal is real."""
+    """Per-cluster matrix W, symmetric for real symmetric O and rho0, with
+    tr(O rho(t)) - tr(O omega) = z^H W z - tr W for z_j = e^{-i lam_j t}:
+    the off-diagonal entries carry the signal, the diagonal (the dephased
+    part) cancels against tr W because |z_j| = 1."""
     v = s.eigenvectors
     ot = v.T @ np.asarray(o, dtype=float) @ v
     rt = v.T @ np.asarray(rho0, dtype=float) @ v
     w = ot.T * rt  # w[m, n] multiplies e^{-i(lam_m - lam_n) t}
-    w = s.cluster_sums(s.cluster_sums(w, axis=0), axis=1)
-    np.fill_diagonal(w, 0.0)
-    return w
+    return s.cluster_sums(s.cluster_sums(w, axis=0), axis=1)
+
+
+def _check_lhs_work(panels: float, n_lev: int, rank: int, flops_per_panel: int) -> None:
+    """Refuse, before any quadrature, an lhs whose estimated time exceeds
+    LHS_BUDGET_SECONDS, stating the estimate."""
+    seconds = panels * (
+        flops_per_panel * LHS_SECONDS_PER_FLOP + n_lev * LHS_SECONDS_PER_LEVEL
+    )
+    if seconds > LHS_BUDGET_SECONDS:
+        raise ValueError(
+            f"lhs quadrature too long: {panels * GL_NODES:.3g} nodes over "
+            f"{n_lev} levels at signal rank {rank}, estimated {seconds:.3g} s "
+            f"against a budget of {LHS_BUDGET_SECONDS:g} s; shorten the "
+            "largest tau"
+        )
 
 
 def empirical_lhs(s: Spectrum, rho0, o, tau_grid) -> np.ndarray:
     """Time average of |tr(O rho(t)) - tr(O omega)|^2 over [0, tau] for
     every tau in tau_grid, for real symmetric O and rho0.
 
-    The signal is an exact finite cosine sum over level differences, so its
-    square holds no frequency above B = 2 (lam_max - lam_min). Composite
-    32-point Gauss-Legendre on equal panels of length at most 50/B
-    integrates it to rounding, with no step size or convergence test. The
-    integral is accumulated interval by interval along the grid, so every
-    node is evaluated once.
+    The signal is f(t) = z^H W z - tr W with z_j = e^{-i lam_j t}. W is
+    factored once, W = Q diag(mu) Q^T, dropping eigenvalues at rounding
+    level, so f = sum_i mu_i |q_i^T z|^2 - sum_i mu_i: rank 1 for a node
+    observable, up to N_lambda for a general one. f^2 holds no frequency
+    above B = 2 (lam_max - lam_min), so composite 32-point Gauss-Legendre
+    on equal panels of length at most 50/B integrates it to rounding, with
+    no step size or convergence test. The integral accumulates interval by
+    interval along the grid, so every node is evaluated once.
+
+    Each node phase is split as lam (t0 + h x_k) = lam t0 + lam h x_k: the
+    32 x N_lambda offset table is built once per grid interval, and cos
+    and sin are taken only at panel starts t0, each computed directly from
+    t0 so rounding does not grow along the grid. The product of start
+    phases, offsets and Q is contracted in whichever order takes fewer
+    flops. Every temporary holds a block of about BLOCK_ELEMENTS values.
 
     Raises
     ------
     ValueError
-        On a non-finite, non-positive or non-ascending tau grid.
+        On a non-finite, non-positive or non-ascending tau grid, or when the
+        quadrature's estimated time exceeds LHS_BUDGET_SECONDS.
     """
     taus = _check_tau_grid(tau_grid)
     w = _deviation_signal(s, rho0, o)
@@ -108,26 +169,53 @@ def empirical_lhs(s: Spectrum, rho0, o, tau_grid) -> np.ndarray:
     noise_floor = 1e-13 * max(
         1e-300, float(np.linalg.norm(o)) * float(np.linalg.norm(rho0))
     )
-    if np.max(np.abs(w)) < noise_floor:
+    if np.max(np.abs(w - np.diag(np.diag(w)))) < noise_floor:
         return np.zeros(len(taus))
+    mu, q = np.linalg.eigh(w)
+    keep = np.abs(mu) > len(mu) * np.finfo(float).eps * np.abs(mu).max()
+    mu, q = mu[keep], q[:, keep]
     levels = s.cluster_values()
+    n_lev, rank = len(levels), len(mu)
     max_panel = GL_PHASE_SPAN / (2.0 * (levels[-1] - levels[0]))
-    x, weights = np.polynomial.legendre.leggauss(GL_NODES)
-    x, weights = 0.5 * (x + 1.0), 0.5 * weights  # rule on [0, 1]
+    lows = np.concatenate(([0.0], taus[:-1]))
+    # float until the budget check: a huge tau would overflow an int count
+    n_panels = np.ceil((taus - lows) / max_panel)
 
+    # flops per panel of the two contraction orders: angle addition over
+    # the 32 x N_lambda nodes then two GEMMs with Q, or Q folded into the
+    # start phases then one GEMM with the 2N_lambda x 64 offset matrix
+    flops_nodes = GL_NODES * n_lev * (6 + 4 * rank)
+    flops_folded = rank * n_lev * (2 + 8 * GL_NODES)
+    folded = flops_folded < flops_nodes
+    per_panel = rank * 2 * (n_lev + GL_NODES) if folded else GL_NODES * n_lev
+    block = max(1, BLOCK_ELEMENTS // per_panel)
+    _check_lhs_work(n_panels.sum(), n_lev, rank, min(flops_nodes, flops_folded))
+
+    x, weights = _gauss_legendre(GL_NODES)
     out = np.empty(len(taus))
-    total, lo = 0.0, 0.0
-    for k, hi in enumerate(taus):
-        n_panels = math.ceil((hi - lo) / max_panel)
-        h = (hi - lo) / max(n_panels, 1)
-        for first in range(0, n_panels, PANEL_BLOCK):
-            starts = lo + h * np.arange(first, min(first + PANEL_BLOCK, n_panels))
-            phase = np.outer(starts[:, None] + h * x, levels)
-            cos, sin = np.cos(phase), np.sin(phase)
-            f = np.sum((cos @ w) * cos + (sin @ w) * sin, axis=1)
-            total += h * float(np.sum((f * f).reshape(-1, GL_NODES) @ weights))
+    total = 0.0
+    for k, (lo, hi, n) in enumerate(zip(lows, taus, n_panels.astype(int))):
+        h = (hi - lo) / max(n, 1)
+        offset = np.multiply.outer(h * x, levels)
+        ce, se = np.cos(offset), np.sin(offset)
+        if folded:
+            m = np.block([[ce.T, se.T], [-se.T, ce.T]])
+        for first in range(0, n, block):
+            start = np.multiply.outer(lo + h * np.arange(first, min(first + block, n)), levels)
+            cs, ss = np.cos(start), np.sin(start)
+            if folded:
+                # [Re, Im] of q_i^T z at every node: [cs q_i, ss q_i] @ m
+                a = np.concatenate((cs[:, None, :] * q.T, ss[:, None, :] * q.T), axis=2)
+                y = (a.reshape(-1, 2 * n_lev) @ m).reshape(len(cs), rank, 2 * GL_NODES)
+                f = mu @ (y[..., :GL_NODES] ** 2 + y[..., GL_NODES:] ** 2)
+            else:
+                # cos and sin of every node phase by angle addition
+                c = cs[:, None, :] * ce - ss[:, None, :] * se
+                sn = ss[:, None, :] * ce + cs[:, None, :] * se
+                f = ((c.reshape(-1, n_lev) @ q) ** 2 + (sn.reshape(-1, n_lev) @ q) ** 2) @ mu
+            f = f.reshape(-1, GL_NODES) - mu.sum()
+            total += h * float(np.sum((f * f) @ weights))
         out[k] = total / hi
-        lo = hi
     return out
 
 

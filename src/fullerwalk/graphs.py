@@ -135,9 +135,9 @@ def _mrange(start: int, step: int, stop: int):
 def build_tube_fullerene(n: int) -> Graph:
     """Tube-isomer fullerene F_n for n a multiple of 10, n >= 30.
 
-    Port of the original 1-based MATLAB generator, kept loop-for-loop
-    identical (the overlapping ring ranges and the final edge-deletion pass
-    included) so the produced edge sets match the reference graphs exactly.
+    Port of the original 1-based MATLAB generator, kept edge-set identical
+    (the final edge-deletion pass included) so the produced edge sets match
+    the reference graphs exactly.
     The pentagon of interest is nodes 1..5; node n sits on the far cap.
 
     Raises
@@ -175,9 +175,11 @@ def build_tube_fullerene(n: int) -> Graph:
     # ring-to-ring spokes
     for j in _mrange(15, 10, n):
         link(j, j + 1)
-    # rings themselves; ranges overlap on purpose (re-links are idempotent)
+    # rings themselves; the MATLAB ranges start at 5 blk + 1 and overlap,
+    # re-linking pairs earlier blocks already linked, so starting at
+    # max(5 blk + 1, 10 blk - 5) links the same set in O(n)
     for blk in range(0, n // 10):
-        for j in _mrange(blk * 5 + 1, 1, 10 * blk + 5):
+        for j in _mrange(max(5 * blk + 1, 10 * blk - 5), 1, 10 * blk + 5):
             if j < 10 * blk + 5:
                 link(j, j + 1)
             elif j == 5:

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -300,6 +301,37 @@ def test_bound_bad_tau_grid(tmp_path):
         "--tau-min", "10", "--tau-max", "1", "-o", str(tmp_path / "b.json"),
     )
     assert rc == 2
+
+
+def test_bound_refuses_an_over_long_horizon_up_front(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    t0 = time.perf_counter()
+    rc = run("bound", "--c60", "--start", "1", "--tau-max", "1e8", "-o", str(out))
+    elapsed = time.perf_counter() - t0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fullerwalk: error: lhs quadrature too long: 7.19e+08 nodes")
+    assert "at signal rank 1, estimated" in err and "Traceback" not in err
+    assert elapsed < 2.0
+    assert not out.exists()
+
+
+def test_bound_does_not_import_numpy_polynomial(tmp_path):
+    code = (
+        "import sys\n"
+        "from fullerwalk.cli import main\n"
+        f"rc = main(['bound', '--c60', '--start', '1', '-o', {str(tmp_path / 'b.csv')!r}])\n"
+        "print(rc, 'numpy.polynomial' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 def test_arithmetic_error_exits_3(tmp_path, monkeypatch, capsys):

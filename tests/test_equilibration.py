@@ -16,6 +16,7 @@ from fullerwalk import (
     symmetry_adapted_c60_basis,
     time_averaged_state,
 )
+from fullerwalk.equilibration import GL_NODES, _deviation_signal, _gauss_legendre
 from oracles import SMALL_GRAPHS, closed_form_lhs, expm_evolution, jacobi_eigh
 
 
@@ -121,6 +122,44 @@ def test_empirical_lhs_matches_closed_form_oracle(c60, c60_spectrum, tau):
     (got,) = empirical_lhs(c60_spectrum, rho, o, [tau])
     want = closed_form_lhs(adjacency(c60), rho, o, tau)
     assert abs(got - want) < 1e-12 * abs(want)
+
+
+def test_empirical_lhs_c60_long_horizons_match_closed_form_oracle(c60, c60_spectrum):
+    # start phases are taken directly at every panel, so rounding does not
+    # grow with the horizon; the closed form has only 91 distinct gaps here
+    taus = np.logspace(-1.0, 5.0, 13)
+    rho = _node_rho(60, 1)
+    got = empirical_lhs(c60_spectrum, rho, rho, taus)
+    want = closed_form_lhs(adjacency(c60), rho, rho, taus)
+    assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    x, w = _gauss_legendre(GL_NODES)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(GL_NODES)
+    assert np.abs(x - 0.5 * (x_ref + 1.0)).max() < 1e-15
+    # leggauss's own end weights are 6e-14 off a 50-digit reference
+    assert np.abs(w / (0.5 * w_ref) - 1.0).max() < 1e-13
+
+
+@pytest.mark.parametrize("graph", ["c60", "f30"])
+@pytest.mark.parametrize("x", [1, 15])
+def test_deviation_signal_rank(graph, x, request):
+    # a node observable from a node start gives W = a a^T with
+    # a_j = (P_j)_xx; the position observable gives a full-rank W
+    s = request.getfixturevalue(f"{graph}_spectrum")
+    rho = _node_rho(s.n, x)
+    w_node = _deviation_signal(s, rho, rho)
+    w_pos = _deviation_signal(s, rho, position_observable(s.n))
+    assert np.linalg.matrix_rank(w_node, hermitian=True) == 1
+    assert np.linalg.matrix_rank(w_pos, hermitian=True) == s.n_distinct
+
+
+@pytest.mark.parametrize("tau", [1e8, 1e300])
+def test_empirical_lhs_refuses_an_over_long_horizon(c60_spectrum, tau):
+    rho = _node_rho(60, 1)
+    with pytest.raises(ValueError, match=r"nodes over 15 levels at signal rank 1, estimated"):
+        empirical_lhs(c60_spectrum, rho, rho, [tau])
 
 
 def test_empirical_lhs_small_graph_against_oracle():
