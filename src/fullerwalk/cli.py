@@ -8,7 +8,7 @@ as '#' comment lines. Timing appears only in JSON (timing_seconds); CSV
 and graph files are byte-identical across reruns of the same command.
 
 Exit codes: 0 success, 2 usage or validation error, an allocation
-refused for lack of memory or a bound horizon over the lhs time budget,
+refused for lack of memory or a bound horizon over the lhs node budget,
 3 numerical failure (an ArithmeticError, such as a time average that is
 not real).
 """

@@ -24,13 +24,14 @@ GL_PHASE_SPAN = 50.0
 # elements in the largest temporary of one block of panels (at least one
 # panel per block, so the cap is 32 N_lambda when N_lambda > 512)
 BLOCK_ELEMENTS = 2**14
-# lhs time per panel is about LHS_SECONDS_PER_FLOP per flop plus
-# LHS_SECONDS_PER_LEVEL per level (start phases, elementwise passes),
-# fitted within 2x to timings of C60 and F30-F1000 at one BLAS thread on a
-# 2-vCPU x86 machine; longer estimates are refused up front
-LHS_SECONDS_PER_FLOP = 1e-10
-LHS_SECONDS_PER_LEVEL = 1.5e-7
-LHS_BUDGET_SECONDS = 30.0
+# quadrature nodes a tau grid may need before it is refused up front. The
+# count depends only on the horizon and on B = 2 (lam_max - lam_min), at
+# most 4 x the largest degree, never on the graph size: the default grid
+# needs about 9e3 nodes on any cubic graph, and no cubic graph reaches the
+# budget below tau 4.3e6. C60 reaches it near 4.7e6, where the lhs takes
+# 8 s for the node observable and 13 s for position (one BLAS thread,
+# 2-vCPU x86 machine)
+LHS_MAX_NODES = 2**25
 
 
 def _gauss_legendre(n: int):
@@ -120,19 +121,25 @@ def _deviation_signal(s: Spectrum, rho0, o) -> np.ndarray:
     return s.cluster_sums(s.cluster_sums(w, axis=0), axis=1)
 
 
-def _check_lhs_work(panels: float, n_lev: int, rank: int, flops_per_panel: int) -> None:
-    """Refuse, before any quadrature, an lhs whose estimated time exceeds
-    LHS_BUDGET_SECONDS, stating the estimate."""
-    seconds = panels * (
-        flops_per_panel * LHS_SECONDS_PER_FLOP + n_lev * LHS_SECONDS_PER_LEVEL
-    )
-    if seconds > LHS_BUDGET_SECONDS:
+def _panel_counts(taus: np.ndarray, levels: np.ndarray, rank: int) -> np.ndarray:
+    """Equal panels of length at most GL_PHASE_SPAN / B per grid interval.
+
+    Refuses, before any quadrature, a grid that needs more than
+    LHS_MAX_NODES nodes, stating the node count and the largest horizon the
+    spectrum allows.
+    """
+    max_panel = GL_PHASE_SPAN / (2.0 * (levels[-1] - levels[0]))
+    # float until checked: a huge tau would overflow an int count
+    n_panels = np.ceil(np.diff(taus, prepend=0.0) / max_panel)
+    nodes = GL_NODES * n_panels.sum()
+    if nodes > LHS_MAX_NODES:
         raise ValueError(
-            f"lhs quadrature too long: {panels * GL_NODES:.3g} nodes over "
-            f"{n_lev} levels at signal rank {rank}, estimated {seconds:.3g} s "
-            f"against a budget of {LHS_BUDGET_SECONDS:g} s; shorten the "
-            "largest tau"
+            f"lhs quadrature too long: {nodes:.3g} nodes over {len(levels)} "
+            f"levels at signal rank {rank}, above the budget of "
+            f"{LHS_MAX_NODES} nodes; this spectrum allows tau up to about "
+            f"{LHS_MAX_NODES // GL_NODES * max_panel:.3g}"
         )
+    return n_panels.astype(int)
 
 
 def empirical_lhs(s: Spectrum, rho0, o, tau_grid) -> np.ndarray:
@@ -151,17 +158,26 @@ def empirical_lhs(s: Spectrum, rho0, o, tau_grid) -> np.ndarray:
     Each node phase is split as lam (t0 + h x_k) = lam t0 + lam h x_k: the
     32 x N_lambda offset table is built once per grid interval, and cos
     and sin are taken only at panel starts t0, each computed directly from
-    t0 so rounding does not grow along the grid. The product of start
-    phases, offsets and Q is contracted in whichever order takes fewer
-    flops. Every temporary holds a block of about BLOCK_ELEMENTS values.
+    t0 so rounding does not grow along the grid. Angle addition gives cos
+    and sin at every node, and two real GEMMs with Q give q_i^T z. Every
+    temporary holds a block of about BLOCK_ELEMENTS values.
+
+    f is unchanged by O -> O + cI, because tr rho(t) = tr omega = 1, but an
+    offset c would enter W's diagonal as c tr(P_j rho0) and cost about
+    N_lambda eps c in the subtraction. The median of diag(O) is therefore
+    removed first: that cancels a common offset and leaves a mostly zero
+    diagonal, such as a node observable's, as it is.
 
     Raises
     ------
     ValueError
         On a non-finite, non-positive or non-ascending tau grid, or when the
-        quadrature's estimated time exceeds LHS_BUDGET_SECONDS.
+        grid needs more than LHS_MAX_NODES quadrature nodes.
     """
     taus = _check_tau_grid(tau_grid)
+    o = np.asarray(o, dtype=float)
+    # a middle entry of the sorted diagonal: np.median would import numpy.ma
+    o = o - np.sort(np.diag(o))[len(o) // 2] * np.eye(len(o))
     w = _deviation_signal(s, rho0, o)
     # coefficients at rounding-noise scale mean a stationary signal (an
     # eigenstate start, or O commuting with H); quadrature of that noise
@@ -175,47 +191,28 @@ def empirical_lhs(s: Spectrum, rho0, o, tau_grid) -> np.ndarray:
     keep = np.abs(mu) > len(mu) * np.finfo(float).eps * np.abs(mu).max()
     mu, q = mu[keep], q[:, keep]
     levels = s.cluster_values()
-    n_lev, rank = len(levels), len(mu)
-    max_panel = GL_PHASE_SPAN / (2.0 * (levels[-1] - levels[0]))
-    lows = np.concatenate(([0.0], taus[:-1]))
-    # float until the budget check: a huge tau would overflow an int count
-    n_panels = np.ceil((taus - lows) / max_panel)
-
-    # flops per panel of the two contraction orders: angle addition over
-    # the 32 x N_lambda nodes then two GEMMs with Q, or Q folded into the
-    # start phases then one GEMM with the 2N_lambda x 64 offset matrix
-    flops_nodes = GL_NODES * n_lev * (6 + 4 * rank)
-    flops_folded = rank * n_lev * (2 + 8 * GL_NODES)
-    folded = flops_folded < flops_nodes
-    per_panel = rank * 2 * (n_lev + GL_NODES) if folded else GL_NODES * n_lev
-    block = max(1, BLOCK_ELEMENTS // per_panel)
-    _check_lhs_work(n_panels.sum(), n_lev, rank, min(flops_nodes, flops_folded))
+    n_lev = len(levels)
+    n_panels = _panel_counts(taus, levels, len(mu))
+    block = max(1, BLOCK_ELEMENTS // (GL_NODES * n_lev))
 
     x, weights = _gauss_legendre(GL_NODES)
     out = np.empty(len(taus))
     total = 0.0
-    for k, (lo, hi, n) in enumerate(zip(lows, taus, n_panels.astype(int))):
+    lo = 0.0
+    for k, (hi, n) in enumerate(zip(taus, n_panels)):
         h = (hi - lo) / max(n, 1)
         offset = np.multiply.outer(h * x, levels)
         ce, se = np.cos(offset), np.sin(offset)
-        if folded:
-            m = np.block([[ce.T, se.T], [-se.T, ce.T]])
         for first in range(0, n, block):
             start = np.multiply.outer(lo + h * np.arange(first, min(first + block, n)), levels)
-            cs, ss = np.cos(start), np.sin(start)
-            if folded:
-                # [Re, Im] of q_i^T z at every node: [cs q_i, ss q_i] @ m
-                a = np.concatenate((cs[:, None, :] * q.T, ss[:, None, :] * q.T), axis=2)
-                y = (a.reshape(-1, 2 * n_lev) @ m).reshape(len(cs), rank, 2 * GL_NODES)
-                f = mu @ (y[..., :GL_NODES] ** 2 + y[..., GL_NODES:] ** 2)
-            else:
-                # cos and sin of every node phase by angle addition
-                c = cs[:, None, :] * ce - ss[:, None, :] * se
-                sn = ss[:, None, :] * ce + cs[:, None, :] * se
-                f = ((c.reshape(-1, n_lev) @ q) ** 2 + (sn.reshape(-1, n_lev) @ q) ** 2) @ mu
-            f = f.reshape(-1, GL_NODES) - mu.sum()
-            total += h * float(np.sum((f * f) @ weights))
+            cs, ss = np.cos(start)[:, None, :], np.sin(start)[:, None, :]
+            # cos and sin of every node phase by angle addition
+            c = (cs * ce - ss * se).reshape(-1, n_lev)
+            sn = (ss * ce + cs * se).reshape(-1, n_lev)
+            f = ((c @ q) ** 2 + (sn @ q) ** 2) @ mu - mu.sum()
+            total += h * float(np.sum((f.reshape(-1, GL_NODES) ** 2) @ weights))
         out[k] = total / hi
+        lo = hi
     return out
 
 

@@ -117,3 +117,22 @@ def test_lhs_accumulated_along_a_grid_equals_lhs_alone(a, seed, taus, pick):
     on_grid = empirical_lhs(s, rho, o, taus)[i]
     (alone,) = empirical_lhs(s, rho, o, [taus[i]])
     assert abs(on_grid - alone) <= 1e-12 * max(alone, _floor(o))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    a=graphs(),
+    seed=st.integers(0, 2**32 - 1),
+    taus=st.lists(st.floats(0.01, 300.0), min_size=1, max_size=4),
+)
+def test_lhs_is_unchanged_by_an_offset_observable(a, seed, taus):
+    # O on a 2^-10 grid and c a power of two near 1e3 ||O||, so O + cI is
+    # exact and any difference comes from the lhs, not from its input
+    rho, o = _density_and_observable(a.shape[0], seed)
+    o = np.round(o * 1024.0) / 1024.0
+    c = 2.0 ** np.ceil(np.log2(1e3 * np.linalg.norm(o, 2)))
+    s = eigendecompose(a)
+    taus = sorted(taus)
+    plain = empirical_lhs(s, rho, o, taus)
+    shifted = empirical_lhs(s, rho, o + c * np.eye(len(o)), taus)
+    assert np.all(np.abs(shifted - plain) <= 1e-12 * np.maximum(plain, _floor(o)))

@@ -16,7 +16,12 @@ from fullerwalk import (
     symmetry_adapted_c60_basis,
     time_averaged_state,
 )
-from fullerwalk.equilibration import GL_NODES, _deviation_signal, _gauss_legendre
+from fullerwalk.equilibration import (
+    GL_NODES,
+    _deviation_signal,
+    _gauss_legendre,
+    _panel_counts,
+)
 from oracles import SMALL_GRAPHS, closed_form_lhs, expm_evolution, jacobi_eigh
 
 
@@ -158,8 +163,24 @@ def test_deviation_signal_rank(graph, x, request):
 @pytest.mark.parametrize("tau", [1e8, 1e300])
 def test_empirical_lhs_refuses_an_over_long_horizon(c60_spectrum, tau):
     rho = _node_rho(60, 1)
-    with pytest.raises(ValueError, match=r"nodes over 15 levels at signal rank 1, estimated"):
+    with pytest.raises(
+        ValueError,
+        match=r"nodes over 15 levels at signal rank 1, above the budget of 33554432 "
+        r"nodes; this spectrum allows tau up to about 4\.67e\+06",
+    ):
         empirical_lhs(c60_spectrum, rho, rho, [tau])
+
+
+def test_horizon_budget_does_not_grow_with_the_graph():
+    # the default grid on 20000 levels spread over the widest cubic
+    # spectrum, at full rank, needs as many nodes as on C60 and is not
+    # refused; 4.3e6 on the same spectrum is
+    levels = np.linspace(-3.0, 3.0, 20000)
+    n_panels = _panel_counts(default_tau_grid(), levels, len(levels))
+    assert GL_NODES * n_panels.sum() < 1e4
+    _panel_counts(np.array([4.3e6]), levels, len(levels))
+    with pytest.raises(ValueError, match="lhs quadrature too long"):
+        _panel_counts(np.array([4.4e6]), levels, len(levels))
 
 
 def test_empirical_lhs_small_graph_against_oracle():
