@@ -9,8 +9,8 @@ and graph files are byte-identical across reruns of the same command.
 
 Exit codes: 0 success, 2 usage or validation error, an allocation
 refused for lack of memory or a bound horizon over the lhs node budget,
-3 numerical failure (an ArithmeticError, such as a time average that is
-not real).
+3 numerical failure (an ArithmeticError, raised only by
+thermo.pentagon_gibbs when the Gibbs state keeps a complex residue).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 import sys
 import time
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .eth import (
     node_entropies,
     observable_in_energy_basis,
     position_observable,
-    projector_eth_stats,
 )
 from .graphs import (
     adjacency,
@@ -74,27 +74,78 @@ def _meta(args, checksum) -> dict:
     }
 
 
-def _jsonify(obj):
+# json's spelling of the non-finite floats, keyed by their repr
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(v: float) -> str:
+    text = float.__repr__(v)
+    return _NON_FINITE.get(text, text)
+
+
+def _scalar_text(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return _float_text(float(v))
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return int.__repr__(int(v))
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _json_chunks(obj, nl="\n"):
+    """The text of obj, in pieces, as json.dump(obj, indent=2,
+    sort_keys=True) writes it once arrays and numpy scalars are plain
+    Python; nl is the line break and indent of the line obj starts on.
+
+    A numeric array is written one 1-D row at a time, each joined in C
+    from float.__repr__ (the repr json uses), so no N^2 list is formed.
+    Dict keys are strings.
+    """
+    inner = nl + "  "
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
+        if obj.ndim == 1 and obj.dtype.kind in "fiu" and len(obj):
+            if obj.dtype.kind != "f":
+                text = int.__repr__
+            elif np.isfinite(obj).all():
+                text = float.__repr__
+            else:
+                text = _float_text
+            yield "[" + inner + ("," + inner).join(map(text, obj.tolist())) + nl + "]"
+            return
+        obj = list(obj) if obj.ndim > 1 else obj.tolist()
     if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+        items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [("", v) for v in obj]
+        brackets = "[]"
+    else:
+        yield _scalar_text(obj)
+        return
+    if not items:
+        yield brackets
+        return
+    sep = brackets[0]
+    for key, value in items:
+        if isinstance(value, (dict, list, tuple, np.ndarray)):
+            yield sep + inner + key
+            yield from _json_chunks(value, inner)
+        else:
+            yield sep + inner + key + _scalar_text(value)
+        sep = ","
+    yield nl + brackets[1]
 
 
 def _write_json(path, meta, payload, t0: float) -> None:
     doc = dict(payload)
     doc["meta"] = dict(meta, timing_seconds=round(time.perf_counter() - t0, 6))
     with open(path, "w") as fh:
-        json.dump(_jsonify(doc), fh, indent=2, sort_keys=True)
+        fh.writelines(_json_chunks(doc))
         fh.write("\n")
 
 
@@ -102,7 +153,7 @@ def _meta_comment_lines(meta) -> list:
     return [
         f"# tool: {meta['tool']} {meta['version']}",
         f"# command: {meta['command']}",
-        "# config: " + json.dumps(_jsonify(meta["config"]), sort_keys=True),
+        "# config: " + json.dumps(meta["config"], sort_keys=True),
         f"# graph_checksum: {meta['graph_checksum']}",
     ]
 
@@ -428,7 +479,8 @@ def _cmd_eth(args) -> int:
         return 0
 
     rep = eth_report(s, o)
-    node_table = [projector_eth_stats(s, x) for x in range(1, s.n + 1)]
+    # diagonal of each node projector |x><x| in the energy basis, one row per node
+    p = s.eigenvectors**2
     payload = {
         "observable": args.observable,
         "basis": rep.basis_tag,
@@ -438,8 +490,10 @@ def _cmd_eth(args) -> int:
         "diagonal": rep.diagonal,
         "cluster_averaged_diagonal": rep.cluster_averaged_diagonal,
         "node_table": [
-            {"x": x + 1, "diag_mean": m, "diag_std": sd}
-            for x, (m, sd) in enumerate(node_table)
+            {"x": x, "diag_mean": m, "diag_std": sd}
+            for x, m, sd in zip(
+                range(1, s.n + 1), p.mean(axis=1).tolist(), p.std(axis=1).tolist()
+            )
         ],
     }
     if args.entropies:

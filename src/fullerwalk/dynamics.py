@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Spectrum, cluster_pairs
+from .spectral import Spectrum
 
-# the closed-form average is real; a larger imaginary residue means the
-# cluster bookkeeping went wrong
-IMAG_RESIDUE_TOL = 1e-10
+# (tau, pair) values evaluated at once by cumulative_time_average
+TIME_AVERAGE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -84,16 +83,17 @@ def cumulative_time_average(s: Spectrum, start: int, end: int, tau_grid) -> np.n
     For each tau in tau_grid returns
     (1/tau) int_0^tau |<end|e^{-iHt}|start>|^2 dt, evaluated in closed form:
     the diagonal (same-cluster) part is the limiting value u(start, end) and
-    every distinct-cluster pair (j, l) contributes its amplitude product
-    times (e^{-i g tau} - 1)/(-i g tau) with g = lam_j - lam_l.
+    every distinct-cluster pair (j, l) contributes s_j s_l times
+    (e^{-i g tau} - 1)/(-i g tau) with g = lam_j - lam_l. The coefficients
+    are symmetric and the gaps antisymmetric in (j, l), so the imaginary
+    parts cancel and the average is the real sum
+    u(start, end) + sum_{j<l} 2 s_j s_l sin(g tau)/(g tau), evaluated as
+    one product over blocks of about 2^16 (tau, pair) values.
 
     Raises
     ------
     ValueError
         On a non-finite, non-positive or non-ascending tau grid.
-    ArithmeticError
-        If the imaginary residue of the (mathematically real) result
-        exceeds 1e-10.
     """
     _check_node(s, start, "start")
     _check_node(s, end, "end")
@@ -102,18 +102,16 @@ def cumulative_time_average(s: Spectrum, start: int, end: int, tau_grid) -> np.n
     # per-cluster sums s_j = sum_{k in C_j} <end|lam_k><lam_k|start>
     sums = s.cluster_sums(s.eigenvectors[end - 1, :] * s.eigenvectors[start - 1, :])
     stationary = float(np.sum(sums**2))
-    coeff, gap = cluster_pairs(s, np.outer(sums, sums))
+    j, l = np.triu_indices(s.n_distinct, 1)
+    coeff = 2.0 * sums[j] * sums[l]
+    levels = s.cluster_values()
+    gap = levels[j] - levels[l]
 
     out = np.empty(len(taus))
-    for i, tau in enumerate(taus):
-        kernel = (np.exp(-1j * gap * tau) - 1.0) / (-1j * gap * tau)
-        val = stationary + np.sum(coeff * kernel)
-        if abs(val.imag) > IMAG_RESIDUE_TOL:
-            raise ArithmeticError(
-                f"imaginary residue {val.imag:.3e} at tau={tau}; "
-                "expected a real-valued average"
-            )
-        out[i] = val.real
+    step = max(1, TIME_AVERAGE_BLOCK // max(len(gap), 1))
+    for lo in range(0, len(taus), step):
+        x = np.multiply.outer(taus[lo : lo + step], gap)
+        out[lo : lo + step] = stationary + (np.sin(x) / x) @ coeff
     return out
 
 

@@ -184,14 +184,6 @@ def symmetry_adapted_c60_basis(degeneracy_tol: float = DEGENERACY_TOL) -> Spectr
     )
 
 
-def cluster_pairs(s: Spectrum, w):
-    """(w[j, l], lam_j - lam_l) over ordered pairs of distinct clusters
-    j != l of an (L, L) per-cluster matrix w, in row-major order."""
-    levels = s.cluster_values()
-    off = ~np.eye(s.n_distinct, dtype=bool)
-    return np.asarray(w)[off], np.subtract.outer(levels, levels)[off]
-
-
 def gap_count(s: Spectrum, epsilon: float) -> int:
     """Maximum number of distinct-level gaps inside any window of width epsilon.
 

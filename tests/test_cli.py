@@ -7,6 +7,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fullerwalk
 from fullerwalk import (
@@ -17,7 +20,7 @@ from fullerwalk import (
     load_graph,
     position_observable,
 )
-from fullerwalk.cli import main
+from fullerwalk.cli import _json_chunks, main
 from oracles import node_projector_widths
 
 REFERENCE_ROW1 = [0.079, 0.024, 0.021, 0.021, 0.024]
@@ -59,6 +62,13 @@ def read_json(path):
         return json.load(fh)
 
 
+def assert_json_dump_layout(path):
+    """The file is laid out as json.dump(indent=2, sort_keys=True) lays out
+    its own content, with one line break at the end."""
+    text = path.read_text()
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+
+
 def g17(v):
     return format(v, ".17g")
 
@@ -85,6 +95,67 @@ def assert_csv_is(path, body, columns=None):
     if columns is not None:
         header.append(columns + "\n")
     assert text == "".join(header) + body
+
+
+def plain(obj):
+    """obj with arrays and numpy scalars turned into the Python values json encodes."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    return obj
+
+
+# non-ASCII, quotes, backslashes and control characters
+TEXT = st.text(st.characters(codec="utf-8"), max_size=6) | st.sampled_from(
+    ["", "\x00\x1f\n\t", 'q"\\/', "\u00e9\u2603\U0001f600"]
+)
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+INT64 = st.integers(-(2**63), 2**63 - 1)
+ARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.int64]),
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+    elements={"allow_nan": True, "allow_infinity": True},
+) | hnp.arrays(np.float64, st.sampled_from([(0,), (3, 0), (0, 3)]))
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    INT64,
+    INT64.map(np.int64),
+    FLOATS,
+    FLOATS.map(np.float64),
+    TEXT,
+    ARRAYS,
+)
+DOCS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=DOCS)
+@example(
+    doc={
+        "\u00e9\x01": [np.zeros(0), np.zeros((3, 0)), np.zeros((0, 3)), [], {}],
+        "n": np.array([[1.5, np.nan], [np.inf, -np.inf]]),
+        "s": (float("nan"), float("inf"), -float("inf"), np.float64(-0.0)),
+    }
+)
+def test_json_emitter_writes_what_json_dump_writes(doc):
+    assert "".join(_json_chunks(doc)) == json.dumps(plain(doc), indent=2, sort_keys=True)
 
 
 GRAPH_SOURCES = [(("--c60",), "c60_spectrum"), (("--tube", "30"), "f30_spectrum")]
@@ -139,6 +210,7 @@ def test_spectrum_json_and_vectors(tmp_path, request):
     out = tmp_path / "s.json"
     vecs = tmp_path / "v.csv"
     assert run("spectrum", "--c60", "-o", str(out), "--vectors", str(vecs)) == 0
+    assert_json_dump_layout(out)
     doc = read_json(out)
     assert doc["n_distinct"] == 15
     assert sorted(doc["degeneracies"]) == sorted([3, 4, 4, 5, 3, 5, 3, 3, 5, 9, 4, 3, 5, 3, 1])
@@ -175,6 +247,7 @@ def test_spectrum_csv(tmp_path):
 def test_limiting_json_matches_quoted_row(tmp_path):
     out = tmp_path / "u.json"
     assert run("limiting", "--c60", "-o", str(out)) == 0
+    assert_json_dump_layout(out)
     doc = read_json(out)
     row1 = doc["u"][0][:5]
     assert np.abs(np.array(row1) - REFERENCE_ROW1).max() < 5e-4
@@ -379,9 +452,26 @@ def test_gen_tube_40000_fits_in_1_gib(tmp_path):
     assert len(body) == 1 + 60000
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--c60", "--start", "7", "--tau-max", "10", "--tau-count", "5"),
+        ("bound", "--c60", "--start", "1", "--observable", "position",
+         "--tau-max", "10", "--tau-count", "5"),
+        ("gibbs", "--beta-sweep", "--beta-count", "7"),
+        ("gibbs", "--family", "30..50"),
+    ],
+)
+def test_json_layout_is_json_dump_indent_2(tmp_path, argv):
+    out = tmp_path / "doc.json"
+    assert run(*argv, "-o", str(out)) == 0
+    assert_json_dump_layout(out)
+
+
 def test_gibbs_single_beta(tmp_path):
     out = tmp_path / "g.json"
     assert run("gibbs", "--beta", "0", "-o", str(out)) == 0
+    assert_json_dump_layout(out)
     doc = read_json(out)
     assert np.abs(np.array(doc["node_probs"]) - 1.0 / 6.0).max() < 1e-12
     assert doc["z"] == pytest.approx(6.0)
@@ -437,6 +527,7 @@ def test_eth_node_projector_fluctuates(tmp_path, c60):
         "--haar-samples", "100", "--seed", "0", "-o", str(out),
     )
     assert rc == 0
+    assert_json_dump_layout(out)
     doc = read_json(out)
     # the width depends on the basis inside degenerate clusters; what every
     # basis shares is the interval [0, sigma_max], the cluster-averaged
@@ -503,6 +594,7 @@ def test_eth_observable_validation(tmp_path, capsys):
 def test_symmetry_suite_passes(tmp_path):
     out = tmp_path / "sym.json"
     assert run("symmetry", "-o", str(out)) == 0
+    assert_json_dump_layout(out)
     doc = read_json(out)
     assert doc["passed"] is True
     assert doc["basis"] == "symmetry-adapted"

@@ -6,7 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fullerwalk import (
+    adjacency,
+    build_tube_fullerene,
     cumulative_time_average,
+    default_tau_grid,
     effective_dimension,
     eigendecompose,
     empirical_lhs,
@@ -67,6 +70,10 @@ def test_core_matches_projector_oracle(a, seed):
     a=graphs(),
     nodes=st.tuples(st.integers(1, 10), st.integers(1, 10)),
     taus=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=4),
+)
+# 77 clusters: 2926 pairs, so the 60 horizons run in three blocks of (tau, pair)
+@example(
+    a=adjacency(build_tube_fullerene(130)), nodes=(1, 130), taus=list(default_tau_grid())
 )
 def test_time_average_matches_eigenpair_sum(a, nodes, taus):
     n = a.shape[0]
