@@ -28,6 +28,7 @@ from .spectral import (
     eigendecompose,
     eigenspace_projectors,
     gap_count,
+    graph_spectrum,
     symmetry_adapted_c60_basis,
 )
 from .dynamics import (

@@ -37,7 +37,6 @@ from .eth import (
     position_observable,
 )
 from .graphs import (
-    adjacency,
     build_c60_blocked,
     build_tube_fullerene,
     edge_checksum,
@@ -46,7 +45,7 @@ from .graphs import (
 )
 from .spectral import (
     DEGENERACY_TOL,
-    eigendecompose,
+    graph_spectrum,
     symmetry_adapted_c60_basis,
 )
 from .thermo import (
@@ -280,7 +279,7 @@ def _cmd_gen(args) -> int:
 def _cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     g = _resolve_graph(args)
-    s = eigendecompose(adjacency(g), degeneracy_tol=args.tol)
+    s = graph_spectrum(g, args.tol)
     meta = _meta(args, edge_checksum(g))
     cluster_index = s.cluster_index
 
@@ -323,7 +322,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_limiting(args) -> int:
     t0 = time.perf_counter()
     g = _resolve_graph(args)
-    s = eigendecompose(adjacency(g), degeneracy_tol=args.tol)
+    s = graph_spectrum(g, args.tol)
     u = limiting_distribution(s).u
     meta = _meta(args, edge_checksum(g))
     row_dev = float(np.abs(u.sum(axis=1) - 1.0).max())
@@ -464,7 +463,7 @@ def _cmd_eth(args) -> int:
     if args.haar_samples < 0:
         raise ValueError(f"--haar-samples must be >= 0, got {args.haar_samples}")
     g = _resolve_graph(args)
-    s = eigendecompose(adjacency(g), degeneracy_tol=args.tol)
+    s = graph_spectrum(g, args.tol)
     o = _parse_observable(args.observable, g.n_nodes)
     meta = _meta(args, edge_checksum(g))
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _check_tau_grid
-from .graphs import Graph, adjacency
-from .spectral import DEGENERACY_TOL, Spectrum, eigendecompose, gap_count
+from .graphs import Graph
+from .spectral import DEGENERACY_TOL, Spectrum, gap_count, graph_spectrum
 
 # 32-point Gauss-Legendre integrates e^{i w t} over a panel of length h to
 # rounding for every |w| h <= 62 (checked numerically); 50 leaves margin
@@ -258,7 +258,7 @@ def equilibration_report(
     degeneracy_tol: float = DEGENERACY_TOL,
 ) -> EquilibrationReport:
     """Assemble the full bound-vs-measurement table for one start node."""
-    s = eigendecompose(adjacency(g), degeneracy_tol=degeneracy_tol)
+    s = graph_spectrum(g, degeneracy_tol)
     if not (1 <= start <= s.n):
         raise ValueError(f"start must be in 1..{s.n}, got {start}")
     o = np.asarray(o, dtype=float)

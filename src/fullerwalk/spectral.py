@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import adjacency, build_c60_blocked
+from .graphs import Graph, adjacency, build_c60_blocked
 
 # matches the degeneracy threshold used to produce the reference data
 DEGENERACY_TOL = 1e-6
@@ -133,6 +133,28 @@ def eigendecompose(a, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
         degeneracy_tol=degeneracy_tol,
         basis_tag="plain",
     )
+
+
+# ((graph, type(tol), tol), spectrum) of the last solve: analyses of one
+# graph run back to back, and one slot pins only one N x N basis
+_last = None
+
+
+def graph_spectrum(g: Graph, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
+    """eigendecompose(adjacency(g), degeneracy_tol), keeping the last result.
+
+    A graph equal to the last one with an equal tolerance of the same type
+    (the Spectrum carries it as passed) gets the same Spectrum back without
+    a solve. Both values are immutable and the solver is deterministic, so
+    a hit returns what a solve would; a call that raises keeps the slot.
+    """
+    global _last
+    key = (g, type(degeneracy_tol), degeneracy_tol)
+    if _last is not None and _last[0] == key:
+        return _last[1]
+    s = eigendecompose(adjacency(g), degeneracy_tol)
+    _last = (key, s)
+    return s
 
 
 def eigenspace_projectors(s: Spectrum) -> list:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, adjacency
-from .spectral import DEGENERACY_TOL, eigendecompose
+from .spectral import DEGENERACY_TOL, graph_spectrum
 from .dynamics import limiting_distribution
 
 PENTAGON = (1, 2, 3, 4, 5)
@@ -178,7 +178,7 @@ def gibbs_vs_limiting(family, beta_grid, degeneracy_tol: float = DEGENERACY_TOL)
         if not (30 <= n <= 130):
             raise ValueError(f"family sizes must lie in 30..130, got {n}")
         g = build_tube_fullerene(n)
-        s = eigendecompose(adjacency(g), degeneracy_tol=degeneracy_tol)
+        s = graph_spectrum(g, degeneracy_tol)
         u_nn = limiting_distribution(s).value(n, n)
         rows.append(
             GibbsComparisonRow(
@@ -199,6 +199,6 @@ def initial_state_dependence(g: Graph, degeneracy_tol: float = DEGENERACY_TOL):
     each other, while a Gibbs p(j) vector is constant across the pentagon:
     no single thermal state reproduces both starting conditions.
     """
-    s = eigendecompose(adjacency(g), degeneracy_tol=degeneracy_tol)
+    s = graph_spectrum(g, degeneracy_tol)
     u = limiting_distribution(s)
     return u.row(1)[:5].copy(), u.row(2)[:5].copy()

@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,19 @@ def run_process(*argv, cap=None, timeout=300):
     """The CLI in a fresh interpreter, optionally under an address-space cap
     in bytes. One BLAS thread keeps the per-thread buffers of the
     interpreter itself well under any cap used here."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return run_python(
+        "-m", "fullerwalk.cli", *argv,
+        preexec_fn=None if cap is None else limit,
+        timeout=timeout,
+    )
+
+
+def run_python(*args, **kwargs):
+    """A fresh interpreter on this checkout's fullerwalk with one BLAS thread."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(
         os.environ,
@@ -43,17 +57,8 @@ def run_process(*argv, cap=None, timeout=300):
         OMP_NUM_THREADS="1",
         MKL_NUM_THREADS="1",
     )
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
     return subprocess.run(
-        [sys.executable, "-m", "fullerwalk.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        preexec_fn=None if cap is None else limit,
-        timeout=timeout,
+        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
     )
 
 
@@ -320,6 +325,49 @@ def test_limiting_outputs_are_deterministic(tmp_path):
     assert da == db
 
 
+def test_commands_in_one_process_write_what_fresh_processes_write(tmp_path):
+    # graph_spectrum keeps the last spectrum between commands of one
+    # process: F130 is solved once for four commands, then F30 at two
+    # tolerances. No output may depend on what ran before it.
+    g = str(tmp_path / "f130.txt")
+    steps = [
+        ["gen", "--tube", "130", "-o", g],
+        ["spectrum", "--graph", g, "--vectors", str(tmp_path / "v.csv"), "-o"],
+        ["limiting", "--tube", "130", "--format", "csv", "-o"],
+        ["eth", "--tube", "130", "--observable", "position", "--entropies", "-o"],
+        ["bound", "--tube", "30", "--start", "1", "-o"],
+        ["limiting", "--tube", "30", "--tol", "1e-3", "-o"],
+    ]
+    for k, argv in enumerate(steps[1:], start=1):
+        argv.append(str(tmp_path / f"{k}-{argv[0]}.{'csv' if 'csv' in argv else 'json'}"))
+    outputs = [argv[-1] for argv in steps] + [str(tmp_path / "v.csv")]
+
+    # one fresh process for the sequence too: the BLAS thread count of the
+    # test process may differ, and with it the last bits of a GEMM
+    proc = run_python(
+        "-c",
+        "import json, sys\n"
+        "from fullerwalk.cli import main\n"
+        "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))",
+        json.dumps(steps),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    in_sequence = {path: Path(path).read_bytes() for path in outputs}
+    for argv in steps:
+        proc = run_process(*argv)
+        assert proc.returncode == 0, proc.stderr
+
+    for path, before in in_sequence.items():
+        if path.endswith(".json"):
+            docs = [json.loads(before), read_json(path)]
+            for doc in docs:
+                doc["meta"].pop("timing_seconds")
+            assert docs[0] == docs[1], path
+        else:
+            assert Path(path).read_bytes() == before, path
+
+
 def test_bound_json_report(tmp_path):
     out = tmp_path / "b.json"
     rc = run(
@@ -561,6 +609,16 @@ def test_eth_rejects_negative_haar_samples(tmp_path, capsys):
     )
     assert rc == 2
     assert "--haar-samples must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eth_rejects_a_negative_seed_without_traceback(tmp_path):
+    out = tmp_path / "e.json"
+    argv = ["eth", "--c60", "--observable", "node:1", "--haar-samples", "1"]
+    proc = run_process(*argv, "--seed", "-1", "-o", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "seed" in proc.stderr
     assert not out.exists()
 
 

@@ -161,6 +161,25 @@ def test_haar_baseline_validation():
         haar_entropy_baseline(60, 0)
     with pytest.raises(ValueError):
         haar_orthogonal_state(0, seed=1)
+    with pytest.raises(ValueError):
+        haar_entropy_baseline(0, 4)
+    with pytest.raises(ValueError):
+        haar_entropy_baseline(60, 4, seed=-1)
+    # keys 2**128 - 2, ..., 2**128 + 1: the third leaves the Philox key range
+    with pytest.raises(ValueError):
+        haar_entropy_baseline(60, 4, seed=2**128 - 2)
+
+
+@pytest.mark.parametrize("n", [1, 7, 60, 130])
+@pytest.mark.parametrize("seed", [0, 2**31 - 5, 2**64 - 2])
+def test_haar_baseline_is_the_mean_over_haar_states(n, seed):
+    ents = []
+    for i in range(4):
+        p = haar_orthogonal_state(n, seed + i) ** 2
+        p = p[p > 1e-15]
+        ents.append(float(-(p * np.log(p)).sum()))
+    ents = np.array(ents)
+    assert haar_entropy_baseline(n, 4, seed) == (float(ents.mean()), float(ents.std()))
 
 
 def test_symmetry_check_passes_on_the_adapted_basis(c60_sym_spectrum):

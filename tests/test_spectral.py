@@ -12,8 +12,12 @@ from fullerwalk import (
     eigenspace_projectors,
     gap_count,
     graph_from_edges,
+    graph_spectrum,
+    load_graph,
+    save_graph,
     symmetry_adapted_c60_basis,
 )
+from fullerwalk import spectral
 from oracles import SMALL_GRAPHS, brute_force_gap_count, jacobi_eigh
 
 C60_DEGENERACIES = [3, 4, 4, 5, 3, 5, 3, 3, 5, 9, 4, 3, 5, 3, 1]
@@ -189,3 +193,80 @@ def test_degeneracy_tol_is_carried(c60):
     assert s.n_distinct <= 15
     assert s.degeneracy_tol == pytest.approx(1e-3)
     assert eigendecompose(adjacency(c60)).degeneracy_tol == DEGENERACY_TOL
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Empty the graph_spectrum slot and count the eigendecompose calls
+    made through it; the slot is restored after the test."""
+    calls = []
+
+    def counted(a, degeneracy_tol=DEGENERACY_TOL):
+        calls.append(degeneracy_tol)
+        return eigendecompose(a, degeneracy_tol)
+
+    monkeypatch.setattr(spectral, "_last", None)
+    monkeypatch.setattr(spectral, "eigendecompose", counted)
+    return calls
+
+
+def test_graph_spectrum_hits_on_an_equal_graph(solves):
+    s = graph_spectrum(build_tube_fullerene(30))
+    assert graph_spectrum(build_tube_fullerene(30)) is s
+    assert graph_spectrum(build_tube_fullerene(30), degeneracy_tol=DEGENERACY_TOL) is s
+    assert len(solves) == 1
+    direct = eigendecompose(adjacency(build_tube_fullerene(30)))
+    assert np.array_equal(s.eigenvalues, direct.eigenvalues)
+    assert np.array_equal(s.eigenvectors, direct.eigenvectors)
+    assert s.clusters == direct.clusters
+
+
+def test_graph_spectrum_hits_on_a_loaded_graph(solves, tmp_path):
+    g = build_tube_fullerene(40)
+    s = graph_spectrum(g)
+    save_graph(g, tmp_path / "f40.txt", header=["F40"])
+    assert graph_spectrum(load_graph(tmp_path / "f40.txt")) is s
+    assert len(solves) == 1
+
+
+def test_graph_spectrum_misses_on_another_tolerance(c60, solves):
+    s = graph_spectrum(c60)
+    coarse = graph_spectrum(c60, 1e-1)
+    assert coarse is not s
+    assert coarse.degeneracy_tol == 1e-1
+    assert coarse.clusters == eigendecompose(adjacency(c60), 1e-1).clusters
+    assert coarse.n_distinct < s.n_distinct
+    # equal in value but not in type: the Spectrum carries the tolerance as passed
+    one = graph_spectrum(c60, 1)
+    assert type(one.degeneracy_tol) is int
+    assert type(graph_spectrum(c60, 1.0).degeneracy_tol) is float
+    assert solves == [DEGENERACY_TOL, 1e-1, 1, 1.0]
+
+
+def test_graph_spectrum_keeps_one_graph(c60, solves):
+    f30 = build_tube_fullerene(30)
+    first = graph_spectrum(c60)
+    graph_spectrum(f30)
+    again = graph_spectrum(c60)
+    assert again is not first
+    assert np.array_equal(again.eigenvectors, first.eigenvectors)
+    assert len(solves) == 3
+
+
+def test_graph_spectrum_failure_leaves_the_slot(c60, solves):
+    s = graph_spectrum(c60)
+    kept = spectral._last
+    with pytest.raises(ValueError, match="tol"):
+        graph_spectrum(c60, float("nan"))
+    assert spectral._last is kept
+    assert graph_spectrum(c60) is s
+    assert len(solves) == 2
+
+
+def test_graph_spectrum_arrays_are_read_only(c60, solves):
+    for s in (graph_spectrum(c60), graph_spectrum(c60)):
+        with pytest.raises(ValueError):
+            s.eigenvalues[0] = 99.0
+        with pytest.raises(ValueError):
+            s.eigenvectors[0, 0] = 99.0
+    assert len(solves) == 1
