@@ -26,7 +26,6 @@ from .spectral import (
     Spectrum,
     cluster_eigenvalues,
     eigendecompose,
-    eigenspace_projectors,
     gap_count,
     graph_spectrum,
     symmetry_adapted_c60_basis,

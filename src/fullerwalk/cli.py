@@ -4,8 +4,12 @@ Every command writes a JSON or CSV data file, never an image; plots are
 left to downstream tooling and each output is the table behind one. The
 JSON header echoes the exact flag set plus the graph checksum so a run
 can be reproduced from its own output. CSV files carry the same metadata
-as '#' comment lines. Timing appears only in JSON (timing_seconds); CSV
-and graph files are byte-identical across reruns of the same command.
+as '#' comment lines. Commands only compute; main adds the metadata and
+writes each file, JSON through one streaming emitter and CSV through one
+row-template writer. Timing appears only in JSON (timing_seconds); CSV
+and graph files are byte-identical across reruns of the same command with
+the same number of BLAS threads (the BLAS may split a matrix product
+differently at another count, which moves the last digits of u).
 
 Exit codes: 0 success, 2 usage or validation error, an allocation
 refused for lack of memory or a bound horizon over the lhs node budget,
@@ -20,6 +24,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -27,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import limiting_distribution
-from .equilibration import equilibration_report
+from .equilibration import TAU_COUNT, TAU_MAX, TAU_MIN, equilibration_report
 from .eth import (
     eth_report,
     eth_symmetry_check,
@@ -140,14 +145,6 @@ def _json_chunks(obj, nl="\n"):
     yield nl + brackets[1]
 
 
-def _write_json(path, meta, payload, t0: float) -> None:
-    doc = dict(payload)
-    doc["meta"] = dict(meta, timing_seconds=round(time.perf_counter() - t0, 6))
-    with open(path, "w") as fh:
-        fh.writelines(_json_chunks(doc))
-        fh.write("\n")
-
-
 def _meta_comment_lines(meta) -> list:
     return [
         f"# tool: {meta['tool']} {meta['version']}",
@@ -157,32 +154,13 @@ def _meta_comment_lines(meta) -> list:
     ]
 
 
-def _cell(val, sig17: bool) -> str:
-    if isinstance(val, (bool, np.bool_)):
-        return "true" if val else "false"
-    if isinstance(val, (float, np.floating)):
-        return format(float(val), ".17g") if sig17 else repr(float(val))
-    return str(val)
-
-
-def _write_csv(path, meta, columns, rows, sig17=(), extra_comments=()) -> None:
-    lines = _meta_comment_lines(meta)
-    lines.extend(extra_comments)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(
-            ",".join(_cell(v, c in sig17) for c, v in zip(columns, row))
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _stream_csv(path, header, template, rows) -> None:
+def _write_csv(path, header, template, rows) -> None:
     """Header lines, then one `template % row` per row.
 
     An N x N table is formatted one row at a time, so the formatter holds
     N Python values, never N^2. '%.17g' is the routine behind
-    format(v, '.17g'), so each value reads exactly as that gives it.
+    format(v, '.17g'), so each value reads exactly as that gives it, and
+    '%r' of a Python float is its repr.
     """
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
@@ -190,24 +168,10 @@ def _stream_csv(path, header, template, rows) -> None:
             fh.write(template % row)
 
 
-def _write_matrix_csv(path, meta, matrix, extra_comments=()) -> None:
-    """Full N x N matrix, one row per line, 17 significant digits."""
-    m = np.asarray(matrix, dtype=float)
+def _matrix_table(m, *lines):
+    """CSV table of a full N x N matrix, one row per line, 17 significant digits."""
     template = ",".join(["%.17g"] * m.shape[1]) + "\n"
-    header = [*_meta_comment_lines(meta), *extra_comments]
-    _stream_csv(path, header, template, (tuple(r.tolist()) for r in m))
-
-
-def _write_triples_csv(path, meta, matrix) -> None:
-    """Column line x,y,u, then one line per cell with 1-based x and y and
-    u to 17 significant digits."""
-    m = np.asarray(matrix, dtype=float)
-    template = "".join(f"%d,{y},%.17g\n" for y in range(1, m.shape[1] + 1))
-    rows = (
-        tuple(chain.from_iterable(zip(repeat(x), r.tolist())))
-        for x, r in enumerate(m, start=1)
-    )
-    _stream_csv(path, [*_meta_comment_lines(meta), "x,y,u"], template, rows)
+    return list(lines), template, (tuple(r.tolist()) for r in m)
 
 
 def _resolve_graph(args):
@@ -269,82 +233,65 @@ def _log_grid(lo: float, hi: float, count: int, name: str) -> np.ndarray:
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
-def _cmd_gen(args) -> int:
-    g = build_tube_fullerene(args.tube) if args.tube is not None else build_c60_blocked()
-    meta = _meta(args, edge_checksum(g))
-    save_graph(g, args.output, header=_meta_comment_lines(meta))
-    return 0
+# Each _cmd_* computes and writes nothing. It returns (graph, payload,
+# table, *csv_files): the graph the meta checksum names, or None; the JSON
+# payload, or None where the output has no JSON form; the CSV table, or
+# None where it has no CSV form; then one (path, table) pair per further
+# CSV file. A table is (its lines after the meta header, a '%' template of
+# one row, an iterator over the rows). With neither a payload nor a table
+# the output is the graph file.
 
 
-def _cmd_spectrum(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_gen(args):
+    return _resolve_graph(args), None, None
+
+
+def _cmd_spectrum(args):
     g = _resolve_graph(args)
     s = graph_spectrum(g, args.tol)
-    meta = _meta(args, edge_checksum(g))
     cluster_index = s.cluster_index
-
-    if args.format == "json":
-        payload = {
-            "n_nodes": g.n_nodes,
-            "eigenvalues": s.eigenvalues,
-            "cluster_index": cluster_index,
-            "cluster_values": s.cluster_values(),
-            "degeneracies": np.bincount(cluster_index),
-            "n_distinct": s.n_distinct,
-            "degeneracy_tol": s.degeneracy_tol,
-        }
-        _write_json(args.output, meta, payload, t0)
-    else:
-        rows = [
-            (k + 1, s.eigenvalues[k], int(cluster_index[k])) for k in range(s.n)
-        ]
-        _write_csv(
-            args.output,
-            meta,
-            ("k", "eigenvalue", "cluster"),
-            rows,
-            sig17=("eigenvalue",),
-            extra_comments=["# k is 1-based, clusters 0-based, both ascending"],
-        )
-
-    if args.vectors:
-        _write_matrix_csv(
-            args.vectors,
-            meta,
-            s.eigenvectors,
-            extra_comments=[
-                "# rows are vertices 1..N, columns eigenvectors in ascending order"
-            ],
-        )
-    return 0
+    payload = {
+        "n_nodes": g.n_nodes,
+        "eigenvalues": s.eigenvalues,
+        "cluster_index": cluster_index,
+        "cluster_values": s.cluster_values(),
+        "degeneracies": np.bincount(cluster_index),
+        "n_distinct": s.n_distinct,
+        "degeneracy_tol": s.degeneracy_tol,
+    }
+    table = (
+        ["# k is 1-based, clusters 0-based, both ascending", "k,eigenvalue,cluster"],
+        "%d,%.17g,%d\n",
+        zip(range(1, s.n + 1), s.eigenvalues.tolist(), cluster_index.tolist()),
+    )
+    comment = "# rows are vertices 1..N, columns eigenvectors in ascending order"
+    more = [(args.vectors, _matrix_table(s.eigenvectors, comment))] if args.vectors else []
+    return g, payload, table, *more
 
 
-def _cmd_limiting(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_limiting(args):
     g = _resolve_graph(args)
     s = graph_spectrum(g, args.tol)
     u = limiting_distribution(s).u
-    meta = _meta(args, edge_checksum(g))
-    row_dev = float(np.abs(u.sum(axis=1) - 1.0).max())
+    payload = {
+        "n_nodes": g.n_nodes,
+        "u": u,
+        "row_sum_max_dev": float(np.abs(u.sum(axis=1) - 1.0).max()),
+    }
+    if args.c60:
+        payload["mirror_residual"] = float(np.abs(u - u[:, ::-1]).max())
+    if args.layout == "matrix":
+        return g, payload, _matrix_table(u)
+    # one line per cell with 1-based x and y; one template fills a matrix row
+    template = "".join(f"%d,{y},%.17g\n" for y in range(1, u.shape[1] + 1))
+    rows = (
+        tuple(chain.from_iterable(zip(repeat(x), r.tolist())))
+        for x, r in enumerate(u, start=1)
+    )
+    return g, payload, (["x,y,u"], template, rows)
 
-    if args.format == "json":
-        payload = {
-            "n_nodes": g.n_nodes,
-            "u": u,
-            "row_sum_max_dev": row_dev,
-        }
-        if args.c60:
-            payload["mirror_residual"] = float(np.abs(u - u[:, ::-1]).max())
-        _write_json(args.output, meta, payload, t0)
-    elif args.layout == "matrix":
-        _write_matrix_csv(args.output, meta, u)
-    else:
-        _write_triples_csv(args.output, meta, u)
-    return 0
 
-
-def _cmd_bound(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_bound(args):
     g = _resolve_graph(args)
     if not 1 <= args.start <= g.n_nodes:
         raise ValueError(f"start must be in 1..{g.n_nodes}, got {args.start}")
@@ -361,121 +308,81 @@ def _cmd_bound(args) -> int:
         n_eps_override=args.n_eps_override,
         degeneracy_tol=args.tol,
     )
-    meta = _meta(args, edge_checksum(g))
-    if args.format == "json":
-        payload = {
-            "start": rep.start,
-            "observable": obs_spec,
-            "d_eff": rep.d_eff,
-            "n_lambda": rep.n_lambda,
-            "log2_n_lambda": math.log2(rep.n_lambda),
-            "n_eps": rep.n_eps,
-            "n_eps_override": rep.n_eps_override,
-            "epsilon": rep.epsilon,
-            "operator_norm_sq": rep.operator_norm_sq,
-            "rhs_asymptote": rep.rhs_asymptote,
-            "bound_holds": bool(np.all(rep.lhs <= rep.rhs)),
-            "table": {"tau": rep.tau_grid, "lhs": rep.lhs, "rhs": rep.rhs},
-        }
-        _write_json(args.output, meta, payload, t0)
-    else:
-        rows = list(zip(rep.tau_grid, rep.lhs, rep.rhs))
-        _write_csv(args.output, meta, ("tau", "lhs", "rhs"), rows)
-    return 0
+    payload = {
+        "start": rep.start,
+        "observable": obs_spec,
+        "d_eff": rep.d_eff,
+        "n_lambda": rep.n_lambda,
+        "log2_n_lambda": math.log2(rep.n_lambda),
+        "n_eps": rep.n_eps,
+        "n_eps_override": rep.n_eps_override,
+        "epsilon": rep.epsilon,
+        "operator_norm_sq": rep.operator_norm_sq,
+        "rhs_asymptote": rep.rhs_asymptote,
+        "bound_holds": bool(np.all(rep.lhs <= rep.rhs)),
+        "table": {"tau": rep.tau_grid, "lhs": rep.lhs, "rhs": rep.rhs},
+    }
+    rows = zip(rep.tau_grid.tolist(), rep.lhs.tolist(), rep.rhs.tolist())
+    return g, payload, (["tau,lhs,rhs"], "%r,%r,%r\n", rows)
 
 
-def _cmd_gibbs(args) -> int:
-    t0 = time.perf_counter()
-    meta = _meta(args, None)
-
+def _cmd_gibbs(args):
     if args.beta is not None:
-        if not math.isfinite(args.beta) or args.beta < 0:
-            raise ValueError(f"beta must be finite and >= 0, got {args.beta}")
         pg = pentagon_gibbs(args.beta)
-        if args.format == "json":
-            payload = {
-                "beta": pg.beta,
-                "z": pg.z,
-                "node_probs": pg.node_probs,
-                "state": pg.state,
-            }
-            _write_json(args.output, meta, payload, t0)
-        else:
-            rows = [(j, pg.node_probs[j]) for j in range(6)]
-            _write_csv(
-                args.output,
-                meta,
-                ("node", "probability"),
-                rows,
-                extra_comments=["# node 0 is the no-walker state b0"],
-            )
-        return 0
+        payload = {
+            "beta": pg.beta,
+            "z": pg.z,
+            "node_probs": pg.node_probs,
+            "state": pg.state,
+        }
+        table = (
+            ["# node 0 is the no-walker state b0", "node,probability"],
+            "%d,%r\n",
+            enumerate(pg.node_probs.tolist()),
+        )
+        return None, payload, table
 
-    betas = _linear_grid(args.beta_min, args.beta_max, args.beta_count, "beta")
+    betas = _linear_grid(args.beta_min, args.beta_max, args.beta_count, "beta").tolist()
     if args.beta_sweep:
-        table = []
-        for beta in betas:
-            p_j = gibbs_node_probability(beta)
-            table.append((beta, gibbs_partition_function(beta), p_j, 1.0 - 5.0 * p_j))
-        if args.format == "json":
-            payload = {
-                "table": {
-                    "beta": [r[0] for r in table],
-                    "z": [r[1] for r in table],
-                    "p_j": [r[2] for r in table],
-                    "p_0": [r[3] for r in table],
-                }
-            }
-            _write_json(args.output, meta, payload, t0)
-        else:
-            _write_csv(args.output, meta, ("beta", "z", "p_j", "p_0"), table)
-        return 0
+        p_j = [gibbs_node_probability(beta) for beta in betas]
+        columns = {
+            "beta": betas,
+            "z": [gibbs_partition_function(beta) for beta in betas],
+            "p_j": p_j,
+            "p_0": [1.0 - 5.0 * p for p in p_j],
+        }
+        table = ([",".join(columns)], "%r,%r,%r,%r\n", zip(*columns.values()))
+        return None, {"table": columns}, table
 
     sizes = _parse_family(args.family)
     rows = gibbs_vs_limiting(sizes, betas, degeneracy_tol=args.tol)
-    if args.format == "json":
-        payload = {
-            "rows": [
-                {
-                    "n": r.n,
-                    "u_nn": r.u_nn,
-                    "p_beta_min": r.p_beta_min,
-                    "p_beta_max": r.p_beta_max,
-                    "gibbs_matchable": r.gibbs_matchable,
-                }
-                for r in rows
-            ],
-            "any_matchable": bool(any(r.gibbs_matchable for r in rows)),
-        }
-        _write_json(args.output, meta, payload, t0)
-    else:
-        _write_csv(
-            args.output,
-            meta,
-            ("N", "u_NN", "p_beta_min", "p_beta_max", "gibbs_matchable"),
-            [(r.n, r.u_nn, r.p_beta_min, r.p_beta_max, r.gibbs_matchable) for r in rows],
-        )
-    return 0
+    payload = {
+        "rows": [asdict(r) for r in rows],
+        "any_matchable": bool(any(r.gibbs_matchable for r in rows)),
+    }
+    table = (
+        ["N,u_NN,p_beta_min,p_beta_max,gibbs_matchable"],
+        "%d,%r,%r,%r,%s\n",
+        [
+            (r.n, r.u_nn, r.p_beta_min, r.p_beta_max, "true" if r.gibbs_matchable else "false")
+            for r in rows
+        ],
+    )
+    return None, payload, table
 
 
-def _cmd_eth(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_eth(args):
     if args.haar_samples < 0:
         raise ValueError(f"--haar-samples must be >= 0, got {args.haar_samples}")
     g = _resolve_graph(args)
     s = graph_spectrum(g, args.tol)
     o = _parse_observable(args.observable, g.n_nodes)
-    meta = _meta(args, edge_checksum(g))
 
+    # the CSV is the whole energy-basis matrix, the JSON the report on it
     if args.format == "csv":
         eb = observable_in_energy_basis(s, o)
-        _write_matrix_csv(
-            args.output,
-            meta,
-            eb.o_mn,
-            extra_comments=[f"# O in the energy eigenbasis, basis {eb.basis_tag}"],
-        )
-        return 0
+        tag = f"# O in the energy eigenbasis, basis {eb.basis_tag}"
+        return g, None, _matrix_table(eb.o_mn, tag)
 
     rep = eth_report(s, o)
     # diagonal of each node projector |x><x| in the energy basis, one row per node
@@ -504,17 +411,14 @@ def _cmd_eth(args) -> int:
         hmean, hstd = haar_entropy_baseline(g.n_nodes, args.haar_samples, seed=args.seed)
         payload["haar_entropy_mean"] = hmean
         payload["haar_entropy_std"] = hstd
-    _write_json(args.output, meta, payload, t0)
-    return 0
+    return g, payload, None
 
 
-def _cmd_symmetry(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_symmetry(args):
     s = symmetry_adapted_c60_basis(degeneracy_tol=args.tol)
     chk = eth_symmetry_check(s)
     u = limiting_distribution(s).u
     u_resid = float(np.abs(u - u[:, ::-1]).max())
-    meta = _meta(args, edge_checksum(build_c60_blocked()))
     payload = {
         "basis": s.basis_tag,
         "mirror_residual": chk.mirror_residual,
@@ -527,8 +431,7 @@ def _cmd_symmetry(args) -> int:
             "u_mirror_residual": 1e-9,
         },
     }
-    _write_json(args.output, meta, payload, t0)
-    return 0
+    return build_c60_blocked(), payload, None
 
 
 def _add_graph_source(p, with_file: bool = True) -> None:
@@ -615,9 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="use K instead of the computed N(epsilon) in the rhs",
     )
-    p.add_argument("--tau-min", type=float, default=0.1, help="smallest horizon")
-    p.add_argument("--tau-max", type=float, default=1000.0, help="largest horizon")
-    p.add_argument("--tau-count", type=int, default=60, help="grid size")
+    p.add_argument("--tau-min", type=float, default=TAU_MIN, help="smallest horizon")
+    p.add_argument("--tau-max", type=float, default=TAU_MAX, help="largest horizon")
+    p.add_argument("--tau-count", type=int, default=TAU_COUNT, help="grid size")
     _add_output(p)
     p.set_defaults(func=_cmd_bound)
 
@@ -672,11 +575,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> None:
+    """Run one command and write what it returns, with meta added."""
+    t0 = time.perf_counter()
+    g, payload, table, *csv_files = args.func(args)
+    meta = _meta(args, None if g is None else edge_checksum(g))
+    header = _meta_comment_lines(meta)
+    if payload is None and table is None:
+        save_graph(g, args.output, header=header)
+    elif payload is not None and (table is None or args.format == "json"):
+        meta["timing_seconds"] = round(time.perf_counter() - t0, 6)
+        with open(args.output, "w") as fh:
+            fh.writelines(_json_chunks(dict(payload, meta=meta)))
+            fh.write("\n")
+    else:
+        csv_files.insert(0, (args.output, table))
+    for path, (lines, template, rows) in csv_files:
+        _write_csv(path, header + lines, template, rows)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _run(args)
+        return 0
     except ValueError as exc:
         print(f"fullerwalk: error: {exc}", file=sys.stderr)
         return 2

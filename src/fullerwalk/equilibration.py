@@ -32,6 +32,8 @@ BLOCK_ELEMENTS = 2**14
 # 8 s for the node observable and 13 s for position (one BLAS thread,
 # 2-vCPU x86 machine)
 LHS_MAX_NODES = 2**25
+# the default horizon grid, shared with the bound command's defaults
+TAU_MIN, TAU_MAX, TAU_COUNT = 0.1, 1000.0, 60
 
 
 def _gauss_legendre(n: int):
@@ -217,9 +219,9 @@ def empirical_lhs(s: Spectrum, rho0, o, tau_grid) -> np.ndarray:
 
 
 def default_tau_grid() -> np.ndarray:
-    """60 logarithmically spaced time horizons spanning the transient and
-    the asymptote, [0.1, 1e3]."""
-    return np.logspace(np.log10(0.1), 3.0, 60)
+    """TAU_COUNT logarithmically spaced time horizons spanning the transient
+    and the asymptote, [TAU_MIN, TAU_MAX]."""
+    return np.logspace(np.log10(TAU_MIN), np.log10(TAU_MAX), TAU_COUNT)
 
 
 @dataclass(frozen=True)

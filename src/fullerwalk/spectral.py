@@ -1,12 +1,12 @@
 """Dense symmetric eigendecomposition and degeneracy bookkeeping.
 
 Everything downstream (limiting distributions, dephasing, the equilibration
-bound) is phrased in terms of eigenspace projectors, so the Spectrum value
-carries the degeneracy clustering alongside the raw eigenpairs. Clusters
-are contiguous runs of the eigen-index, so per-eigenspace quantities are
-segment sums (Spectrum.cluster_sums) and no projector need be formed. The
-C60 buckyball additionally gets a symmetry-adapted basis built from its
-centrosymmetric block structure, for which the mirror relation
+bound) depends on eigenspaces, not on the basis inside them, so the Spectrum
+value carries the degeneracy clustering alongside the raw eigenpairs.
+Clusters are contiguous runs of the eigen-index, so per-eigenspace
+quantities are segment sums (Spectrum.cluster_sums); no projector is
+formed. The C60 buckyball additionally gets a symmetry-adapted basis built
+from its centrosymmetric block structure, for which the mirror relation
 |<x|lam_k>| = |<61-x|lam_k>| holds exactly by construction.
 """
 
@@ -155,15 +155,6 @@ def graph_spectrum(g: Graph, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum
     s = eigendecompose(adjacency(g), degeneracy_tol)
     _last = (key, s)
     return s
-
-
-def eigenspace_projectors(s: Spectrum) -> list:
-    """P_n = sum_{k in C_n} |lam_k><lam_k|, one per degeneracy cluster."""
-    out = []
-    for c in s.clusters:
-        vc = s.eigenvectors[:, list(c)]
-        out.append(_freeze(vc @ vc.T))
-    return out
 
 
 def symmetry_adapted_c60_basis(degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, adjacency
+from .graphs import Graph, adjacency, build_tube_fullerene
 from .spectral import DEGENERACY_TOL, graph_spectrum
 from .dynamics import limiting_distribution
 
@@ -87,6 +87,8 @@ def _boltzmann_weights(beta: float):
     """Normalized weights exp(-beta*lam)/Z over the six levels
     (0 for the no-walker state, then cos(2 pi j/5) for j=0..4),
     evaluated via log-sum-exp so large beta cannot overflow."""
+    if not (beta >= 0 and np.isfinite(beta)):
+        raise ValueError(f"beta must be finite and non-negative, got {beta}")
     exponents = np.concatenate([[0.0], -beta * _PENTAGON_LEVELS])
     shift = exponents.max()
     unnorm = np.exp(exponents - shift)
@@ -97,8 +99,6 @@ def _boltzmann_weights(beta: float):
 
 def gibbs_partition_function(beta: float) -> float:
     """Z = tr exp(-beta H_S) over the six levels, via log-sum-exp."""
-    if not (beta >= 0 and np.isfinite(beta)):
-        raise ValueError(f"beta must be finite and non-negative, got {beta}")
     _, log_z = _boltzmann_weights(beta)
     with np.errstate(over="ignore"):
         return float(np.exp(log_z))
@@ -111,8 +111,6 @@ def gibbs_node_probability(beta: float) -> float:
     exactly 1/5 (Fourier modes), so p(j) does not depend on j. Moves
     monotonically from 1/6 at beta=0 toward 1/5 as beta grows.
     """
-    if not (beta >= 0 and np.isfinite(beta)):
-        raise ValueError(f"beta must be finite and non-negative, got {beta}")
     weights, _ = _boltzmann_weights(beta)
     return float(weights[1:].sum() / 5.0)
 
@@ -125,8 +123,6 @@ def pentagon_gibbs(beta: float) -> PentagonGibbs:
     Fourier pairs combine to a real symmetric matrix; the tiny complex
     residue from finite arithmetic is dropped after a sanity check.
     """
-    if not (beta >= 0 and np.isfinite(beta)):
-        raise ValueError(f"beta must be finite and non-negative, got {beta}")
     weights, log_z = _boltzmann_weights(beta)
 
     omega = np.exp(2j * np.pi / 5.0)
@@ -166,8 +162,6 @@ def gibbs_vs_limiting(family, beta_grid, degeneracy_tol: float = DEGENERACY_TOL)
     builds F_N, computes the limiting return probability of the last node,
     and flags gibbs_matchable when some beta gives |u(N,N) - p(j)| < 1e-3.
     """
-    from .graphs import build_tube_fullerene
-
     betas = np.asarray(beta_grid, dtype=float)
     if betas.ndim != 1 or len(betas) == 0:
         raise ValueError("beta_grid must be a non-empty 1-d sequence")

@@ -97,6 +97,13 @@ def _grouped_projectors(a, decimals=8):
     return np.array(levels), projectors
 
 
+def cluster_projectors(s):
+    """P_j = V_c V_c^T for each degeneracy cluster c of a Spectrum, formed
+    from its own eigenvectors (the library never forms projectors)."""
+    blocks = [s.eigenvectors[:, list(c)] for c in s.clusters]
+    return [v @ v.T for v in blocks]
+
+
 def greedy_clusters(values, tol=1e-6):
     """Index lists of an ascending sequence, split wherever the step
     between neighbours exceeds tol."""

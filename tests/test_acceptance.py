@@ -23,7 +23,6 @@ from fullerwalk import (
     default_tau_grid,
     effective_dimension,
     eigendecompose,
-    eigenspace_projectors,
     empirical_lhs,
     equilibration_report,
     eth_report,
@@ -42,6 +41,7 @@ from fullerwalk import (
 from oracles import (
     SMALL_GRAPHS,
     brute_force_limiting,
+    cluster_projectors,
     expm_evolution,
     haar_rotate_within_clusters,
     node_projector_widths,
@@ -321,7 +321,7 @@ def test_acceptance_09_property_suite(c60, c60_spectrum, c60_sym_spectrum):
     if np.abs(u.sum(axis=1) - 1.0).max() > 1e-9:
         failures.append("row stochasticity")
 
-    projs = eigenspace_projectors(c60_spectrum)
+    projs = cluster_projectors(c60_spectrum)
     total = sum(projs)
     if np.abs(total - np.eye(60)).max() > 1e-9:
         failures.append("projector completeness")

@@ -16,9 +16,17 @@ import fullerwalk
 from fullerwalk import (
     __version__,
     adjacency,
+    build_c60_blocked,
+    build_tube_fullerene,
     edge_checksum,
+    equilibration_report,
+    gibbs_node_probability,
+    gibbs_partition_function,
+    gibbs_vs_limiting,
+    graph_spectrum,
     limiting_distribution,
     load_graph,
+    pentagon_gibbs,
     position_observable,
 )
 from fullerwalk.cli import _json_chunks, main
@@ -289,15 +297,27 @@ def test_limiting_csv_triples_and_matrix(tmp_path, request):
         assert_csv_is(mat, matrix_body(u))
 
 
-def test_limiting_triples_csv_on_f1000_streams_under_320_mib(tmp_path):
+@pytest.mark.parametrize(
+    "argv, data_lines",
+    [
+        (("--format", "csv"), 1 + 1000 * 1000),
+        (("--format", "csv", "--layout", "matrix"), 1000),
+        (("--format", "json"), None),
+    ],
+    ids=["triples", "matrix", "json"],
+)
+def test_limiting_triples_csv_on_f1000_streams_under_320_mib(tmp_path, argv, data_lines):
     # the N x N float arrays, not one Python object per cell; with numpy 2.4
     # the per-cell writer needed 442 MiB of address space, the streaming one 180
-    out = tmp_path / "u.csv"
-    proc = run_process("limiting", "--tube", "1000", "--format", "csv", "-o", str(out),
-                       cap=320 << 20)
+    out = tmp_path / "u.out"
+    proc = run_process("limiting", "--tube", "1000", *argv, "-o", str(out), cap=320 << 20)
     assert proc.returncode == 0, proc.stderr
+    if data_lines is None:
+        u = read_json(out)["u"]
+        assert len(u) == 1000 and all(len(row) == 1000 for row in u)
+        return
     with open(out) as fh:
-        assert sum(1 for ln in fh if not ln.startswith("#")) == 1 + 1000 * 1000
+        assert sum(1 for ln in fh if not ln.startswith("#")) == data_lines
 
 
 def test_limiting_rejects_non_finite_tol(tmp_path, capsys):
@@ -400,6 +420,65 @@ def test_bound_csv_and_override(tmp_path):
     assert len(data) == 5
     tau, lhs, rhs = (float(tok) for tok in data[-1].split(","))
     assert lhs <= rhs
+
+
+def spectrum_rows():
+    s = graph_spectrum(build_tube_fullerene(30))
+    ks = range(1, s.n + 1)
+    return [
+        (str(k), g17(v), str(c))
+        for k, v, c in zip(ks, s.eigenvalues.tolist(), s.cluster_index.tolist())
+    ]
+
+
+def bound_rows():
+    taus = np.logspace(np.log10(0.1), np.log10(10.0), 5)
+    node_7 = np.diag(np.eye(60)[6])
+    rep = equilibration_report(build_c60_blocked(), 7, node_7, tau_grid=taus)
+    rows = zip(rep.tau_grid.tolist(), rep.lhs.tolist(), rep.rhs.tolist())
+    return [tuple(map(repr, row)) for row in rows]
+
+
+def beta_rows():
+    return [(str(j), repr(p)) for j, p in enumerate(pentagon_gibbs(2.5).node_probs.tolist())]
+
+
+def sweep_rows():
+    rows = []
+    for beta in np.linspace(0.0, 200.0, 7).tolist():
+        p_j = gibbs_node_probability(beta)
+        rows.append((beta, gibbs_partition_function(beta), p_j, 1.0 - 5.0 * p_j))
+    return [tuple(map(repr, row)) for row in rows]
+
+
+def family_rows():
+    return [
+        (str(r.n), repr(r.u_nn), repr(r.p_beta_min), repr(r.p_beta_max),
+         "true" if r.gibbs_matchable else "false")
+        for r in gibbs_vs_limiting([30, 40], np.linspace(0.0, 200.0, 201))
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, columns, expected_rows",
+    [
+        (("spectrum", "--tube", "30"), "k,eigenvalue,cluster", spectrum_rows),
+        (("bound", "--c60", "--start", "7", "--tau-max", "10", "--tau-count", "5"),
+         "tau,lhs,rhs", bound_rows),
+        (("gibbs", "--beta", "2.5"), "node,probability", beta_rows),
+        (("gibbs", "--beta-sweep", "--beta-count", "7"), "beta,z,p_j,p_0", sweep_rows),
+        (("gibbs", "--family", "30,40"),
+         "N,u_NN,p_beta_min,p_beta_max,gibbs_matchable", family_rows),
+    ],
+    ids=["spectrum", "bound", "beta", "beta-sweep", "family"],
+)
+def test_small_csv_tables_are_byte_exact(tmp_path, argv, columns, expected_rows):
+    # integers as str, eigenvalues to 17 significant digits, the other
+    # floats as their repr, booleans as true/false
+    out = tmp_path / "t.csv"
+    assert run(*argv, "--format", "csv", "-o", str(out)) == 0
+    body = "".join(",".join(row) + "\n" for row in expected_rows())
+    assert_csv_is(out, body, columns=columns)
 
 
 def test_bound_start_out_of_range(tmp_path, capsys):

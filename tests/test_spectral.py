@@ -9,7 +9,6 @@ from fullerwalk import (
     build_tube_fullerene,
     cluster_eigenvalues,
     eigendecompose,
-    eigenspace_projectors,
     gap_count,
     graph_from_edges,
     graph_spectrum,
@@ -18,7 +17,12 @@ from fullerwalk import (
     symmetry_adapted_c60_basis,
 )
 from fullerwalk import spectral
-from oracles import SMALL_GRAPHS, brute_force_gap_count, jacobi_eigh
+from oracles import (
+    SMALL_GRAPHS,
+    brute_force_gap_count,
+    cluster_projectors,
+    jacobi_eigh,
+)
 
 C60_DEGENERACIES = [3, 4, 4, 5, 3, 5, 3, 3, 5, 9, 4, 3, 5, 3, 1]
 
@@ -74,7 +78,7 @@ def test_c60_degeneracy_pattern(c60_spectrum):
 
 
 def test_projector_algebra(c60_spectrum):
-    projs = eigenspace_projectors(c60_spectrum)
+    projs = cluster_projectors(c60_spectrum)
     total = np.zeros((60, 60))
     for i, p in enumerate(projs):
         assert np.abs(p @ p - p).max() < 1e-9
@@ -89,7 +93,7 @@ def test_projector_algebra(c60_spectrum):
 
 def test_projectors_commute_with_hamiltonian(c60, c60_spectrum):
     a = adjacency(c60)
-    for p in eigenspace_projectors(c60_spectrum):
+    for p in cluster_projectors(c60_spectrum):
         assert np.abs(a @ p - p @ a).max() < 1e-8
 
 
@@ -101,7 +105,7 @@ def test_eigendecompose_matches_jacobi_oracle(name):
     w_o, v_o = jacobi_eigh(a)
     assert np.abs(s.eigenvalues - w_o).max() < 1e-10
     # bases may differ inside degenerate clusters; compare projectors
-    for c, p in zip(s.clusters, eigenspace_projectors(s)):
+    for c, p in zip(s.clusters, cluster_projectors(s)):
         cols = v_o[:, list(c)]
         assert np.abs(cols @ cols.T - p).max() < 1e-8
 
