@@ -34,14 +34,18 @@ from . import __version__
 from .dynamics import limiting_distribution
 from .equilibration import TAU_COUNT, TAU_MAX, TAU_MIN, equilibration_report
 from .eth import (
+    SYMMETRY_THRESHOLDS,
+    _node_projector,
     eth_report,
     eth_symmetry_check,
     haar_entropy_baseline,
     node_entropies,
     observable_in_energy_basis,
     position_observable,
+    projector_eth_stats,
 )
 from .graphs import (
+    _check_label,
     build_c60_blocked,
     build_tube_fullerene,
     edge_checksum,
@@ -190,11 +194,7 @@ def _parse_observable(spec: str, n: int) -> np.ndarray:
             x = int(spec[5:])
         except ValueError:
             raise ValueError(f"bad node index in observable {spec!r}") from None
-        if not 1 <= x <= n:
-            raise ValueError(f"observable node {x} out of range 1..{n}")
-        o = np.zeros((n, n))
-        o[x - 1, x - 1] = 1.0
-        return o
+        return _node_projector(n, x, "observable node")
     raise ValueError(
         f"observable must be 'position' or 'node:K', got {spec!r}"
     )
@@ -231,6 +231,10 @@ def _log_grid(lo: float, hi: float, count: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} grid must start above 0, got {lo}")
     _linear_grid(lo, hi, count, name)
     return np.logspace(np.log10(lo), np.log10(hi), count)
+
+
+def _mirror_residual(u: np.ndarray) -> float:
+    return float(np.abs(u - u[:, ::-1]).max())
 
 
 # Each _cmd_* computes and writes nothing. It returns (graph, payload,
@@ -279,7 +283,7 @@ def _cmd_limiting(args):
         "row_sum_max_dev": float(np.abs(u.sum(axis=1) - 1.0).max()),
     }
     if args.c60:
-        payload["mirror_residual"] = float(np.abs(u - u[:, ::-1]).max())
+        payload["mirror_residual"] = _mirror_residual(u)
     if args.layout == "matrix":
         return g, payload, _matrix_table(u)
     # one line per cell with 1-based x and y; one template fills a matrix row
@@ -293,8 +297,7 @@ def _cmd_limiting(args):
 
 def _cmd_bound(args):
     g = _resolve_graph(args)
-    if not 1 <= args.start <= g.n_nodes:
-        raise ValueError(f"start must be in 1..{g.n_nodes}, got {args.start}")
+    _check_label(args.start, g.n_nodes, "start")
     obs_spec = args.observable if args.observable else f"node:{args.start}"
     o = _parse_observable(obs_spec, g.n_nodes)
     taus = _log_grid(args.tau_min, args.tau_max, args.tau_count, "tau")
@@ -385,8 +388,6 @@ def _cmd_eth(args):
         return g, None, _matrix_table(eb.o_mn, tag)
 
     rep = eth_report(s, o)
-    # diagonal of each node projector |x><x| in the energy basis, one row per node
-    p = s.eigenvectors**2
     payload = {
         "observable": args.observable,
         "basis": rep.basis_tag,
@@ -397,9 +398,8 @@ def _cmd_eth(args):
         "cluster_averaged_diagonal": rep.cluster_averaged_diagonal,
         "node_table": [
             {"x": x, "diag_mean": m, "diag_std": sd}
-            for x, m, sd in zip(
-                range(1, s.n + 1), p.mean(axis=1).tolist(), p.std(axis=1).tolist()
-            )
+            for x in range(1, s.n + 1)
+            for m, sd in [projector_eth_stats(s, x)]
         ],
     }
     if args.entropies:
@@ -417,19 +417,14 @@ def _cmd_eth(args):
 def _cmd_symmetry(args):
     s = symmetry_adapted_c60_basis(degeneracy_tol=args.tol)
     chk = eth_symmetry_check(s)
-    u = limiting_distribution(s).u
-    u_resid = float(np.abs(u - u[:, ::-1]).max())
+    u_resid = _mirror_residual(limiting_distribution(s).u)
     payload = {
         "basis": s.basis_tag,
         "mirror_residual": chk.mirror_residual,
         "position_diag_deviation": chk.position_diag_deviation,
         "u_mirror_residual": u_resid,
-        "passed": bool(chk.passed and u_resid < 1e-9),
-        "thresholds": {
-            "mirror_residual": 1e-10,
-            "position_diag_deviation": 1e-9,
-            "u_mirror_residual": 1e-9,
-        },
+        "passed": bool(chk.passed and u_resid < SYMMETRY_THRESHOLDS["u_mirror_residual"]),
+        "thresholds": SYMMETRY_THRESHOLDS,
     }
     return build_c60_blocked(), payload, None
 

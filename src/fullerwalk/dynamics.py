@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import _check_label
 from .spectral import Spectrum
 
 # (tau, pair) values evaluated at once by cumulative_time_average
@@ -39,15 +40,13 @@ class LimitingDistribution:
         return self.u.shape[0]
 
     def row(self, x: int) -> np.ndarray:
+        _check_label(x, self.n, "x")
         return self.u[x - 1, :]
 
     def value(self, x: int, y: int) -> float:
+        _check_label(x, self.n, "x")
+        _check_label(y, self.n, "y")
         return float(self.u[x - 1, y - 1])
-
-
-def _check_node(s: Spectrum, node: int, name: str) -> None:
-    if not (1 <= node <= s.n):
-        raise ValueError(f"{name} must be in 1..{s.n}, got {node}")
 
 
 def _check_tau_grid(tau_grid) -> np.ndarray:
@@ -63,7 +62,7 @@ def _check_tau_grid(tau_grid) -> np.ndarray:
 
 def evolve(s: Spectrum, start: int, t: float) -> WalkState:
     """Amplitudes alpha_y(t) = sum_k e^{-i lam_k t} <y|lam_k><lam_k|start>."""
-    _check_node(s, start, "start")
+    _check_label(start, s.n, "start")
     overlaps = s.eigenvectors[start - 1, :]  # <lam_k|start>, real basis
     phases = np.exp(-1j * s.eigenvalues * float(t))
     amps = s.eigenvectors @ (phases * overlaps)
@@ -72,7 +71,7 @@ def evolve(s: Spectrum, start: int, t: float) -> WalkState:
 
 def node_probability(s: Spectrum, start: int, end: int, t: float) -> float:
     """|<end|e^{-iHt}|start>|^2."""
-    _check_node(s, end, "end")
+    _check_label(end, s.n, "end")
     state = evolve(s, start, t)
     return float(np.abs(state.amplitudes[end - 1]) ** 2)
 
@@ -95,8 +94,8 @@ def cumulative_time_average(s: Spectrum, start: int, end: int, tau_grid) -> np.n
     ValueError
         On a non-finite, non-positive or non-ascending tau grid.
     """
-    _check_node(s, start, "start")
-    _check_node(s, end, "end")
+    _check_label(start, s.n, "start")
+    _check_label(end, s.n, "end")
     taus = _check_tau_grid(tau_grid)
 
     # per-cluster sums s_j = sum_{k in C_j} <end|lam_k><lam_k|start>

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _check_tau_grid
+from .eth import _node_projector, observable_in_energy_basis
 from .graphs import Graph
 from .spectral import DEGENERACY_TOL, Spectrum, gap_count, graph_spectrum
 
@@ -86,7 +87,7 @@ def time_averaged_state(s: Spectrum, rho0) -> np.ndarray:
     """omega = sum_n P_n rho0 P_n, the exact infinite-time average of rho(t):
     the same-cluster blocks of V^T rho0 V, rotated back."""
     v = s.eigenvectors
-    rt = v.T @ np.asarray(rho0, dtype=float) @ v
+    rt = observable_in_energy_basis(s, rho0).o_mn
     return v @ (rt * s.same_cluster()) @ v.T
 
 
@@ -96,10 +97,12 @@ def bound_rhs(
     n_eps: int,
     op_norm_sq: float,
     epsilon: float,
-    tau: float,
-) -> float:
-    """Analytic right-hand side (||O||^2 N(eps)/d_eff)(1 + 8 log2(N_lambda)/(eps tau))."""
-    if tau <= 0:
+    tau: float | np.ndarray,
+) -> float | np.ndarray:
+    """Analytic right-hand side (||O||^2 N(eps)/d_eff)(1 + 8 log2(N_lambda)/(eps tau)),
+    elementwise when tau is an array of horizons."""
+    tau = np.asarray(tau, dtype=float)
+    if np.any(tau <= 0):
         raise ValueError("tau must be positive")
     if min(d_eff, n_lambda, n_eps, op_norm_sq, epsilon) <= 0:
         raise ValueError("all bound ingredients must be positive")
@@ -116,9 +119,8 @@ def _deviation_signal(s: Spectrum, rho0, o) -> np.ndarray:
     tr(O rho(t)) - tr(O omega) = z^H W z - tr W for z_j = e^{-i lam_j t}:
     the off-diagonal entries carry the signal, the diagonal (the dephased
     part) cancels against tr W because |z_j| = 1."""
-    v = s.eigenvectors
-    ot = v.T @ np.asarray(o, dtype=float) @ v
-    rt = v.T @ np.asarray(rho0, dtype=float) @ v
+    ot = observable_in_energy_basis(s, o).o_mn
+    rt = observable_in_energy_basis(s, rho0).o_mn
     w = ot.T * rt  # w[m, n] multiplies e^{-i(lam_m - lam_n) t}
     return s.cluster_sums(s.cluster_sums(w, axis=0), axis=1)
 
@@ -261,11 +263,7 @@ def equilibration_report(
 ) -> EquilibrationReport:
     """Assemble the full bound-vs-measurement table for one start node."""
     s = graph_spectrum(g, degeneracy_tol)
-    if not (1 <= start <= s.n):
-        raise ValueError(f"start must be in 1..{s.n}, got {start}")
-    o = np.asarray(o, dtype=float)
-    rho0 = np.zeros((s.n, s.n))
-    rho0[start - 1, start - 1] = 1.0
+    rho0 = _node_projector(s.n, start, "start")
 
     d_eff = effective_dimension(s, rho0)
     n_eps = gap_count(s, epsilon)
@@ -274,9 +272,7 @@ def equilibration_report(
 
     n_eps_used = n_eps if n_eps_override is None else n_eps_override
     lhs = empirical_lhs(s, rho0, o, taus)
-    rhs = np.array(
-        [bound_rhs(d_eff, s.n_distinct, n_eps_used, norm_sq, epsilon, tau) for tau in taus]
-    )
+    rhs = bound_rhs(d_eff, s.n_distinct, n_eps_used, norm_sq, epsilon, taus)
     return EquilibrationReport(
         d_eff=d_eff,
         n_lambda=s.n_distinct,

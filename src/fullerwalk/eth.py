@@ -16,9 +16,17 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .graphs import _check_label
 from .spectral import Spectrum
 
 ENTROPY_FLOOR = 1e-15
+
+# a symmetry residual passes strictly below its threshold
+SYMMETRY_THRESHOLDS = {
+    "mirror_residual": 1e-10,
+    "position_diag_deviation": 1e-9,
+    "u_mirror_residual": 1e-9,
+}
 
 
 @dataclass(frozen=True)
@@ -50,6 +58,14 @@ def position_observable(n: int) -> np.ndarray:
     return np.diag(np.arange(1.0, n + 1.0))
 
 
+def _node_projector(n: int, x: int, name: str) -> np.ndarray:
+    """|x><x| as an n x n matrix, x a 1-based label passed as `name`."""
+    _check_label(x, n, name)
+    o = np.zeros((n, n))
+    o[x - 1, x - 1] = 1.0
+    return o
+
+
 def projector_eth_stats(s: Spectrum, x: int):
     """Mean and population std of the diagonal of |x><x| in the energy basis.
 
@@ -64,8 +80,7 @@ def projector_eth_stats(s: Spectrum, x: int):
     The basis-independent quantity is the cluster-averaged diagonal
     w_j / d_j (EthReport.cluster_averaged_diagonal).
     """
-    if not (1 <= x <= s.n):
-        raise ValueError(f"x must be in 1..{s.n}, got {x}")
+    _check_label(x, s.n, "x")
     diag = s.eigenvectors[x - 1, :] ** 2
     return float(diag.mean()), float(diag.std())
 
@@ -76,14 +91,13 @@ def measurement_entropy(s: Spectrum, x: int) -> float:
     E = -sum_k p_k ln p_k with p_k = |<lam_k|x>|^2; terms below 1e-15
     contribute zero. Lies in [0, ln N].
     """
-    if not (1 <= x <= s.n):
-        raise ValueError(f"x must be in 1..{s.n}, got {x}")
+    _check_label(x, s.n, "x")
     return _entropy_of(s.eigenvectors[x - 1, :] ** 2)
 
 
 def node_entropies(s: Spectrum) -> np.ndarray:
     """measurement_entropy for every node, as one vector."""
-    return np.array([measurement_entropy(s, x) for x in range(1, s.n + 1)])
+    return np.array([_entropy_of(p) for p in s.eigenvectors**2])
 
 
 def haar_orthogonal_state(n: int, seed: int) -> np.ndarray:
@@ -167,7 +181,7 @@ def cluster_averaged_diagonal(s: Spectrum, o) -> np.ndarray:
     Insensitive to the basis chosen inside each cluster, unlike the raw
     diagonal of observable_in_energy_basis.
     """
-    return eth_report(s, o).cluster_averaged_diagonal
+    return s.cluster_means(observable_in_energy_basis(s, o).diagonal())
 
 
 class SymmetryCheck(NamedTuple):
@@ -189,8 +203,9 @@ def eth_symmetry_check(s: Spectrum) -> SymmetryCheck:
     mirror = float(np.abs(np.abs(v) - np.abs(np.flipud(v))).max())
     diag = observable_in_energy_basis(s, position_observable(s.n)).diagonal()
     flat = float(np.abs(diag - (s.n + 1) / 2.0).max())
+    bar = SYMMETRY_THRESHOLDS
     return SymmetryCheck(
-        passed=bool(mirror < 1e-10 and flat < 1e-9),
+        passed=bool(mirror < bar["mirror_residual"] and flat < bar["position_diag_deviation"]),
         mirror_residual=mirror,
         position_diag_deviation=flat,
     )

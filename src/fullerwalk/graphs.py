@@ -47,6 +47,12 @@ class Graph:
         return len(self.edges)
 
 
+def _check_label(x: int, n: int, name: str) -> None:
+    """Reject a node label that is not an integer in 1..n, naming the argument it came in."""
+    if not (isinstance(x, (int, np.integer)) and 1 <= x <= n):
+        raise ValueError(f"{name} must be in 1..{n}, got {x}")
+
+
 def graph_from_edges(n_nodes: int, edge_list) -> Graph:
     """Build a Graph from an iterable of (a, b) pairs, rejecting duplicates."""
     seen = set()

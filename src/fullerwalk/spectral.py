@@ -101,9 +101,11 @@ def cluster_eigenvalues(values, tol: float) -> tuple:
     return tuple(tuple(c.tolist()) for c in np.split(np.arange(len(values)), splits))
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+def _spectrum(w: np.ndarray, v: np.ndarray, degeneracy_tol: float, basis_tag: str) -> Spectrum:
+    """Read-only Spectrum of ascending eigenvalues w and eigenvector columns v."""
+    w.flags.writeable = v.flags.writeable = False
+    clusters = cluster_eigenvalues(w, degeneracy_tol)
+    return Spectrum(w, v, clusters, degeneracy_tol, basis_tag)
 
 
 def eigendecompose(a, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
@@ -126,13 +128,7 @@ def eigendecompose(a, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
     w, v = np.linalg.eigh(a)
-    return Spectrum(
-        eigenvalues=_freeze(w),
-        eigenvectors=_freeze(v),
-        clusters=cluster_eigenvalues(w, degeneracy_tol),
-        degeneracy_tol=degeneracy_tol,
-        basis_tag="plain",
-    )
+    return _spectrum(w, v, degeneracy_tol, "plain")
 
 
 # ((graph, type(tol), tol), spectrum) of the last solve: analyses of one
@@ -186,15 +182,7 @@ def symmetry_adapted_c60_basis(degeneracy_tol: float = DEGENERACY_TOL) -> Spectr
     vecs[half:, half:] = ex @ v / root2
 
     order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    return Spectrum(
-        eigenvalues=_freeze(vals),
-        eigenvectors=_freeze(vecs),
-        clusters=cluster_eigenvalues(vals, degeneracy_tol),
-        degeneracy_tol=degeneracy_tol,
-        basis_tag="symmetry-adapted",
-    )
+    return _spectrum(vals[order], vecs[:, order], degeneracy_tol, "symmetry-adapted")
 
 
 def gap_count(s: Spectrum, epsilon: float) -> int:

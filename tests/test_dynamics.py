@@ -133,3 +133,18 @@ def test_limiting_matrix_is_frozen(c60_spectrum):
     u = limiting_distribution(c60_spectrum).u
     with pytest.raises(ValueError):
         u[0, 0] = 1.0
+
+
+def test_limiting_accessors_reject_labels_outside_1_to_n(c60_spectrum):
+    # 0 and -1 must not wrap round to node 60, nor 61 or 2.0 escape as an IndexError
+    u = limiting_distribution(c60_spectrum)
+    assert u.value(1, 60) == u.u[0, 59]
+    assert u.value(np.int64(2), 3) == u.u[1, 2]
+    assert np.array_equal(u.row(60), u.u[59])
+    for bad in (0, -1, 61, 2.0):
+        with pytest.raises(ValueError, match=f"x must be in 1..60, got {bad}"):
+            u.row(bad)
+        with pytest.raises(ValueError, match=f"x must be in 1..60, got {bad}"):
+            u.value(bad, 1)
+        with pytest.raises(ValueError, match=f"y must be in 1..60, got {bad}"):
+            u.value(1, bad)

@@ -106,6 +106,19 @@ def test_bound_rhs_validation():
         bound_rhs(12.5, 15, 0, 1.0, 1.0, 1.0)
 
 
+def test_bound_rhs_over_a_grid_is_the_per_tau_value():
+    taus = default_tau_grid()
+    rhs = bound_rhs(12.676, 15, 3, 1.0, 0.5, taus)
+    scalar = [bound_rhs(12.676, 15, 3, 1.0, 0.5, tau) for tau in taus.tolist()]
+    assert rhs.shape == taus.shape
+    assert rhs.tobytes() == np.array(scalar).tobytes()
+    for bad in (0.0, -1.0):
+        grid = taus.copy()
+        grid[7] = bad
+        with pytest.raises(ValueError, match="tau must be positive"):
+            bound_rhs(12.676, 15, 3, 1.0, 0.5, grid)
+
+
 def test_operator_norm_sq():
     assert operator_norm_sq(_node_proj(60, 1)) == pytest.approx(1.0)
     assert operator_norm_sq(np.diag(np.arange(1.0, 61.0))) == pytest.approx(3600.0)

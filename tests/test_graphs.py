@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fullerwalk import (
     Graph,
@@ -173,6 +178,31 @@ def test_load_rejects_malformed_files(tmp_path):
     bad.write_text("3\n1 2\n2 1\n")
     with pytest.raises(ValueError, match="duplicate"):
         load_graph(bad)
+
+
+# bytes, or lines drawn from the characters the format uses and a few it does not
+_GRAPH_FILES = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.text(alphabet="0123456789 -#\t+.eé\x00", max_size=12), max_size=8).map(
+        lambda lines: "\n".join(lines).encode()
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_GRAPH_FILES)
+def test_load_graph_raises_only_value_error(data):
+    fd, path = tempfile.mkstemp(suffix=".graph")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        try:
+            g = load_graph(path)
+        except ValueError:
+            return
+        assert all(1 <= a < b <= g.n_nodes for a, b in g.edges)
+    finally:
+        os.remove(path)
 
 
 def test_edge_checksum_is_order_independent(f30):
