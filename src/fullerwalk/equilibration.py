@@ -1,10 +1,9 @@
 """Equilibration analysis: effective dimension, dephased state, and the bound.
 
-The analytic bound on the time-averaged deviation
-<|tr(O rho(t)) - tr(O omega)|^2>_tau is compared against a direct
-quadrature of the left-hand side. The dephased state omega is always
-computed exactly by eigenbasis pinching; quadrature appears only in the
-left-hand side, where the integrand is genuinely time dependent.
+The walk starts on a node x, rho0 = |x><x|, so every quantity here depends
+only on the vectors P_j|x>, segment sums over row x of V. The analytic bound
+on the time-averaged deviation <|tr(O rho(t)) - tr(O omega)|^2>_tau is
+compared against a quadrature of the left-hand side; omega is exact.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _check_tau_grid
-from .eth import _node_projector, observable_in_energy_basis
-from .graphs import Graph
+from .graphs import Graph, _check_label
 from .spectral import DEGENERACY_TOL, Spectrum, gap_count, graph_spectrum
 
 # 32-point Gauss-Legendre integrates e^{i w t} over a panel of length h to
@@ -67,28 +65,26 @@ def _gauss_legendre(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def effective_dimension(s: Spectrum, rho0) -> float:
-    """Inverse participation of rho0 over the energy eigenspaces.
-
-    d_eff = 1 / sum_n tr(P_n rho0)^2. Equals 1 for an eigenstate and the
-    number of levels for uniform weights; tr(P_n rho0) is the cluster sum
-    of diag(V^T rho0 V), independent of the basis inside each cluster.
-    """
-    rho0 = np.asarray(rho0, dtype=float)
-    tr = float(np.trace(rho0))
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"rho0 must have unit trace, got {tr}")
+def _start_projections(s: Spectrum, start: int) -> np.ndarray:
+    """B, N x N_lambda, whose column j is P_j|x> = sum_{m in j} v_m v_m[x]."""
+    _check_label(start, s.n, "start")
     v = s.eigenvectors
-    weights = s.cluster_sums(np.sum(v * (rho0 @ v), axis=0))
-    return float(1.0 / np.sum(weights**2))
+    return s.cluster_sums(v * v[start - 1], axis=1)
 
 
-def time_averaged_state(s: Spectrum, rho0) -> np.ndarray:
-    """omega = sum_n P_n rho0 P_n, the exact infinite-time average of rho(t):
-    the same-cluster blocks of V^T rho0 V, rotated back."""
-    v = s.eigenvectors
-    rt = observable_in_energy_basis(s, rho0).o_mn
-    return v @ (rt * s.same_cluster()) @ v.T
+def effective_dimension(s: Spectrum, start: int) -> float:
+    """Inverse participation of the start node over the energy eigenspaces,
+    d_eff = 1 / sum_j (P_j)_xx^2; (P_j)_xx is the cluster sum of row x of V
+    squared, independent of the basis inside each cluster."""
+    _check_label(start, s.n, "start")
+    return float(1.0 / np.sum(s.cluster_sums(s.eigenvectors[start - 1] ** 2) ** 2))
+
+
+def time_averaged_state(s: Spectrum, start: int) -> np.ndarray:
+    """omega = sum_j P_j |x><x| P_j = B B^T, the exact infinite-time average
+    of rho(t) from the start node x."""
+    b = _start_projections(s, start)
+    return b @ b.T
 
 
 def bound_rhs(
@@ -114,15 +110,13 @@ def operator_norm_sq(o) -> float:
     return float(np.max(np.abs(np.linalg.eigvalsh(np.asarray(o, dtype=float)))) ** 2)
 
 
-def _deviation_signal(s: Spectrum, rho0, o) -> np.ndarray:
-    """Per-cluster matrix W, symmetric for real symmetric O and rho0, with
+def _deviation_signal(s: Spectrum, start: int, o) -> np.ndarray:
+    """Per-cluster matrix W = B^T O B, symmetric for real symmetric O, with
     tr(O rho(t)) - tr(O omega) = z^H W z - tr W for z_j = e^{-i lam_j t}:
-    the off-diagonal entries carry the signal, the diagonal (the dephased
-    part) cancels against tr W because |z_j| = 1."""
-    ot = observable_in_energy_basis(s, o).o_mn
-    rt = observable_in_energy_basis(s, rho0).o_mn
-    w = ot.T * rt  # w[m, n] multiplies e^{-i(lam_m - lam_n) t}
-    return s.cluster_sums(s.cluster_sums(w, axis=0), axis=1)
+    W_jl = <x|P_j O P_l|x>. The off-diagonal entries carry the signal, the
+    diagonal (the dephased part) cancels against tr W because |z_j| = 1."""
+    b = _start_projections(s, start)
+    return b.T @ (o @ b)
 
 
 def _panel_counts(taus: np.ndarray, levels: np.ndarray, rank: int) -> np.ndarray:
@@ -146,9 +140,9 @@ def _panel_counts(taus: np.ndarray, levels: np.ndarray, rank: int) -> np.ndarray
     return n_panels.astype(int)
 
 
-def empirical_lhs(s: Spectrum, rho0, o, tau_grid) -> np.ndarray:
+def empirical_lhs(s: Spectrum, start: int, o, tau_grid) -> np.ndarray:
     """Time average of |tr(O rho(t)) - tr(O omega)|^2 over [0, tau] for
-    every tau in tau_grid, for real symmetric O and rho0.
+    every tau in tau_grid, for real symmetric O and rho0 = |start><start|.
 
     The signal is f(t) = z^H W z - tr W with z_j = e^{-i lam_j t}. W is
     factored once, W = Q diag(mu) Q^T, dropping eigenvalues at rounding
@@ -167,7 +161,7 @@ def empirical_lhs(s: Spectrum, rho0, o, tau_grid) -> np.ndarray:
     temporary holds a block of about BLOCK_ELEMENTS values.
 
     f is unchanged by O -> O + cI, because tr rho(t) = tr omega = 1, but an
-    offset c would enter W's diagonal as c tr(P_j rho0) and cost about
+    offset c would enter W's diagonal as c (P_j)_xx and cost about
     N_lambda eps c in the subtraction. The median of diag(O) is therefore
     removed first: that cancels a common offset and leaves a mostly zero
     diagonal, such as a node observable's, as it is.
@@ -175,20 +169,21 @@ def empirical_lhs(s: Spectrum, rho0, o, tau_grid) -> np.ndarray:
     Raises
     ------
     ValueError
-        On a non-finite, non-positive or non-ascending tau grid, or when the
-        grid needs more than LHS_MAX_NODES quadrature nodes.
+        On a start outside 1..N, an O that is not N x N, a non-finite,
+        non-positive or non-ascending tau grid, or when the grid needs more
+        than LHS_MAX_NODES quadrature nodes.
     """
     taus = _check_tau_grid(tau_grid)
     o = np.asarray(o, dtype=float)
+    if o.shape != (s.n, s.n):
+        raise ValueError(f"observable shape {o.shape} does not match N={s.n}")
     # a middle entry of the sorted diagonal: np.median would import numpy.ma
     o = o - np.sort(np.diag(o))[len(o) // 2] * np.eye(len(o))
-    w = _deviation_signal(s, rho0, o)
-    # coefficients at rounding-noise scale mean a stationary signal (an
-    # eigenstate start, or O commuting with H); quadrature of that noise
-    # would report ~1e-30 garbage instead of the exact 0
-    noise_floor = 1e-13 * max(
-        1e-300, float(np.linalg.norm(o)) * float(np.linalg.norm(rho0))
-    )
+    w = _deviation_signal(s, start, o)
+    # coefficients at rounding-noise scale mean a stationary signal (O
+    # commuting with H); quadrature of that noise would report ~1e-30
+    # garbage instead of the exact 0. ||rho0|| = 1, so the scale is ||O||
+    noise_floor = 1e-13 * max(1e-300, float(np.linalg.norm(o)))
     if np.max(np.abs(w - np.diag(np.diag(w)))) < noise_floor:
         return np.zeros(len(taus))
     mu, q = np.linalg.eigh(w)
@@ -262,16 +257,15 @@ def equilibration_report(
     degeneracy_tol: float = DEGENERACY_TOL,
 ) -> EquilibrationReport:
     """Assemble the full bound-vs-measurement table for one start node."""
+    _check_label(start, g.n_nodes, "start")  # a bad label must not cost an eigh
     s = graph_spectrum(g, degeneracy_tol)
-    rho0 = _node_projector(s.n, start, "start")
-
-    d_eff = effective_dimension(s, rho0)
+    d_eff = effective_dimension(s, start)
     n_eps = gap_count(s, epsilon)
     norm_sq = operator_norm_sq(o)
     taus = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=float)
 
     n_eps_used = n_eps if n_eps_override is None else n_eps_override
-    lhs = empirical_lhs(s, rho0, o, taus)
+    lhs = empirical_lhs(s, start, o, taus)
     rhs = bound_rhs(d_eff, s.n_distinct, n_eps_used, norm_sq, epsilon, taus)
     return EquilibrationReport(
         d_eff=d_eff,

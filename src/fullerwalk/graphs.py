@@ -277,11 +277,14 @@ def save_graph(g: Graph, path, header=()) -> None:
 def load_graph(path) -> Graph:
     """Read the edge-list format written by save_graph.
 
-    Lines starting with '#' are comments. Labels are 1-based; malformed
-    lines, out-of-range labels, and duplicate edges raise ValueError.
+    Lines starting with '#' are comments. Labels are 1-based; non-UTF-8 bytes,
+    malformed lines, out-of-range labels, and duplicate edges raise ValueError.
     """
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = [ln.strip() for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
     body = [ln for ln in raw if ln and not ln.startswith("#")]
     if not body:
         raise ValueError(f"{path}: empty graph file")

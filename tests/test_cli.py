@@ -219,6 +219,17 @@ def test_unreadable_graph_file(tmp_path, capsys):
     assert rc == 2
 
 
+def test_undecodable_graph_file_names_the_file_without_traceback(tmp_path):
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes(b"\xff\xfe60\n")
+    out = tmp_path / "s.json"
+    proc = run_process("spectrum", "--graph", str(bad), "-o", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"fullerwalk: error: {bad}: byte 0 is not UTF-8")
+    assert not out.exists()
+
+
 def test_spectrum_json_and_vectors(tmp_path, request):
     out = tmp_path / "s.json"
     vecs = tmp_path / "v.csv"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from fullerwalk import (
     Spectrum,
     adjacency,
     bound_rhs,
+    build_tube_fullerene,
     default_tau_grid,
     effective_dimension,
     eigendecompose,
@@ -13,6 +16,7 @@ from fullerwalk import (
     graph_from_edges,
     operator_norm_sq,
     position_observable,
+    spectral,
     symmetry_adapted_c60_basis,
     time_averaged_state,
 )
@@ -25,33 +29,22 @@ from fullerwalk.equilibration import (
 from oracles import SMALL_GRAPHS, closed_form_lhs, expm_evolution, jacobi_eigh
 
 
-def _node_rho(n, x):
+def _node_proj(n, x):
     rho = np.zeros((n, n))
     rho[x - 1, x - 1] = 1.0
     return rho
 
 
-def _node_proj(n, x):
-    return _node_rho(n, x)
-
-
-def test_effective_dimension_of_an_eigenstate_is_one(c60_spectrum):
-    psi = c60_spectrum.eigenvectors[:, 0]
-    rho = np.outer(psi, psi)
-    assert abs(effective_dimension(c60_spectrum, rho) - 1.0) < 1e-9
-
-
 def test_effective_dimension_c60_node_is_3600_over_284(c60_spectrum):
-    # C60 is vertex transitive, so tr(P_n rho0) = d_n/60 and
+    # C60 is vertex transitive, so (P_n)_11 = d_n/60 and
     # d_eff = 3600 / sum_n d_n^2 = 3600/284; 1/d_eff = 0.0789 = u(1,1)
-    d = effective_dimension(c60_spectrum, _node_rho(60, 1))
+    d = effective_dimension(c60_spectrum, 1)
     assert abs(d - 3600.0 / 284.0) < 1e-9
 
 
 def test_effective_dimension_is_basis_invariant(c60_spectrum, c60_sym_spectrum):
-    rho = _node_rho(60, 1)
-    d_plain = effective_dimension(c60_spectrum, rho)
-    d_sym = effective_dimension(c60_sym_spectrum, rho)
+    d_plain = effective_dimension(c60_spectrum, 1)
+    d_sym = effective_dimension(c60_sym_spectrum, 1)
     assert abs(d_plain - d_sym) < 1e-10
 
 
@@ -59,22 +52,28 @@ def test_effective_dimension_survives_a_foreign_eigensolver(f30):
     # a Spectrum rebuilt from the Jacobi oracle basis gives the same answer
     a = adjacency(f30)
     s = eigendecompose(a)
-    rho = _node_rho(30, 1)
     w, v = jacobi_eigh(np.array(a))
     foreign = Spectrum(w, v, s.clusters, s.degeneracy_tol)
-    d_oracle = effective_dimension(foreign, rho)
-    d_lib = effective_dimension(s, rho)
+    d_oracle = effective_dimension(foreign, 1)
+    d_lib = effective_dimension(s, 1)
     assert abs(d_lib - d_oracle) < 1e-8
 
 
-def test_effective_dimension_rejects_unnormalized_rho(c60_spectrum):
-    with pytest.raises(ValueError, match="unit trace"):
-        effective_dimension(c60_spectrum, np.eye(60))
+@pytest.mark.parametrize("start", [0, 61, -1, 1.0])
+def test_start_node_functions_reject_a_bad_label(c60_spectrum, start):
+    match = rf"start must be in 1\.\.60, got {start}"
+    for call in (
+        lambda: effective_dimension(c60_spectrum, start),
+        lambda: time_averaged_state(c60_spectrum, start),
+        lambda: _deviation_signal(c60_spectrum, start, _node_proj(60, 1)),
+        lambda: empirical_lhs(c60_spectrum, start, _node_proj(60, 1), [1.0]),
+    ):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_omega_is_a_fixed_point_of_the_evolution(c60, c60_spectrum):
-    rho = _node_rho(60, 1)
-    omega = time_averaged_state(c60_spectrum, rho)
+    omega = time_averaged_state(c60_spectrum, 1)
     assert abs(np.trace(omega) - 1.0) < 1e-12
     u = expm_evolution(adjacency(c60), 1.3)
     rotated = u @ omega @ u.conj().T
@@ -82,8 +81,7 @@ def test_omega_is_a_fixed_point_of_the_evolution(c60, c60_spectrum):
 
 
 def test_omega_commutes_with_the_hamiltonian(f30, f30_spectrum):
-    rho = _node_rho(30, 5)
-    omega = time_averaged_state(f30_spectrum, rho)
+    omega = time_averaged_state(f30_spectrum, 5)
     a = adjacency(f30)
     assert np.abs(a @ omega - omega @ a).max() < 1e-10
 
@@ -125,20 +123,22 @@ def test_operator_norm_sq():
     assert operator_norm_sq(-2.0 * np.eye(3)) == pytest.approx(4.0)
 
 
-def test_empirical_lhs_vanishes_for_an_eigenstate_start(c60_spectrum):
-    psi = c60_spectrum.eigenvectors[:, 7]
-    rho = np.outer(psi, psi)
-    o = _node_proj(60, 1)
-    lhs = empirical_lhs(c60_spectrum, rho, o, [1.0, 10.0])
-    assert np.array_equal(lhs, np.zeros(2))
+@pytest.mark.parametrize("graph", ["c60", "f30"])
+def test_empirical_lhs_vanishes_for_an_observable_commuting_with_h(graph, request):
+    # O = A commutes with H, so tr(O rho(t)) is constant: the signal is
+    # stationary from every start and the lhs is exactly 0
+    s = request.getfixturevalue(f"{graph}_spectrum")
+    a = adjacency(request.getfixturevalue(graph))
+    for start in (1, 2, s.n):
+        lhs = empirical_lhs(s, start, a, [1.0, 10.0])
+        assert np.array_equal(lhs, np.zeros(2))
 
 
 @pytest.mark.parametrize("tau", [1.0, 10.0, 100.0, 1000.0])
 def test_empirical_lhs_matches_closed_form_oracle(c60, c60_spectrum, tau):
-    rho = _node_rho(60, 1)
-    o = _node_proj(60, 1)
-    (got,) = empirical_lhs(c60_spectrum, rho, o, [tau])
-    want = closed_form_lhs(adjacency(c60), rho, o, tau)
+    o = _node_proj(60, 1)  # also rho0
+    (got,) = empirical_lhs(c60_spectrum, 1, o, [tau])
+    want = closed_form_lhs(adjacency(c60), o, o, tau)
     assert abs(got - want) < 1e-12 * abs(want)
 
 
@@ -146,8 +146,8 @@ def test_empirical_lhs_c60_long_horizons_match_closed_form_oracle(c60, c60_spect
     # start phases are taken directly at every panel, so rounding does not
     # grow with the horizon; the closed form has only 91 distinct gaps here
     taus = np.logspace(-1.0, 5.0, 13)
-    rho = _node_rho(60, 1)
-    got = empirical_lhs(c60_spectrum, rho, rho, taus)
+    rho = _node_proj(60, 1)
+    got = empirical_lhs(c60_spectrum, 1, rho, taus)
     want = closed_form_lhs(adjacency(c60), rho, rho, taus)
     assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
 
@@ -166,22 +166,20 @@ def test_deviation_signal_rank(graph, x, request):
     # a node observable from a node start gives W = a a^T with
     # a_j = (P_j)_xx; the position observable gives a full-rank W
     s = request.getfixturevalue(f"{graph}_spectrum")
-    rho = _node_rho(s.n, x)
-    w_node = _deviation_signal(s, rho, rho)
-    w_pos = _deviation_signal(s, rho, position_observable(s.n))
+    w_node = _deviation_signal(s, x, _node_proj(s.n, x))
+    w_pos = _deviation_signal(s, x, position_observable(s.n))
     assert np.linalg.matrix_rank(w_node, hermitian=True) == 1
     assert np.linalg.matrix_rank(w_pos, hermitian=True) == s.n_distinct
 
 
 @pytest.mark.parametrize("tau", [1e8, 1e300])
 def test_empirical_lhs_refuses_an_over_long_horizon(c60_spectrum, tau):
-    rho = _node_rho(60, 1)
     with pytest.raises(
         ValueError,
         match=r"nodes over 15 levels at signal rank 1, above the budget of 33554432 "
         r"nodes; this spectrum allows tau up to about 4\.67e\+06",
     ):
-        empirical_lhs(c60_spectrum, rho, rho, [tau])
+        empirical_lhs(c60_spectrum, 1, _node_proj(60, 1), [tau])
 
 
 def test_horizon_budget_does_not_grow_with_the_graph():
@@ -200,10 +198,10 @@ def test_empirical_lhs_small_graph_against_oracle():
     n, edges = SMALL_GRAPHS["c5"]
     a = adjacency(graph_from_edges(n, edges))
     s = eigendecompose(a)
-    rho = _node_rho(5, 1)
+    rho = _node_proj(5, 1)
     o = np.diag([1.0, 0.0, -1.0, 0.5, 0.0])
     taus = [2.0, 20.0]
-    got = empirical_lhs(s, rho, o, taus)
+    got = empirical_lhs(s, 1, o, taus)
     want = closed_form_lhs(a, rho, o, taus)
     assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
 
@@ -212,24 +210,35 @@ def test_empirical_lhs_small_graph_against_oracle():
 def test_empirical_lhs_f30_position_against_oracle(f30, f30_spectrum, start):
     # the adaptive trapezoid this rule replaced was off by 1.15e-3 here
     taus = np.logspace(-1.0, 1.0, 20)
-    rho = _node_rho(30, start)
+    rho = _node_proj(30, start)
     o = position_observable(30)
-    got = empirical_lhs(f30_spectrum, rho, o, taus)
+    got = empirical_lhs(f30_spectrum, start, o, taus)
     want = closed_form_lhs(adjacency(f30), rho, o, taus)
     assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
 
 
+@pytest.mark.parametrize("start", [1, 2, 60])
+def test_empirical_lhs_c60_position_against_oracle(c60, c60_spectrum, start):
+    taus = np.logspace(-1.0, 3.0, 9)
+    o = position_observable(60)
+    got = empirical_lhs(c60_spectrum, start, o, taus)
+    want = closed_form_lhs(adjacency(c60), _node_proj(60, start), o, taus)
+    assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
+
+
 def test_empirical_lhs_validation(c60_spectrum):
-    rho = _node_rho(60, 1)
     o = _node_proj(60, 1)
     with pytest.raises(ValueError, match="positive"):
-        empirical_lhs(c60_spectrum, rho, o, [-1.0])
+        empirical_lhs(c60_spectrum, 1, o, [-1.0])
     with pytest.raises(ValueError, match="positive"):
-        empirical_lhs(c60_spectrum, rho, o, [0.0, 1.0])
+        empirical_lhs(c60_spectrum, 1, o, [0.0, 1.0])
     with pytest.raises(ValueError, match="ascending"):
-        empirical_lhs(c60_spectrum, rho, o, [2.0, 1.0])
+        empirical_lhs(c60_spectrum, 1, o, [2.0, 1.0])
     with pytest.raises(ValueError, match="1-d"):
-        empirical_lhs(c60_spectrum, rho, o, [])
+        empirical_lhs(c60_spectrum, 1, o, [])
+    for shape in ((59, 59), (60, 59), (60,)):
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape} does not match N=60")):
+            empirical_lhs(c60_spectrum, 1, np.zeros(shape), [1.0])
 
 
 def test_default_tau_grid_shape():
@@ -270,3 +279,22 @@ def test_report_c60_override_matches_quoted_constants(c60):
 def test_report_start_validation(f30):
     with pytest.raises(ValueError, match="start"):
         equilibration_report(f30, 31, _node_proj(30, 1))
+
+
+def test_report_rejects_a_bad_start_before_the_solve(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigendecompose(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_last", None)
+    monkeypatch.setattr(spectral, "eigendecompose", counted)
+    g = build_tube_fullerene(1000)
+    for start in (0, 1001):
+        with pytest.raises(ValueError, match=rf"start must be in 1\.\.1000, got {start}"):
+            equilibration_report(g, start, np.eye(1000))
+    assert calls == []
+    # the counter does see the solve a good start needs
+    equilibration_report(build_tube_fullerene(30), 30, _node_proj(30, 1), tau_grid=[1.0])
+    assert len(calls) == 1

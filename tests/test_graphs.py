@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -177,6 +178,9 @@ def test_load_rejects_malformed_files(tmp_path):
         load_graph(bad)
     bad.write_text("3\n1 2\n2 1\n")
     with pytest.raises(ValueError, match="duplicate"):
+        load_graph(bad)
+    bad.write_bytes(b"\xff\xfe3\n1 2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}: byte 0 is not UTF-8")):
         load_graph(bad)
 
 

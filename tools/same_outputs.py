@@ -8,8 +8,9 @@ checkout's src/ (the working tree, uncommitted edits included). Each
 command runs in its own process at one BLAS thread, since another thread
 count may move the last digits of a matrix product. The list covers every
 subcommand, both formats and both limiting layouts, --vectors, C60, F30,
-F130, a --graph file, F1000, --tol 1e-3, all three gibbs modes, symmetry,
-and three commands that must fail.
+F130, a --graph file, F1000 (the bound with both a node and the position
+observable), --tol 1e-3, all three gibbs modes, symmetry, and three
+commands that must fail.
 
 CSV and graph files must be byte-identical. JSON files must be
 byte-identical apart from the digits of meta.timing_seconds. Exit codes
@@ -81,6 +82,8 @@ def commands() -> list:
     add("bound-f30-override", "bound", *SOURCES["f30"], "--start", "3", "--n-eps-override", "3",
         "--epsilon", "0.5", "--tau-min", "1", "--tau-max", "100", "--tau-count", "20")
     add("bound-f1000", "bound", "--tube", "1000", "--start", "1")
+    add("bound-f1000-position", "bound", "--tube", "1000", "--start", "1",
+        "--observable", "position")
     add("eth-f1000-node1", "eth", "--tube", "1000", "--observable", "node:1", "--entropies")
     add("eth-c60-haar", "eth", "--c60", "--observable", "node:2", "--entropies",
         "--haar-samples", "25", "--seed", "3")
