@@ -60,7 +60,6 @@ from .thermo import (
     pentagon_gibbs,
 )
 from .eth import (
-    EnergyBasisObservable,
     EthReport,
     SymmetryCheck,
     cluster_averaged_diagonal,

@@ -187,6 +187,7 @@ def _resolve_graph(args):
 
 
 def _parse_observable(spec: str, n: int) -> np.ndarray:
+    """The node function o of 'position' or 'node:K', O = diag(o)."""
     if spec == "position":
         return position_observable(n)
     if spec.startswith("node:"):
@@ -378,14 +379,13 @@ def _cmd_eth(args):
     if args.haar_samples < 0:
         raise ValueError(f"--haar-samples must be >= 0, got {args.haar_samples}")
     g = _resolve_graph(args)
+    o = _parse_observable(args.observable, g.n_nodes)  # before the eigh
     s = graph_spectrum(g, args.tol)
-    o = _parse_observable(args.observable, g.n_nodes)
 
     # the CSV is the whole energy-basis matrix, the JSON the report on it
     if args.format == "csv":
-        eb = observable_in_energy_basis(s, o)
-        tag = f"# O in the energy eigenbasis, basis {eb.basis_tag}"
-        return g, None, _matrix_table(eb.o_mn, tag)
+        tag = f"# O in the energy eigenbasis, basis {s.basis_tag}"
+        return g, None, _matrix_table(observable_in_energy_basis(s, o), tag)
 
     rep = eth_report(s, o)
     payload = {

@@ -1,7 +1,8 @@
 """Equilibration analysis: effective dimension, dephased state, and the bound.
 
 The walk starts on a node x, rho0 = |x><x|, so every quantity here depends
-only on the vectors P_j|x>, segment sums over row x of V. The analytic bound
+only on the vectors P_j|x>, segment sums over row x of V. An observable is
+diagonal on the nodes, O = diag(o), and is passed as o. The analytic bound
 on the time-averaged deviation <|tr(O rho(t)) - tr(O omega)|^2>_tau is
 compared against a quadrature of the left-hand side; omega is exact.
 """
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _check_tau_grid
+from .eth import _check_observable
 from .graphs import Graph, _check_label
 from .spectral import DEGENERACY_TOL, Spectrum, gap_count, graph_spectrum
 
@@ -106,17 +108,18 @@ def bound_rhs(
 
 
 def operator_norm_sq(o) -> float:
-    """Largest singular value squared of a real symmetric observable."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(np.asarray(o, dtype=float)))) ** 2)
+    """||diag(o)||^2 = max |o|^2 for the node function o."""
+    o = np.asarray(o, dtype=float)
+    return float(np.max(np.abs(_check_observable(o, len(o))))) ** 2
 
 
 def _deviation_signal(s: Spectrum, start: int, o) -> np.ndarray:
-    """Per-cluster matrix W = B^T O B, symmetric for real symmetric O, with
+    """Per-cluster symmetric matrix W = B^T diag(o) B, with
     tr(O rho(t)) - tr(O omega) = z^H W z - tr W for z_j = e^{-i lam_j t}:
     W_jl = <x|P_j O P_l|x>. The off-diagonal entries carry the signal, the
     diagonal (the dephased part) cancels against tr W because |z_j| = 1."""
     b = _start_projections(s, start)
-    return b.T @ (o @ b)
+    return b.T @ (o[:, None] * b)
 
 
 def _panel_counts(taus: np.ndarray, levels: np.ndarray, rank: int) -> np.ndarray:
@@ -142,7 +145,7 @@ def _panel_counts(taus: np.ndarray, levels: np.ndarray, rank: int) -> np.ndarray
 
 def empirical_lhs(s: Spectrum, start: int, o, tau_grid) -> np.ndarray:
     """Time average of |tr(O rho(t)) - tr(O omega)|^2 over [0, tau] for
-    every tau in tau_grid, for real symmetric O and rho0 = |start><start|.
+    every tau in tau_grid, for O = diag(o) and rho0 = |start><start|.
 
     The signal is f(t) = z^H W z - tr W with z_j = e^{-i lam_j t}. W is
     factored once, W = Q diag(mu) Q^T, dropping eigenvalues at rounding
@@ -160,29 +163,28 @@ def empirical_lhs(s: Spectrum, start: int, o, tau_grid) -> np.ndarray:
     and sin at every node, and two real GEMMs with Q give q_i^T z. Every
     temporary holds a block of about BLOCK_ELEMENTS values.
 
-    f is unchanged by O -> O + cI, because tr rho(t) = tr omega = 1, but an
+    f is unchanged by o -> o + c, because tr rho(t) = tr omega = 1, but an
     offset c would enter W's diagonal as c (P_j)_xx and cost about
-    N_lambda eps c in the subtraction. The median of diag(O) is therefore
+    N_lambda eps c in the subtraction. The median of o is therefore
     removed first: that cancels a common offset and leaves a mostly zero
-    diagonal, such as a node observable's, as it is.
+    node function, such as a node projector's, as it is.
 
     Raises
     ------
     ValueError
-        On a start outside 1..N, an O that is not N x N, a non-finite,
-        non-positive or non-ascending tau grid, or when the grid needs more
-        than LHS_MAX_NODES quadrature nodes.
+        On a start outside 1..N, an o that is not a finite length-N
+        vector, a non-finite, non-positive or non-ascending tau grid, or
+        when the grid needs more than LHS_MAX_NODES quadrature nodes.
     """
     taus = _check_tau_grid(tau_grid)
-    o = np.asarray(o, dtype=float)
-    if o.shape != (s.n, s.n):
-        raise ValueError(f"observable shape {o.shape} does not match N={s.n}")
-    # a middle entry of the sorted diagonal: np.median would import numpy.ma
-    o = o - np.sort(np.diag(o))[len(o) // 2] * np.eye(len(o))
+    o = _check_observable(o, s.n)
+    # a middle entry of the sorted o: np.median would import numpy.ma
+    o = o - np.sort(o)[len(o) // 2]
     w = _deviation_signal(s, start, o)
     # coefficients at rounding-noise scale mean a stationary signal (O
-    # commuting with H); quadrature of that noise would report ~1e-30
-    # garbage instead of the exact 0. ||rho0|| = 1, so the scale is ||O||
+    # commuting with H, or o zero wherever the walk goes); quadrature of that
+    # noise would report ~1e-30 garbage instead of the exact 0. ||rho0|| = 1,
+    # so the scale is ||o||
     noise_floor = 1e-13 * max(1e-300, float(np.linalg.norm(o)))
     if np.max(np.abs(w - np.diag(np.diag(w)))) < noise_floor:
         return np.zeros(len(taus))
@@ -257,7 +259,8 @@ def equilibration_report(
     degeneracy_tol: float = DEGENERACY_TOL,
 ) -> EquilibrationReport:
     """Assemble the full bound-vs-measurement table for one start node."""
-    _check_label(start, g.n_nodes, "start")  # a bad label must not cost an eigh
+    _check_label(start, g.n_nodes, "start")  # bad input must not cost an eigh
+    o = _check_observable(o, g.n_nodes)
     s = graph_spectrum(g, degeneracy_tol)
     d_eff = effective_dimension(s, start)
     n_eps = gap_count(s, epsilon)

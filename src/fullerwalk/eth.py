@@ -29,40 +29,35 @@ SYMMETRY_THRESHOLDS = {
 }
 
 
-@dataclass(frozen=True)
-class EnergyBasisObservable:
-    """Matrix elements <lam_m|O|lam_n>, rows/cols ordered by ascending
-    eigenvalue, together with the basis that produced them."""
-
-    o_mn: np.ndarray
-    basis_tag: str
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.o_mn)
-
-
-def observable_in_energy_basis(s: Spectrum, o) -> EnergyBasisObservable:
-    """V^T O V for a real symmetric observable O."""
+def _check_observable(o, n: int) -> np.ndarray:
+    """The node function o of O = diag(o) as floats: shape (n,), all finite."""
     o = np.asarray(o, dtype=float)
-    if o.shape != (s.n, s.n):
-        raise ValueError(f"observable shape {o.shape} does not match N={s.n}")
-    return EnergyBasisObservable(
-        o_mn=s.eigenvectors.T @ o @ s.eigenvectors, basis_tag=s.basis_tag
-    )
+    if o.shape != (n,):
+        raise ValueError(f"observable must be a node function of shape ({n},), got {o.shape}")
+    if not np.all(np.isfinite(o)):
+        raise ValueError("observable values must be finite")
+    return o
+
+
+def observable_in_energy_basis(s: Spectrum, o) -> np.ndarray:
+    """<lam_m|O|lam_n> = V^T diag(o) V, rows and columns ordered by
+    ascending eigenvalue, in the basis named by s.basis_tag."""
+    o = _check_observable(o, s.n)
+    return np.multiply(s.eigenvectors.T, o, order="C") @ s.eigenvectors
 
 
 def position_observable(n: int) -> np.ndarray:
-    """diag(1, 2, ..., n): the node-label observable."""
+    """(1, 2, ..., n): the node function of the node-label observable."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return np.diag(np.arange(1.0, n + 1.0))
+    return np.arange(1.0, n + 1.0)
 
 
 def _node_projector(n: int, x: int, name: str) -> np.ndarray:
-    """|x><x| as an n x n matrix, x a 1-based label passed as `name`."""
+    """e_x, the node function of |x><x|, x a 1-based label passed as `name`."""
     _check_label(x, n, name)
-    o = np.zeros((n, n))
-    o[x - 1, x - 1] = 1.0
+    o = np.zeros(n)
+    o[x - 1] = 1.0
     return o
 
 
@@ -159,17 +154,17 @@ class EthReport:
 
 
 def eth_report(s: Spectrum, o) -> EthReport:
-    """Diagonal statistics and off-diagonal rms of O in the energy basis."""
-    eb = observable_in_energy_basis(s, o)
-    diag = eb.diagonal()
-    off = eb.o_mn - np.diag(diag)
+    """Diagonal statistics and off-diagonal rms of diag(o) in the energy basis."""
+    o_mn = observable_in_energy_basis(s, o)
+    diag = np.diag(o_mn)
+    off = o_mn - np.diag(diag)
     n = s.n
     rms = float(np.sqrt((off**2).sum() / (n * n - n))) if n > 1 else 0.0
     return EthReport(
         diag_mean=float(diag.mean()),
         diag_std=float(diag.std()),
         offdiag_rms=rms,
-        basis_tag=eb.basis_tag,
+        basis_tag=s.basis_tag,
         diagonal=diag,
         cluster_averaged_diagonal=s.cluster_means(diag),
     )
@@ -181,7 +176,7 @@ def cluster_averaged_diagonal(s: Spectrum, o) -> np.ndarray:
     Insensitive to the basis chosen inside each cluster, unlike the raw
     diagonal of observable_in_energy_basis.
     """
-    return s.cluster_means(observable_in_energy_basis(s, o).diagonal())
+    return s.cluster_means(np.diag(observable_in_energy_basis(s, o)))
 
 
 class SymmetryCheck(NamedTuple):
@@ -201,7 +196,7 @@ def eth_symmetry_check(s: Spectrum) -> SymmetryCheck:
         raise ValueError("mirror check needs an even number of nodes")
     v = s.eigenvectors
     mirror = float(np.abs(np.abs(v) - np.abs(np.flipud(v))).max())
-    diag = observable_in_energy_basis(s, position_observable(s.n)).diagonal()
+    diag = np.diag(observable_in_energy_basis(s, position_observable(s.n)))
     flat = float(np.abs(diag - (s.n + 1) / 2.0).max())
     bar = SYMMETRY_THRESHOLDS
     return SymmetryCheck(

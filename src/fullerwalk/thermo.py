@@ -166,14 +166,14 @@ def gibbs_vs_limiting(family, beta_grid, degeneracy_tol: float = DEGENERACY_TOL)
     if betas.ndim != 1 or len(betas) == 0:
         raise ValueError("beta_grid must be a non-empty 1-d sequence")
     ps = np.array([gibbs_node_probability(b) for b in betas])
-    rows = []
-    for n in family:
-        n = int(n)
+    sizes = [int(n) for n in family]
+    for n in sizes:
         if not (30 <= n <= 130):
             raise ValueError(f"family sizes must lie in 30..130, got {n}")
-        g = build_tube_fullerene(n)
-        s = graph_spectrum(g, degeneracy_tol)
-        u_nn = limiting_distribution(s).value(n, n)
+    tubes = [build_tube_fullerene(n) for n in sizes]  # its own checks, before any eigh
+    rows = []
+    for n, g in zip(sizes, tubes):
+        u_nn = limiting_distribution(graph_spectrum(g, degeneracy_tol)).value(n, n)
         rows.append(
             GibbsComparisonRow(
                 n=n,

@@ -5,6 +5,7 @@ from fullerwalk import (
     build_c60_blocked,
     build_tube_fullerene,
     eigendecompose,
+    spectral,
     symmetry_adapted_c60_basis,
 )
 
@@ -32,3 +33,18 @@ def f30():
 @pytest.fixture(scope="session")
 def f30_spectrum(f30):
     return eigendecompose(adjacency(f30))
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The arguments of every spectral.eigendecompose call the test makes,
+    one tuple per call, with graph_spectrum's kept spectrum cleared first."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigendecompose(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_last", None)
+    monkeypatch.setattr(spectral, "eigendecompose", counted)
+    return calls

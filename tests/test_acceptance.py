@@ -62,10 +62,11 @@ def _line(num: int, ok: bool, detail: str) -> None:
     print(f"[acceptance {num}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def _node_rho(n, x):
-    rho = np.zeros((n, n))
-    rho[x - 1, x - 1] = 1.0
-    return rho
+def _node(n, x):
+    """e_x, the node function of |x><x|."""
+    e = np.zeros(n)
+    e[x - 1] = 1.0
+    return e
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +117,7 @@ def test_acceptance_02_bound_asymptote_and_lhs(c60):
     slope_dev = abs(slope - 0.08 * 8.0 * np.log2(15.0))
 
     rep = equilibration_report(
-        c60, 1, _node_rho(60, 1), tau_grid=default_tau_grid(), n_eps_override=1
+        c60, 1, _node(60, 1), tau_grid=default_tau_grid(), n_eps_override=1
     )
     quoted_rhs = 0.08 * (1.0 + 8.0 * np.log2(15.0) / rep.tau_grid)
     violations = int(np.sum(rep.lhs > quoted_rhs))
@@ -152,7 +153,7 @@ def test_acceptance_04_symmetry_suite(c60_sym_spectrum):
     mirror = np.abs(np.abs(v) - np.abs(v[::-1, :])).max()
     u = limiting_distribution(c60_sym_spectrum).u
     u_mirror = np.abs(u - u[:, ::-1]).max()
-    diag = np.diag(v.T @ position_observable(60) @ v)
+    diag = np.diag(v.T @ np.diag(position_observable(60)) @ v)
     pos_dev = np.abs(diag - 30.5).max()
     ok = mirror < 1e-10 and u_mirror < 1e-9 and pos_dev < 1e-9
     _line(
@@ -243,7 +244,7 @@ def test_acceptance_07_eth_dichotomy(c60_spectrum, c60_sym_spectrum, c60_widths)
         in_range[s.basis_tag] = bool(np.all((sds >= 0.0) & (sds <= sigma_max + 1e-12)))
     quoted_ok = all(0.0 <= q <= sigma_max[x - 1] for x, q in enumerate(quoted, 1))
     avg_dev = max(
-        np.abs(eth_report(c60_spectrum, _node_rho(60, x)).cluster_averaged_diagonal - 1.0 / 60.0).max()
+        np.abs(eth_report(c60_spectrum, _node(60, x)).cluster_averaged_diagonal - 1.0 / 60.0).max()
         for x in range(1, 6)
     )
     pos_std = eth_report(c60_spectrum, position_observable(60)).diag_std

@@ -444,7 +444,7 @@ def spectrum_rows():
 
 def bound_rows():
     taus = np.logspace(np.log10(0.1), np.log10(10.0), 5)
-    node_7 = np.diag(np.eye(60)[6])
+    node_7 = np.eye(60)[6]
     rep = equilibration_report(build_c60_blocked(), 7, node_7, tau_grid=taus)
     rows = zip(rep.tau_grid.tolist(), rep.lhs.tolist(), rep.rhs.tolist())
     return [tuple(map(repr, row)) for row in rows]
@@ -729,7 +729,7 @@ def test_eth_energy_basis_matrix_csv(tmp_path, request):
         v = s.eigenvectors
         rc = run("eth", *source, "--observable", "position", "-o", str(out), "--format", "csv")
         assert rc == 0
-        assert_csv_is(out, matrix_body(v.T @ position_observable(s.n) @ v))
+        assert_csv_is(out, matrix_body(v.T @ np.diag(position_observable(s.n)) @ v))
 
 
 def test_eth_observable_validation(tmp_path, capsys):
@@ -737,6 +737,19 @@ def test_eth_observable_validation(tmp_path, capsys):
     assert run(*base, "momentum") == 2
     assert run(*base, "node:99") == 2
     assert run(*base, "node:zz") == 2
+
+
+def test_eth_rejects_a_bad_observable_before_the_solve(tmp_path, capsys, eigh_calls):
+    out = tmp_path / "e.json"
+    for spec, message in (
+        ("node:0", "observable node must be in 1..1000, got 0"),
+        ("node:1001", "observable node must be in 1..1000, got 1001"),
+        ("bogus", "observable must be 'position' or 'node:K', got 'bogus'"),
+    ):
+        assert run("eth", "--tube", "1000", "--observable", spec, "-o", str(out)) == 2
+        assert message in capsys.readouterr().err
+    assert eigh_calls == []
+    assert not out.exists()
 
 
 def test_symmetry_suite_passes(tmp_path):

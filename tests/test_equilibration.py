@@ -16,7 +16,6 @@ from fullerwalk import (
     graph_from_edges,
     operator_norm_sq,
     position_observable,
-    spectral,
     symmetry_adapted_c60_basis,
     time_averaged_state,
 )
@@ -29,10 +28,11 @@ from fullerwalk.equilibration import (
 from oracles import SMALL_GRAPHS, closed_form_lhs, expm_evolution, jacobi_eigh
 
 
-def _node_proj(n, x):
-    rho = np.zeros((n, n))
-    rho[x - 1, x - 1] = 1.0
-    return rho
+def _node(n, x):
+    """e_x: the node function of |x><x|, and the diagonal of rho0."""
+    e = np.zeros(n)
+    e[x - 1] = 1.0
+    return e
 
 
 def test_effective_dimension_c60_node_is_3600_over_284(c60_spectrum):
@@ -65,8 +65,8 @@ def test_start_node_functions_reject_a_bad_label(c60_spectrum, start):
     for call in (
         lambda: effective_dimension(c60_spectrum, start),
         lambda: time_averaged_state(c60_spectrum, start),
-        lambda: _deviation_signal(c60_spectrum, start, _node_proj(60, 1)),
-        lambda: empirical_lhs(c60_spectrum, start, _node_proj(60, 1), [1.0]),
+        lambda: _deviation_signal(c60_spectrum, start, _node(60, 1)),
+        lambda: empirical_lhs(c60_spectrum, start, _node(60, 1), [1.0]),
     ):
         with pytest.raises(ValueError, match=match):
             call()
@@ -118,27 +118,47 @@ def test_bound_rhs_over_a_grid_is_the_per_tau_value():
 
 
 def test_operator_norm_sq():
-    assert operator_norm_sq(_node_proj(60, 1)) == pytest.approx(1.0)
-    assert operator_norm_sq(np.diag(np.arange(1.0, 61.0))) == pytest.approx(3600.0)
-    assert operator_norm_sq(-2.0 * np.eye(3)) == pytest.approx(4.0)
+    assert operator_norm_sq(_node(60, 1)) == 1.0
+    assert operator_norm_sq(position_observable(60)) == 3600.0
+    assert operator_norm_sq(np.array([-2.0, 1.0, 0.5])) == 4.0
+    # a dense matrix is refused, not read as its largest entry
+    with pytest.raises(ValueError, match=re.escape("shape (2,), got (2, 2)")):
+        operator_norm_sq([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        operator_norm_sq([1.0, np.inf])
 
 
 @pytest.mark.parametrize("graph", ["c60", "f30"])
 def test_empirical_lhs_vanishes_for_an_observable_commuting_with_h(graph, request):
-    # O = A commutes with H, so tr(O rho(t)) is constant: the signal is
-    # stationary from every start and the lhs is exactly 0
+    # a constant o is a multiple of the identity, which commutes with H, so
+    # tr(O rho(t)) is constant: the signal is stationary from every start
+    # and the lhs is exactly 0
     s = request.getfixturevalue(f"{graph}_spectrum")
-    a = adjacency(request.getfixturevalue(graph))
     for start in (1, 2, s.n):
-        lhs = empirical_lhs(s, start, a, [1.0, 10.0])
+        lhs = empirical_lhs(s, start, np.full(s.n, 3.0), [1.0, 10.0])
+        assert np.array_equal(lhs, np.zeros(2))
+
+
+def test_empirical_lhs_vanishes_for_an_observable_the_start_cannot_reach():
+    # on the disjoint triangles 1-3-5 and 2-4-6 a walk from 1, 3 or 5 never
+    # reaches 2, 4 or 6, so an o supported there reads 0 at every time: the
+    # lhs is exactly 0 although diag(o) does not commute with H. The
+    # interleaved labels let the eigenbasis mix the two triangles, so W is
+    # rounding noise (about 1e-32), not exactly 0, and only the noise floor
+    # gives the exact 0
+    triangles = graph_from_edges(6, [(1, 3), (3, 5), (1, 5), (2, 4), (4, 6), (2, 6)])
+    s = eigendecompose(adjacency(triangles))
+    o = np.array([0.0, 1.0, 0.0, 2.0, 0.0, -3.0])
+    for start in (1, 3, 5):
+        lhs = empirical_lhs(s, start, o, [1.0, 10.0])
         assert np.array_equal(lhs, np.zeros(2))
 
 
 @pytest.mark.parametrize("tau", [1.0, 10.0, 100.0, 1000.0])
 def test_empirical_lhs_matches_closed_form_oracle(c60, c60_spectrum, tau):
-    o = _node_proj(60, 1)  # also rho0
+    o = _node(60, 1)  # also the diagonal of rho0
     (got,) = empirical_lhs(c60_spectrum, 1, o, [tau])
-    want = closed_form_lhs(adjacency(c60), o, o, tau)
+    want = closed_form_lhs(adjacency(c60), np.diag(o), np.diag(o), tau)
     assert abs(got - want) < 1e-12 * abs(want)
 
 
@@ -146,9 +166,9 @@ def test_empirical_lhs_c60_long_horizons_match_closed_form_oracle(c60, c60_spect
     # start phases are taken directly at every panel, so rounding does not
     # grow with the horizon; the closed form has only 91 distinct gaps here
     taus = np.logspace(-1.0, 5.0, 13)
-    rho = _node_proj(60, 1)
-    got = empirical_lhs(c60_spectrum, 1, rho, taus)
-    want = closed_form_lhs(adjacency(c60), rho, rho, taus)
+    o = _node(60, 1)
+    got = empirical_lhs(c60_spectrum, 1, o, taus)
+    want = closed_form_lhs(adjacency(c60), np.diag(o), np.diag(o), taus)
     assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
 
 
@@ -166,7 +186,7 @@ def test_deviation_signal_rank(graph, x, request):
     # a node observable from a node start gives W = a a^T with
     # a_j = (P_j)_xx; the position observable gives a full-rank W
     s = request.getfixturevalue(f"{graph}_spectrum")
-    w_node = _deviation_signal(s, x, _node_proj(s.n, x))
+    w_node = _deviation_signal(s, x, _node(s.n, x))
     w_pos = _deviation_signal(s, x, position_observable(s.n))
     assert np.linalg.matrix_rank(w_node, hermitian=True) == 1
     assert np.linalg.matrix_rank(w_pos, hermitian=True) == s.n_distinct
@@ -179,7 +199,7 @@ def test_empirical_lhs_refuses_an_over_long_horizon(c60_spectrum, tau):
         match=r"nodes over 15 levels at signal rank 1, above the budget of 33554432 "
         r"nodes; this spectrum allows tau up to about 4\.67e\+06",
     ):
-        empirical_lhs(c60_spectrum, 1, _node_proj(60, 1), [tau])
+        empirical_lhs(c60_spectrum, 1, _node(60, 1), [tau])
 
 
 def test_horizon_budget_does_not_grow_with_the_graph():
@@ -198,11 +218,10 @@ def test_empirical_lhs_small_graph_against_oracle():
     n, edges = SMALL_GRAPHS["c5"]
     a = adjacency(graph_from_edges(n, edges))
     s = eigendecompose(a)
-    rho = _node_proj(5, 1)
-    o = np.diag([1.0, 0.0, -1.0, 0.5, 0.0])
+    o = np.array([1.0, 0.0, -1.0, 0.5, 0.0])
     taus = [2.0, 20.0]
     got = empirical_lhs(s, 1, o, taus)
-    want = closed_form_lhs(a, rho, o, taus)
+    want = closed_form_lhs(a, np.diag(_node(5, 1)), np.diag(o), taus)
     assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
 
 
@@ -210,10 +229,9 @@ def test_empirical_lhs_small_graph_against_oracle():
 def test_empirical_lhs_f30_position_against_oracle(f30, f30_spectrum, start):
     # the adaptive trapezoid this rule replaced was off by 1.15e-3 here
     taus = np.logspace(-1.0, 1.0, 20)
-    rho = _node_proj(30, start)
     o = position_observable(30)
     got = empirical_lhs(f30_spectrum, start, o, taus)
-    want = closed_form_lhs(adjacency(f30), rho, o, taus)
+    want = closed_form_lhs(adjacency(f30), np.diag(_node(30, start)), np.diag(o), taus)
     assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
 
 
@@ -222,12 +240,12 @@ def test_empirical_lhs_c60_position_against_oracle(c60, c60_spectrum, start):
     taus = np.logspace(-1.0, 3.0, 9)
     o = position_observable(60)
     got = empirical_lhs(c60_spectrum, start, o, taus)
-    want = closed_form_lhs(adjacency(c60), _node_proj(60, start), o, taus)
+    want = closed_form_lhs(adjacency(c60), np.diag(_node(60, start)), np.diag(o), taus)
     assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
 
 
 def test_empirical_lhs_validation(c60_spectrum):
-    o = _node_proj(60, 1)
+    o = _node(60, 1)
     with pytest.raises(ValueError, match="positive"):
         empirical_lhs(c60_spectrum, 1, o, [-1.0])
     with pytest.raises(ValueError, match="positive"):
@@ -236,9 +254,12 @@ def test_empirical_lhs_validation(c60_spectrum):
         empirical_lhs(c60_spectrum, 1, o, [2.0, 1.0])
     with pytest.raises(ValueError, match="1-d"):
         empirical_lhs(c60_spectrum, 1, o, [])
-    for shape in ((59, 59), (60, 59), (60,)):
-        with pytest.raises(ValueError, match=re.escape(f"shape {shape} does not match N=60")):
+    for shape in ((59,), (61,), (60, 60), (60, 1), ()):
+        with pytest.raises(ValueError, match=re.escape(f"shape (60,), got {shape}")):
             empirical_lhs(c60_spectrum, 1, np.zeros(shape), [1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="observable values must be finite"):
+            empirical_lhs(c60_spectrum, 1, np.where(o > 0, bad, 0.0), [1.0])
 
 
 def test_default_tau_grid_shape():
@@ -250,7 +271,7 @@ def test_default_tau_grid_shape():
 
 
 def test_report_on_f30_bound_holds(f30):
-    o = _node_proj(30, 1)
+    o = _node(30, 1)
     taus = np.array([0.5, 2.0, 10.0, 50.0, 300.0])
     rep = equilibration_report(f30, 1, o, tau_grid=taus)
     assert np.all(rep.lhs <= rep.rhs)
@@ -265,7 +286,7 @@ def test_report_on_f30_bound_holds(f30):
 
 
 def test_report_c60_override_matches_quoted_constants(c60):
-    o = _node_proj(60, 1)
+    o = _node(60, 1)
     taus = np.array([1.0, 10.0, 100.0])
     rep = equilibration_report(c60, 1, o, tau_grid=taus, n_eps_override=1)
     assert rep.n_lambda == 15
@@ -278,23 +299,23 @@ def test_report_c60_override_matches_quoted_constants(c60):
 
 def test_report_start_validation(f30):
     with pytest.raises(ValueError, match="start"):
-        equilibration_report(f30, 31, _node_proj(30, 1))
+        equilibration_report(f30, 31, _node(30, 1))
 
 
-def test_report_rejects_a_bad_start_before_the_solve(monkeypatch):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return eigendecompose(*args, **kwargs)
-
-    monkeypatch.setattr(spectral, "_last", None)
-    monkeypatch.setattr(spectral, "eigendecompose", counted)
+def test_report_rejects_a_bad_start_before_the_solve(eigh_calls):
     g = build_tube_fullerene(1000)
     for start in (0, 1001):
         with pytest.raises(ValueError, match=rf"start must be in 1\.\.1000, got {start}"):
-            equilibration_report(g, start, np.eye(1000))
-    assert calls == []
+            equilibration_report(g, start, position_observable(1000))
+    assert eigh_calls == []
     # the counter does see the solve a good start needs
-    equilibration_report(build_tube_fullerene(30), 30, _node_proj(30, 1), tau_grid=[1.0])
-    assert len(calls) == 1
+    equilibration_report(build_tube_fullerene(30), 30, _node(30, 1), tau_grid=[1.0])
+    assert len(eigh_calls) == 1
+
+
+def test_report_rejects_a_bad_observable_before_the_solve(eigh_calls):
+    g = build_tube_fullerene(1000)
+    for o, got in ((np.ones(999), "(999,)"), (np.eye(1000), "(1000, 1000)")):
+        with pytest.raises(ValueError, match=re.escape(f"shape (1000,), got {got}")):
+            equilibration_report(g, 1, o)
+    assert eigh_calls == []

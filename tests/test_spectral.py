@@ -110,6 +110,14 @@ def test_eigendecompose_matches_jacobi_oracle(name):
         assert np.abs(cols @ cols.T - p).max() < 1e-8
 
 
+def test_hamiltonian_is_diagonal_in_its_own_basis(c60, c60_spectrum):
+    v = c60_spectrum.eigenvectors
+    a_mn = v.T @ adjacency(c60) @ v
+    off = a_mn - np.diag(np.diag(a_mn))
+    assert np.abs(off).max() < 1e-10
+    assert np.abs(np.diag(a_mn) - c60_spectrum.eigenvalues).max() < 1e-10
+
+
 def test_jacobi_oracle_offdiagonal_below_tolerance(f30):
     a = np.array(adjacency(f30))
     w, v = jacobi_eigh(a, tol=1e-12)

@@ -152,6 +152,17 @@ def test_gibbs_vs_limiting_validation():
         gibbs_vs_limiting([30], [])
 
 
+def test_gibbs_vs_limiting_checks_every_size_before_the_first_solve(eigh_calls):
+    # 135 fails the range check, 35 the builder's multiple-of-10 rule
+    with pytest.raises(ValueError, match="30..130, got 135"):
+        gibbs_vs_limiting([30, 135], np.linspace(0, 1, 5))
+    with pytest.raises(ValueError, match="multiple of 10 with n >= 30, got 35"):
+        gibbs_vs_limiting([30, 35], np.linspace(0, 1, 5))
+    assert eigh_calls == []
+    gibbs_vs_limiting([30, 40], np.linspace(0, 1, 5))
+    assert len(eigh_calls) == 2
+
+
 def test_initial_state_dependence_rows_differ(f30):
     row1, row2 = initial_state_dependence(f30)
     assert row1.shape == (5,)

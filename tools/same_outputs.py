@@ -9,8 +9,8 @@ command runs in its own process at one BLAS thread, since another thread
 count may move the last digits of a matrix product. The list covers every
 subcommand, both formats and both limiting layouts, --vectors, C60, F30,
 F130, a --graph file, F1000 (the bound with both a node and the position
-observable), --tol 1e-3, all three gibbs modes, symmetry, and three
-commands that must fail.
+observable, and the position observable's energy-basis matrix), --tol 1e-3,
+all three gibbs modes, symmetry, and four commands that must fail.
 
 CSV and graph files must be byte-identical. JSON files must be
 byte-identical apart from the digits of meta.timing_seconds. Exit codes
@@ -85,6 +85,8 @@ def commands() -> list:
     add("bound-f1000-position", "bound", "--tube", "1000", "--start", "1",
         "--observable", "position")
     add("eth-f1000-node1", "eth", "--tube", "1000", "--observable", "node:1", "--entropies")
+    add("eth-f1000-position", "eth", "--tube", "1000", "--observable", "position",
+        "--format", "csv", ext="csv")
     add("eth-c60-haar", "eth", "--c60", "--observable", "node:2", "--entropies",
         "--haar-samples", "25", "--seed", "3")
     add("eth-f130-node130", "eth", *SOURCES["f130"], "--observable", "node:130")
@@ -99,6 +101,7 @@ def commands() -> list:
     # these must fail, with the same exit code on both sides
     add("fail-bound-start", "bound", *SOURCES["f30"], "--start", "31")
     add("fail-eth-node", "eth", "--c60", "--observable", "node:99")
+    add("fail-eth-f1000-node", "eth", "--tube", "1000", "--observable", "node:0")
     add("fail-spectrum-size", "spectrum", "--tube", "35")
     return cmds
 
