@@ -380,6 +380,10 @@ def _cmd_eth(args):
         raise ValueError(f"--haar-samples must be >= 0, got {args.haar_samples}")
     g = _resolve_graph(args)
     o = _parse_observable(args.observable, g.n_nodes)  # before the eigh
+    haar = {}
+    if args.haar_samples > 0 and args.format == "json":  # needs only N and the seed
+        mean, std = haar_entropy_baseline(g.n_nodes, args.haar_samples, seed=args.seed)
+        haar = {"haar_entropy_mean": mean, "haar_entropy_std": std}
     s = graph_spectrum(g, args.tol)
 
     # the CSV is the whole energy-basis matrix, the JSON the report on it
@@ -401,16 +405,13 @@ def _cmd_eth(args):
             for x in range(1, s.n + 1)
             for m, sd in [projector_eth_stats(s, x)]
         ],
+        **haar,
     }
     if args.entropies:
         ents = node_entropies(s)
         payload["node_entropies"] = ents
         payload["entropy_mean"] = float(ents.mean())
         payload["entropy_std"] = float(ents.std())
-    if args.haar_samples > 0:
-        hmean, hstd = haar_entropy_baseline(g.n_nodes, args.haar_samples, seed=args.seed)
-        payload["haar_entropy_mean"] = hmean
-        payload["haar_entropy_std"] = hstd
     return g, payload, None
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .dynamics import _check_tau_grid
 from .eth import _check_observable
 from .graphs import Graph, _check_label
-from .spectral import DEGENERACY_TOL, Spectrum, gap_count, graph_spectrum
+from .spectral import DEGENERACY_TOL, Spectrum, _check_positive, gap_count, graph_spectrum
 
 # 32-point Gauss-Legendre integrates e^{i w t} over a panel of length h to
 # rounding for every |w| h <= 62 (checked numerically); 50 leaves margin
@@ -261,6 +261,10 @@ def equilibration_report(
     """Assemble the full bound-vs-measurement table for one start node."""
     _check_label(start, g.n_nodes, "start")  # bad input must not cost an eigh
     o = _check_observable(o, g.n_nodes)
+    _check_positive(epsilon, "epsilon")
+    k = n_eps_override
+    if not (k is None or isinstance(k, (int, np.integer)) and k > 0):
+        raise ValueError(f"n_eps_override must be a positive integer, got {k!r}")
     s = graph_spectrum(g, degeneracy_tol)
     d_eff = effective_dimension(s, start)
     n_eps = gap_count(s, epsilon)

@@ -1,10 +1,11 @@
 """Graph construction, validation, and serialization for the fullerene family.
 
-Two builders are provided: the tube-isomer generator for F_N with N a
-multiple of 10 (a faithful port of the original 1-based MATLAB index
-arithmetic, including its edge-deletion pass), and the blocked construction
-of the C60 buckyball from circulant 5x5 blocks. Node labels are 1-based on
-the whole public surface; only ndarray indices are 0-based.
+Two builders are provided. The tube-isomer generator states F_N, N a
+multiple of 10, layer by layer: the pentagon 1..5, rings of ten, the
+far-cap pentagon, each layer joined to the next through five ports. Its
+edge sets are the original MATLAB generator's, pinned by checksum. The
+C60 buckyball is assembled from circulant 5x5 blocks. Node labels are
+1-based on the whole public surface; only ndarray indices are 0-based.
 """
 
 from __future__ import annotations
@@ -130,79 +131,40 @@ def validate_fullerene(g: Graph) -> None:
         raise ValueError("graph is not connected")
 
 
-def _mrange(start: int, step: int, stop: int):
-    """MATLAB-style inclusive range start:step:stop."""
-    j = start
-    while j <= stop:
-        yield j
-        j += step
+def _cycle(nodes: list) -> list:
+    """Edges of the cycle through nodes in order."""
+    return list(zip(nodes, nodes[1:] + nodes[:1]))
 
 
 def build_tube_fullerene(n: int) -> Graph:
     """Tube-isomer fullerene F_n for n a multiple of 10, n >= 30.
 
-    Port of the original 1-based MATLAB generator, kept edge-set identical
-    (the final edge-deletion pass included) so the produced edge sets match
-    the reference graphs exactly.
-    The pentagon of interest is nodes 1..5; node n sits on the far cap.
+    Layers along the axis are the pentagon 1..5, the 10-cycles s..s+9 for
+    s = 6, 16, ..., n-14, and the far-cap pentagon n-4..n. Each layer hands
+    five ports, in rotational order, to the next: the pentagon's are 1..5;
+    a ring bonds its even offsets s, s+2, ..., s+8 to them in order and
+    hands on s+9, s+1, s+3, s+5, s+7; the far cap bonds n-4..n to the last
+    ports in order. Turning every layer by one port (i -> i+1 mod 5 on the
+    caps, o -> o+2 mod 10 on the rings) is therefore a C5 rotation of F_n.
+    The edge sets are the original MATLAB generator's, pinned by checksum.
+    Nodes 1..5 are the pentagon of interest; node n sits on the far cap.
 
     Raises
     ------
     ValueError
-        If n is not a multiple of 10 or n < 30; the index arithmetic is
-        only defined there.
+        If n is not an integer that is a multiple of 10 and at least 30.
     """
-    n = int(n)
-    if n % 10 != 0 or n < 30:
-        raise ValueError(
-            f"tube generator needs a multiple of 10 with n >= 30, got {n}"
-        )
-
-    edges = set()  # sorted pairs; a later link of the same pair overrides
-
-    def link(a: int, b: int, bond: int = 1) -> None:
-        pair = (a, b) if a < b else (b, a)
-        if bond:
-            edges.add(pair)
-        else:
-            edges.discard(pair)
-
-    # long skip bonds along the tube wall
-    for j in _mrange(7, 2, n - 16):
-        link(j, j + 11)
-    # pentagon nodes out to the first ring
-    for j in _mrange(1, 1, 5):
-        link(j, 4 + 2 * j)
-    # second-to-last ring out to the far cap
-    k = n - 4
-    for j in _mrange(n - 13, 2, n - 6):
-        k += 1
-        link(j, k)
-    # ring-to-ring spokes
-    for j in _mrange(15, 10, n):
-        link(j, j + 1)
-    # rings themselves; the MATLAB ranges start at 5 blk + 1 and overlap,
-    # re-linking pairs earlier blocks already linked, so starting at
-    # max(5 blk + 1, 10 blk - 5) links the same set in O(n)
-    for blk in range(0, n // 10):
-        for j in _mrange(max(5 * blk + 1, 10 * blk - 5), 1, 10 * blk + 5):
-            if j < 10 * blk + 5:
-                link(j, j + 1)
-            elif j == 5:
-                link(j, 5 * blk + 1)
-            else:
-                link(j, j - 9)
-    # far cap pentagon
-    for j in _mrange(n - 4, 1, n):
-        if j < n:
-            link(j, j + 1)
-        else:
-            link(j, n - 4)
-    # deletion pass: the skip-bond loop overshoots once per full ring
-    for b in _mrange(15, 10, n - 25):
-        link(b, b + 11, 0)
-
-    g = graph_from_edges(n, sorted(edges))
+    if not (isinstance(n, (int, np.integer)) and n % 10 == 0 and n >= 30):
+        raise ValueError(f"tube needs an integer multiple of 10 with n >= 30, got {n!r}")
+    ports = [1, 2, 3, 4, 5]
+    edges = _cycle(ports)
+    for s in range(6, n - 13, 10):
+        ring = list(range(s, s + 10))
+        edges += _cycle(ring) + list(zip(ports, ring[::2]))
+        ports = [s + 9, s + 1, s + 3, s + 5, s + 7]
+    cap = list(range(n - 4, n + 1))
+    edges += _cycle(cap) + list(zip(ports, cap))
+    g = graph_from_edges(n, edges)
     validate_fullerene(g)
     return g
 

@@ -86,6 +86,12 @@ class Spectrum:
         return self.cluster_means(self.eigenvalues)
 
 
+def _check_positive(x: float, name: str) -> None:
+    """Reject a value that is not a finite positive number, naming the argument it came in."""
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be finite and positive, got {x}")
+
+
 def cluster_eigenvalues(values, tol: float) -> tuple:
     """Greedy adjacent-merge clustering of an ascending value sequence.
 
@@ -93,8 +99,7 @@ def cluster_eigenvalues(values, tol: float) -> tuple:
     tol. Returns a tuple of index tuples covering 0..len(values)-1.
     """
     values = np.asarray(values, dtype=float)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _check_positive(tol, "tol")
     if len(values) == 0:
         return ()
     splits = np.flatnonzero(np.diff(values) > tol) + 1
@@ -119,8 +124,10 @@ def eigendecompose(a, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
     Raises
     ------
     ValueError
-        If the input is not symmetric to within 1e-12.
+        If the input is not symmetric to within 1e-12, or degeneracy_tol
+        is not finite and positive (checked before the solve).
     """
+    _check_positive(degeneracy_tol, "tol")
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -145,6 +152,7 @@ def graph_spectrum(g: Graph, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum
     a hit returns what a solve would; a call that raises keeps the slot.
     """
     global _last
+    _check_positive(degeneracy_tol, "tol")  # before the adjacency is built
     key = (g, type(degeneracy_tol), degeneracy_tol)
     if _last is not None and _last[0] == key:
         return _last[1]
@@ -164,6 +172,7 @@ def symmetry_adapted_c60_basis(degeneracy_tol: float = DEGENERACY_TOL) -> Spectr
     combined spectrum is re-sorted ascending (stable, minus-lift first on
     exact ties).
     """
+    _check_positive(degeneracy_tol, "tol")
     a = adjacency(build_c60_blocked())
     half = 30
     b = a[:half, :half]
@@ -193,8 +202,7 @@ def gap_count(s: Spectrum, epsilon: float) -> int:
     sorted gap multiset; the maximum is attained with the window anchored
     at some gap, so only those anchors are scanned.
     """
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    _check_positive(epsilon, "epsilon")
     levels = s.cluster_values()
     diffs = np.subtract.outer(levels, levels)
     gaps = np.sort(diffs[diffs > 0])

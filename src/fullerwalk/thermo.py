@@ -158,7 +158,7 @@ class GibbsComparisonRow:
 def gibbs_vs_limiting(family, beta_grid, degeneracy_tol: float = DEGENERACY_TOL):
     """Compare u(N, N) against every Gibbs p(j) on the beta grid.
 
-    For each tube size N in `family` (a subset of {30, 40, ..., 130})
+    For each tube size N in `family` (integers from {30, 40, ..., 130})
     builds F_N, computes the limiting return probability of the last node,
     and flags gibbs_matchable when some beta gives |u(N,N) - p(j)| < 1e-3.
     """
@@ -166,13 +166,14 @@ def gibbs_vs_limiting(family, beta_grid, degeneracy_tol: float = DEGENERACY_TOL)
     if betas.ndim != 1 or len(betas) == 0:
         raise ValueError("beta_grid must be a non-empty 1-d sequence")
     ps = np.array([gibbs_node_probability(b) for b in betas])
-    sizes = [int(n) for n in family]
-    for n in sizes:
-        if not (30 <= n <= 130):
-            raise ValueError(f"family sizes must lie in 30..130, got {n}")
-    tubes = [build_tube_fullerene(n) for n in sizes]  # its own checks, before any eigh
+    tubes = []  # every size checked and built before the first eigh
+    for n in family:
+        if not (isinstance(n, (int, np.integer)) and 30 <= n <= 130):
+            raise ValueError(f"family sizes must be integers in 30..130, got {n!r}")
+        tubes.append(build_tube_fullerene(n))
     rows = []
-    for n, g in zip(sizes, tubes):
+    for g in tubes:
+        n = g.n_nodes
         u_nn = limiting_distribution(graph_spectrum(g, degeneracy_tol)).value(n, n)
         rows.append(
             GibbsComparisonRow(

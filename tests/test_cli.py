@@ -752,6 +752,28 @@ def test_eth_rejects_a_bad_observable_before_the_solve(tmp_path, capsys, eigh_ca
     assert not out.exists()
 
 
+def test_bad_numeric_flags_are_refused_before_the_solve(tmp_path, capsys, eigh_calls):
+    out = tmp_path / "o.json"
+    bound = ("bound", "--tube", "1000", "--start", "1")
+    spectrum = ("spectrum", "--tube", "1000")
+    for argv, message in (
+        ((*bound, "--n-eps-override", "0"), "n_eps_override must be a positive integer, got 0"),
+        ((*bound, "--epsilon", "0"), "epsilon must be finite and positive, got 0.0"),
+        ((*bound, "--epsilon", "inf"), "epsilon must be finite and positive, got inf"),
+        ((*spectrum, "--tol", "0"), "tol must be finite and positive, got 0.0"),
+        ((*spectrum, "--tol", "nan"), "tol must be finite and positive, got nan"),
+        (
+            ("eth", "--tube", "1000", "--observable", "position",
+             "--haar-samples", "5", "--seed", "-1"),
+            "seed -1 must lie in [0, 2**128)",
+        ),
+    ):
+        assert run(*argv, "-o", str(out)) == 2
+        assert message in capsys.readouterr().err
+    assert eigh_calls == []
+    assert not out.exists()
+
+
 def test_symmetry_suite_passes(tmp_path):
     out = tmp_path / "sym.json"
     assert run("symmetry", "-o", str(out)) == 0

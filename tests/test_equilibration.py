@@ -313,6 +313,20 @@ def test_report_rejects_a_bad_start_before_the_solve(eigh_calls):
     assert len(eigh_calls) == 1
 
 
+def test_report_rejects_a_bad_epsilon_or_override_before_the_solve(eigh_calls):
+    g = build_tube_fullerene(1000)
+    o = position_observable(1000)
+    for epsilon in (0.0, -1.0, float("inf"), float("nan")):
+        message = re.escape(f"epsilon must be finite and positive, got {epsilon}")
+        with pytest.raises(ValueError, match=message):
+            equilibration_report(g, 1, o, epsilon=epsilon)
+    for k in (0, -3, 2.5, np.float64(2.0)):
+        message = re.escape(f"n_eps_override must be a positive integer, got {k!r}")
+        with pytest.raises(ValueError, match=message):
+            equilibration_report(g, 1, o, n_eps_override=k)
+    assert eigh_calls == []
+
+
 def test_report_rejects_a_bad_observable_before_the_solve(eigh_calls):
     g = build_tube_fullerene(1000)
     for o, got in ((np.ones(999), "(999,)"), (np.eye(1000), "(1000, 1000)")):

@@ -101,6 +101,7 @@ TUBE_CHECKSUMS = {
     130: "0485a8317fef8494098c9c36345fcf7348fad4df37f3328c29a25b5601e00c1d",
     500: "68dc9fb64c0daef7b749bc1d92f336a3a280739336934d89dbec595bddabf35f",
     1000: "75951b1a7fbc90cf367db1fab063292171b27956710196065dbf2c17c3b548a4",
+    2000: "0e46b1cc6debf10ce87d5ccc40685bac2668a4dd4d1d0c011419fbf46717ad1c",
 }
 
 
@@ -109,10 +110,34 @@ def test_tube_edge_sets_are_pinned(n):
     assert edge_checksum(build_tube_fullerene(n)) == TUBE_CHECKSUMS[n]
 
 
-@pytest.mark.parametrize("n", [25, 35, 20, 0, -10])
+@pytest.mark.parametrize("n", [25, 35, 20, 0, -10, 30.7, "40", np.float64(30.0)])
 def test_tube_rejects_bad_sizes(n):
-    with pytest.raises(ValueError, match="multiple of 10"):
+    with pytest.raises(ValueError, match=re.escape(f"multiple of 10 with n >= 30, got {n!r}")):
         build_tube_fullerene(n)
+
+
+def test_tube_accepts_numpy_integer_sizes():
+    assert build_tube_fullerene(np.int64(40)) == build_tube_fullerene(40)
+
+
+def _c5_rotation(n):
+    """The tube's C5 rotation as a label map: each layer turns by one port,
+    so the pentagon and the far cap shift by 1 and every ring by 2."""
+    layers = [(1, 5, 1), *((s, 10, 2) for s in range(6, n - 13, 10)), (n - 4, 5, 1)]
+    return {
+        first + o: first + (o + step) % size
+        for first, size, step in layers
+        for o in range(size)
+    }
+
+
+@pytest.mark.parametrize("n", [*range(30, 131, 10), 500, 1000])
+def test_tube_c5_rotation_is_an_automorphism(n):
+    g = build_tube_fullerene(n)
+    rot = _c5_rotation(n)
+    assert sorted(rot) == sorted(rot.values()) == list(range(1, n + 1))
+    assert all(rot[x] != x for x in rot)
+    assert {tuple(sorted((rot[a], rot[b]))) for a, b in g.edges} == g.edges
 
 
 def test_tube_f30_has_45_edges(f30):

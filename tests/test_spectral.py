@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -272,7 +274,23 @@ def test_graph_spectrum_failure_leaves_the_slot(c60, solves):
         graph_spectrum(c60, float("nan"))
     assert spectral._last is kept
     assert graph_spectrum(c60) is s
-    assert len(solves) == 2
+    assert len(solves) == 1  # the bad tolerance is refused before eigendecompose
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+def test_a_bad_tol_is_refused_before_the_solve(c60, solves, monkeypatch, tol):
+    def no_eigh(a):
+        raise AssertionError("eigh reached")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    message = re.escape(f"tol must be finite and positive, got {tol}")
+    with pytest.raises(ValueError, match=message):
+        eigendecompose(adjacency(c60), tol)
+    with pytest.raises(ValueError, match=message):
+        graph_spectrum(c60, tol)
+    with pytest.raises(ValueError, match=message):
+        symmetry_adapted_c60_basis(tol)
+    assert solves == []
 
 
 def test_graph_spectrum_arrays_are_read_only(c60, solves):

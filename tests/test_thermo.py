@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,18 @@ def test_gibbs_vs_limiting_checks_every_size_before_the_first_solve(eigh_calls):
     assert eigh_calls == []
     gibbs_vs_limiting([30, 40], np.linspace(0, 1, 5))
     assert len(eigh_calls) == 2
+
+
+@pytest.mark.parametrize("n", [30.9, "40", np.float64(30.0)])
+def test_gibbs_vs_limiting_refuses_sizes_that_are_not_integers(n, eigh_calls):
+    with pytest.raises(ValueError, match=re.escape(f"integers in 30..130, got {n!r}")):
+        gibbs_vs_limiting([30, n], np.linspace(0, 1, 5))
+    assert eigh_calls == []
+
+
+def test_gibbs_vs_limiting_takes_numpy_integer_sizes():
+    (row,) = gibbs_vs_limiting([np.int64(30)], np.linspace(0, 1, 5))
+    assert row.n == 30 and type(row.n) is int
 
 
 def test_initial_state_dependence_rows_differ(f30):

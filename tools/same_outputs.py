@@ -9,8 +9,9 @@ command runs in its own process at one BLAS thread, since another thread
 count may move the last digits of a matrix product. The list covers every
 subcommand, both formats and both limiting layouts, --vectors, C60, F30,
 F130, a --graph file, F1000 (the bound with both a node and the position
-observable, and the position observable's energy-basis matrix), --tol 1e-3,
-all three gibbs modes, symmetry, and four commands that must fail.
+observable, and the position observable's energy-basis matrix), the F40
+and F2000 graph files, --tol 1e-3, all three gibbs modes, symmetry, and
+seven commands that must fail.
 
 CSV and graph files must be byte-identical. JSON files must be
 byte-identical apart from the digits of meta.timing_seconds. Exit codes
@@ -48,7 +49,9 @@ def commands() -> list:
         cmds.append((name, [*argv, "-o", f"{name}.{ext}"]))
 
     big = ("f1000", ["--tube", "1000"])
-    for tag, src in [(tag, SOURCES[tag]) for tag in ("c60", "f30", "f130")] + [big]:
+    gens = [(tag, SOURCES[tag]) for tag in ("c60", "f30", "f130")] + [big]
+    gens += [(f"f{n}", ["--tube", str(n)]) for n in (40, 2000)]  # F40 has three rings
+    for tag, src in gens:
         add(f"gen-{tag}", "gen", *src, ext="txt")  # gen reads no --graph
     for tag, src in [*SOURCES.items(), big]:
         add(f"spectrum-{tag}", "spectrum", *src)
@@ -103,6 +106,10 @@ def commands() -> list:
     add("fail-eth-node", "eth", "--c60", "--observable", "node:99")
     add("fail-eth-f1000-node", "eth", "--tube", "1000", "--observable", "node:0")
     add("fail-spectrum-size", "spectrum", "--tube", "35")
+    add("fail-bound-override", "bound", "--tube", "1000", "--start", "1", "--n-eps-override", "0")
+    add("fail-spectrum-tol", "spectrum", "--tube", "1000", "--tol", "0")
+    add("fail-eth-seed", "eth", "--tube", "1000", "--observable", "position",
+        "--haar-samples", "5", "--seed", "-1")
     return cmds
 
 
