@@ -378,10 +378,16 @@ def _cmd_gibbs(args):
 def _cmd_eth(args):
     if args.haar_samples < 0:
         raise ValueError(f"--haar-samples must be >= 0, got {args.haar_samples}")
+    # refuse flags this run would echo in its config but never read
+    if args.format == "csv" and (args.entropies or args.haar_samples):
+        flag = "--entropies" if args.entropies else "--haar-samples"
+        raise ValueError(f"{flag} is read only by the JSON report, not by --format csv")
+    if args.seed and not args.haar_samples:
+        raise ValueError(f"--seed is read only with --haar-samples > 0, got --seed {args.seed}")
     g = _resolve_graph(args)
     o = _parse_observable(args.observable, g.n_nodes)  # before the eigh
     haar = {}
-    if args.haar_samples > 0 and args.format == "json":  # needs only N and the seed
+    if args.haar_samples > 0:  # needs only N and the seed
         mean, std = haar_entropy_baseline(g.n_nodes, args.haar_samples, seed=args.seed)
         haar = {"haar_entropy_mean": mean, "haar_entropy_std": std}
     s = graph_spectrum(g, args.tol)
@@ -550,16 +556,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--entropies",
         action="store_true",
-        help="include per-node measurement entropies",
+        help="include per-node measurement entropies (JSON only)",
     )
     p.add_argument(
         "--haar-samples",
         type=int,
         default=0,
         metavar="M",
-        help="include a Haar-orthogonal entropy baseline over M samples",
+        help="include a Haar-orthogonal entropy baseline over M samples (JSON only)",
     )
-    p.add_argument("--seed", type=int, default=0, help="base seed for the baseline")
+    p.add_argument("--seed", type=int, default=0, help="base seed for the Haar baseline")
     _add_output(p)
     p.set_defaults(func=_cmd_eth)
 

@@ -102,8 +102,10 @@ def bound_rhs(
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise ValueError("tau must be positive")
-    if min(d_eff, n_lambda, n_eps, op_norm_sq, epsilon) <= 0:
-        raise ValueError("all bound ingredients must be positive")
+    for name, v in zip(("d_eff", "n_lambda", "n_eps", "op_norm_sq", "epsilon"),
+                       (d_eff, n_lambda, n_eps, op_norm_sq, epsilon)):
+        if v <= 0:
+            raise ValueError(f"{name} must be positive, got {v}")
     return (op_norm_sq * n_eps / d_eff) * (1.0 + 8.0 * np.log2(n_lambda) / (epsilon * tau))
 
 

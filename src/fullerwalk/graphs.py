@@ -4,8 +4,10 @@ Two builders are provided. The tube-isomer generator states F_N, N a
 multiple of 10, layer by layer: the pentagon 1..5, rings of ten, the
 far-cap pentagon, each layer joined to the next through five ports. Its
 edge sets are the original MATLAB generator's, pinned by checksum. The
-C60 buckyball is assembled from circulant 5x5 blocks. Node labels are
-1-based on the whole public surface; only ndarray indices are 0-based.
+C60 buckyball is written as six blocks of five nodes (1..30), the 45 bonds
+of that half, their mirror images under x -> 61-x, and the belt bonds
+that join the halves. Node labels are 1-based on the whole public surface;
+only ndarray indices are 0-based.
 """
 
 from __future__ import annotations
@@ -169,55 +171,29 @@ def build_tube_fullerene(n: int) -> Graph:
     return g
 
 
-def _circulant5(first_row) -> np.ndarray:
-    c = np.zeros((5, 5))
-    for i in range(5):
-        for j in range(5):
-            c[i, j] = first_row[(j - i) % 5]
-    return c
-
-
 def build_c60_blocked() -> Graph:
-    """C60 buckyball adjacency assembled from a 12x12 grid of 5x5 blocks.
+    """C60 buckyball written as half the ball and its mirror image.
 
-    The grid uses the pentagon circulant A5 = circ[0,1,0,0,1], the shift
-    circulants K = circ[0,1,0,0,0] and L = circ[0,0,1,0,0], the identity I,
-    and the 5x5 anti-diagonal exchange J. The result is 3-regular with 90
-    edges and centrosymmetric: A[x][y] = A[61-x][61-y], which is asserted.
-    Nodes 1..5 form the pentagon of interest.
+    Node i of block k (k = 0..5) is b(k, i) = 5k + 1 + (i mod 5); block 0 is
+    the pentagon of interest. For i = 0..4 the half on nodes 1..30 has the
+    pentagon cycle, the bonds between blocks 0-1, 1-2, 1-3, 2-3 (i to i-1),
+    2-5, 3-4, 4-5, and one belt bond b(4,i)-(61-b(5,i+3)): 45 bonds. Their
+    images under the mirror x -> 61-x make the other 45, so the ball is
+    centrosymmetric by construction, and the C5 shift i -> i+1 in every
+    block (mirrored on 31..60) commutes with the mirror.
     """
-    a5 = _circulant5([0, 1, 0, 0, 1])
-    kc = _circulant5([0, 1, 0, 0, 0])
-    lc = _circulant5([0, 0, 1, 0, 0])
-    j5 = np.fliplr(np.eye(5))
-    i5 = np.eye(5)
-    z = np.zeros((5, 5))
-    kt = kc.T
-    lt = lc.T
 
-    grid = [
-        [a5, i5, z, z, z, z, z, z, z, z, z, z],
-        [i5, z, i5, i5, z, z, z, z, z, z, z, z],
-        [z, i5, z, kt, z, i5, z, z, z, z, z, z],
-        [z, i5, kc, z, i5, z, z, z, z, z, z, z],
-        [z, z, z, i5, z, i5, lt @ j5, z, z, z, z, z],
-        [z, z, i5, z, i5, z, z, lc @ j5, z, z, z, z],
-        [z, z, z, z, j5 @ lc, z, z, i5, z, i5, z, z],
-        [z, z, z, z, z, j5 @ lt, i5, z, i5, z, z, z],
-        [z, z, z, z, z, z, z, i5, z, kt, i5, z],
-        [z, z, z, z, z, z, i5, z, kc, z, i5, z],
-        [z, z, z, z, z, z, z, z, i5, i5, z, i5],
-        [z, z, z, z, z, z, z, z, z, z, i5, a5],
-    ]
-    a = np.block(grid)
+    def b(k, i):
+        return 5 * k + 1 + i % 5
 
-    if not np.array_equal(a, a.T):
-        raise AssertionError("blocked C60 assembly lost symmetry")
-    if not np.array_equal(a, np.flipud(np.fliplr(a))):
-        raise AssertionError("blocked C60 assembly lost centrosymmetry")
-
-    edges = [(i + 1, j + 1) for i in range(60) for j in range(i + 1, 60) if a[i, j]]
-    g = graph_from_edges(60, edges)
+    half = []
+    for i in range(5):
+        half += [
+            (b(0, i), b(0, i + 1)), (b(0, i), b(1, i)), (b(1, i), b(2, i)),
+            (b(1, i), b(3, i)), (b(2, i), b(3, i - 1)), (b(2, i), b(5, i)),
+            (b(3, i), b(4, i)), (b(4, i), b(5, i)), (b(4, i), 61 - b(5, i + 3)),
+        ]
+    g = graph_from_edges(60, half + [(61 - x, 61 - y) for x, y in half])
     validate_fullerene(g)
     return g
 

@@ -5,9 +5,10 @@ bound) depends on eigenspaces, not on the basis inside them, so the Spectrum
 value carries the degeneracy clustering alongside the raw eigenpairs.
 Clusters are contiguous runs of the eigen-index, so per-eigenspace
 quantities are segment sums (Spectrum.cluster_sums); no projector is
-formed. The C60 buckyball additionally gets a symmetry-adapted basis built
-from its centrosymmetric block structure, for which the mirror relation
-|<x|lam_k>| = |<61-x|lam_k>| holds exactly by construction.
+formed. The C60 buckyball additionally gets a symmetry-adapted basis: its
+mirror x -> 61-x is a row reversal that commutes with the adjacency, so
+the two half-size sectors lift to eigenvectors for which the mirror
+relation |<x|lam_k>| = |<61-x|lam_k>| holds exactly by construction.
 """
 
 from __future__ import annotations
@@ -164,32 +165,21 @@ def graph_spectrum(g: Graph, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum
 def symmetry_adapted_c60_basis(degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
     """Eigenbasis of the blocked C60 adjacency with exact mirror symmetry.
 
-    The blocked matrix is centrosymmetric, so it decouples under the
-    orthogonal change of basis built from the 30x30 exchange matrix E into
-    the two half-size blocks B - EC and B + EC. Their eigenvectors u, v
-    lift to the full space as (1/sqrt 2)[u; -Eu] and (1/sqrt 2)[v; Ev],
-    giving <x|lam_k> = +-<61-x|lam_k> exactly for every column. The
-    combined spectrum is re-sorted ascending (stable, minus-lift first on
-    exact ties).
+    The mirror x -> 61-x reverses the rows, and it commutes with the
+    adjacency, so with B the first half's block and C the cross block with
+    its rows reversed, A decouples into B - C and B + C. Their eigenvectors
+    u, v lift to the full space as (1/sqrt 2)[u; -u reversed] and
+    (1/sqrt 2)[v; v reversed], giving <x|lam_k> = +-<61-x|lam_k> exactly
+    for every column. The combined spectrum is re-sorted ascending (stable,
+    minus-lift first on exact ties).
     """
     _check_positive(degeneracy_tol, "tol")
     a = adjacency(build_c60_blocked())
-    half = 30
-    b = a[:half, :half]
-    c = a[half:, :half]
-    ex = np.fliplr(np.eye(half))
-
-    w_minus, u = np.linalg.eigh(b - ex @ c)
-    w_plus, v = np.linalg.eigh(b + ex @ c)
-
+    b, c = a[:30, :30], a[30:, :30][::-1]
+    w_minus, u = np.linalg.eigh(b - c)
+    w_plus, v = np.linalg.eigh(b + c)
     vals = np.concatenate([w_minus, w_plus])
-    vecs = np.zeros((2 * half, 2 * half))
-    root2 = np.sqrt(2.0)
-    vecs[:half, :half] = u / root2
-    vecs[half:, :half] = -ex @ u / root2
-    vecs[:half, half:] = v / root2
-    vecs[half:, half:] = ex @ v / root2
-
+    vecs = np.vstack([np.hstack([u, v]), np.hstack([-u[::-1], v[::-1]])]) / np.sqrt(2.0)
     order = np.argsort(vals, kind="stable")
     return _spectrum(vals[order], vecs[:, order], degeneracy_tol, "symmetry-adapted")
 

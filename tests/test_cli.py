@@ -712,6 +712,36 @@ def test_eth_rejects_a_negative_seed_without_traceback(tmp_path):
     assert not out.exists()
 
 
+def test_eth_refuses_flags_it_would_not_read_before_the_solve(tmp_path, capsys, eigh_calls):
+    base = ("eth", "--tube", "1000", "--observable", "position")
+    for extra, message in (
+        (("--format", "csv", "--entropies"), "--entropies is read only by the JSON report"),
+        (("--format", "csv", "--haar-samples", "5"),
+         "--haar-samples is read only by the JSON report"),
+        (("--format", "csv", "--haar-samples", "5", "--seed", "3", "--entropies"),
+         "--entropies is read only by the JSON report"),
+        (("--seed", "3"), "--seed is read only with --haar-samples > 0, got --seed 3"),
+        (("--format", "csv", "--seed", "3"), "--seed is read only with --haar-samples > 0"),
+    ):
+        out = tmp_path / "e.out"
+        assert run(*base, *extra, "-o", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    assert eigh_calls == []
+
+
+def test_bound_on_a_one_level_graph_names_n_eps(tmp_path, capsys):
+    g = tmp_path / "edgeless.txt"
+    g.write_text("4\n")
+    out = tmp_path / "b.json"
+    assert run("bound", "--graph", str(g), "--start", "1", "-o", str(out)) == 2
+    assert "n_eps must be positive, got 0" in capsys.readouterr().err
+    assert not out.exists()
+    argv = ("bound", "--graph", str(g), "--start", "1", "--n-eps-override", "1")
+    assert run(*argv, "-o", str(out)) == 0
+    assert read_json(out)["bound_holds"] is True
+
+
 def test_eth_energy_basis_matrix_csv(tmp_path, request):
     out = tmp_path / "omn.csv"
     rc = run(

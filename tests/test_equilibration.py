@@ -102,6 +102,23 @@ def test_bound_rhs_validation():
         bound_rhs(-1.0, 15, 1, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="positive"):
         bound_rhs(12.5, 15, 0, 1.0, 1.0, 1.0)
+    # the message names the first non-positive ingredient and its value
+    good = (12.5, 15, 1, 1.0, 1.0)
+    for k, name in enumerate(("d_eff", "n_lambda", "n_eps", "op_norm_sq", "epsilon")):
+        args = [*good[:k], 0, *good[k + 1:]]
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got 0$"):
+            bound_rhs(*args, 1.0)
+    with pytest.raises(ValueError, match="^d_eff must be positive, got -1.0$"):
+        bound_rhs(-1.0, 15, 0, 1.0, 1.0, 1.0)
+
+
+def test_report_on_a_one_level_spectrum_names_n_eps():
+    # an edgeless graph has the single level 0, so no gap fits any window
+    g = graph_from_edges(4, [])
+    with pytest.raises(ValueError, match="^n_eps must be positive, got 0$"):
+        equilibration_report(g, 1, _node(4, 1), tau_grid=[1.0])
+    rep = equilibration_report(g, 1, _node(4, 1), tau_grid=[1.0], n_eps_override=1)
+    assert rep.n_eps == 0
 
 
 def test_bound_rhs_over_a_grid_is_the_per_tau_value():

@@ -104,10 +104,18 @@ TUBE_CHECKSUMS = {
     2000: "0e46b1cc6debf10ce87d5ccc40685bac2668a4dd4d1d0c011419fbf46717ad1c",
 }
 
+# edge-list checksum of C60, recorded when it was still assembled from a
+# 12 x 12 grid of 5 x 5 circulant, identity and exchange blocks
+C60_CHECKSUM = "5d952e1068e1fca5bc325a1b8682ad28769c795f41ff230d5c6f0daa4c23a7c9"
+
 
 @pytest.mark.parametrize("n", sorted(TUBE_CHECKSUMS))
 def test_tube_edge_sets_are_pinned(n):
     assert edge_checksum(build_tube_fullerene(n)) == TUBE_CHECKSUMS[n]
+
+
+def test_c60_edge_set_is_pinned(c60):
+    assert edge_checksum(c60) == C60_CHECKSUM
 
 
 @pytest.mark.parametrize("n", [25, 35, 20, 0, -10, 30.7, "40", np.float64(30.0)])
@@ -131,13 +139,27 @@ def _c5_rotation(n):
     }
 
 
+def _assert_free_automorphism(g, perm):
+    """perm is a fixed-point-free permutation of 1..N that maps edges onto edges."""
+    assert sorted(perm) == sorted(perm.values()) == list(range(1, g.n_nodes + 1))
+    assert all(perm[x] != x for x in perm)
+    assert {tuple(sorted((perm[a], perm[b]))) for a, b in g.edges} == g.edges
+
+
 @pytest.mark.parametrize("n", [*range(30, 131, 10), 500, 1000])
 def test_tube_c5_rotation_is_an_automorphism(n):
-    g = build_tube_fullerene(n)
-    rot = _c5_rotation(n)
-    assert sorted(rot) == sorted(rot.values()) == list(range(1, n + 1))
-    assert all(rot[x] != x for x in rot)
-    assert {tuple(sorted((rot[a], rot[b]))) for a, b in g.edges} == g.edges
+    _assert_free_automorphism(build_tube_fullerene(n), _c5_rotation(n))
+
+
+def test_c60_c5_rotation_and_mirror_are_commuting_automorphisms(c60):
+    # node i of block k is 5k + 1 + (i mod 5) on 1..30; the C5 turns i -> i+1
+    # there and does the mirror image of that on 31..60
+    half = {5 * k + 1 + i: 5 * k + 1 + (i + 1) % 5 for k in range(6) for i in range(5)}
+    rot = {**half, **{61 - x: 61 - y for x, y in half.items()}}
+    mirror = {x: 61 - x for x in range(1, 61)}
+    _assert_free_automorphism(c60, rot)
+    _assert_free_automorphism(c60, mirror)
+    assert all(rot[mirror[x]] == mirror[rot[x]] for x in range(1, 61))
 
 
 def test_tube_f30_has_45_edges(f30):

@@ -11,7 +11,7 @@ subcommand, both formats and both limiting layouts, --vectors, C60, F30,
 F130, a --graph file, F1000 (the bound with both a node and the position
 observable, and the position observable's energy-basis matrix), the F40
 and F2000 graph files, --tol 1e-3, all three gibbs modes, symmetry, and
-seven commands that must fail.
+eight commands that must fail.
 
 CSV and graph files must be byte-identical. JSON files must be
 byte-identical apart from the digits of meta.timing_seconds. Exit codes
@@ -110,6 +110,8 @@ def commands() -> list:
     add("fail-spectrum-tol", "spectrum", "--tube", "1000", "--tol", "0")
     add("fail-eth-seed", "eth", "--tube", "1000", "--observable", "position",
         "--haar-samples", "5", "--seed", "-1")
+    add("fail-eth-csv-flags", "eth", "--tube", "30", "--observable", "position",
+        "--format", "csv", "--haar-samples", "5", "--seed", "3", "--entropies", ext="csv")
     return cmds
 
 
