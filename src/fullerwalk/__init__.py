@@ -62,12 +62,10 @@ from .thermo import (
 from .eth import (
     EthReport,
     SymmetryCheck,
-    cluster_averaged_diagonal,
     eth_report,
     eth_symmetry_check,
     haar_entropy_baseline,
     haar_orthogonal_state,
-    measurement_entropy,
     node_entropies,
     observable_in_energy_basis,
     position_observable,

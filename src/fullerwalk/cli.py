@@ -13,8 +13,8 @@ differently at another count, which moves the last digits of u).
 
 Exit codes: 0 success, 2 usage or validation error, an allocation
 refused for lack of memory or a bound horizon over the lhs node budget,
-3 numerical failure (an ArithmeticError, raised only by
-thermo.pentagon_gibbs when the Gibbs state keeps a complex residue).
+3 numerical failure (an ArithmeticError that validation did not catch;
+no code path raises one on purpose).
 """
 
 from __future__ import annotations
@@ -201,13 +201,12 @@ def _parse_observable(spec: str, n: int) -> np.ndarray:
     )
 
 
-def _parse_family(spec: str) -> list:
-    """Family size list, either 'LO..HI' (step 10) or comma-separated."""
+def _parse_family(spec: str):
+    """Family sizes: 'LO..HI' as a lazy range (step 10) or a comma-separated list."""
     try:
         if ".." in spec:
             lo_s, hi_s = spec.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            sizes = list(range(lo, hi + 1, 10))
+            sizes = range(int(lo_s), int(hi_s) + 1, 10)  # read only up to its first bad size
         else:
             sizes = [int(tok) for tok in spec.split(",") if tok]
     except ValueError:
@@ -232,6 +231,10 @@ def _log_grid(lo: float, hi: float, count: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} grid must start above 0, got {lo}")
     _linear_grid(lo, hi, count, name)
     return np.logspace(np.log10(lo), np.log10(hi), count)
+
+
+# gibbs defaults: --beta reads none of these flags, --beta-sweep all but --tol
+_GIBBS_DEFAULTS = {"beta_min": 0.0, "beta_max": 200.0, "beta_count": 201, "tol": DEGENERACY_TOL}
 
 
 def _mirror_residual(u: np.ndarray) -> float:
@@ -331,6 +334,13 @@ def _cmd_bound(args):
 
 
 def _cmd_gibbs(args):
+    # refuse flags this run would echo in its config but never read
+    unread = [] if args.family is not None else ["tol"] if args.beta_sweep else _GIBBS_DEFAULTS
+    for name in unread:
+        if getattr(args, name) != _GIBBS_DEFAULTS[name]:
+            flag = "--" + name.replace("_", "-")
+            mode = "--beta-sweep" if args.beta_sweep else "--beta"
+            raise ValueError(f"{flag} is not read with {mode}, got {flag} {getattr(args, name)}")
     if args.beta is not None:
         pg = pentagon_gibbs(args.beta)
         payload = {
@@ -537,12 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="compare u(N, N) against the Gibbs range for sizes 'LO..HI' or a comma list",
     )
-    p.add_argument("--beta-min", type=float, default=0.0, help="grid start")
-    p.add_argument("--beta-max", type=float, default=200.0, help="grid end")
-    p.add_argument("--beta-count", type=int, default=201, help="grid size")
+    p.add_argument("--beta-min", type=float, help="grid start")
+    p.add_argument("--beta-max", type=float, help="grid end")
+    p.add_argument("--beta-count", type=int, help="grid size")
     _add_tol(p)
     _add_output(p)
-    p.set_defaults(func=_cmd_gibbs)
+    p.set_defaults(func=_cmd_gibbs, **_GIBBS_DEFAULTS)
 
     p = sub.add_parser("eth", help="observable statistics in the energy eigenbasis")
     _add_graph_source(p)

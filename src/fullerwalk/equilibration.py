@@ -9,6 +9,7 @@ compared against a quadrature of the left-hand side; omega is exact.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,6 +268,8 @@ def equilibration_report(
     k = n_eps_override
     if not (k is None or isinstance(k, (int, np.integer)) and k > 0):
         raise ValueError(f"n_eps_override must be a positive integer, got {k!r}")
+    if k is not None and k > sys.float_info.max:  # the rhs scales it as a float
+        raise ValueError(f"n_eps_override must fit in a float, got {len(str(k))} digits")
     s = graph_spectrum(g, degeneracy_tol)
     d_eff = effective_dimension(s, start)
     n_eps = gap_count(s, epsilon)

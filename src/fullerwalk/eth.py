@@ -80,18 +80,9 @@ def projector_eth_stats(s: Spectrum, x: int):
     return float(diag.mean()), float(diag.std())
 
 
-def measurement_entropy(s: Spectrum, x: int) -> float:
-    """Natural-log Shannon entropy of the energy distribution of node x.
-
-    E = -sum_k p_k ln p_k with p_k = |<lam_k|x>|^2; terms below 1e-15
-    contribute zero. Lies in [0, ln N].
-    """
-    _check_label(x, s.n, "x")
-    return _entropy_of(s.eigenvectors[x - 1, :] ** 2)
-
-
 def node_entropies(s: Spectrum) -> np.ndarray:
-    """measurement_entropy for every node, as one vector."""
+    """Measurement entropy of every node: entry x-1 is -sum_k p_k ln p_k with
+    p_k = |<lam_k|x>|^2, terms below 1e-15 dropped; each lies in [0, ln N]."""
     return np.array([_entropy_of(p) for p in s.eigenvectors**2])
 
 
@@ -143,7 +134,8 @@ def haar_entropy_baseline(n: int, n_samples: int, seed: int = 0):
 @dataclass(frozen=True)
 class EthReport:
     """Summary statistics of one observable in the energy eigenbasis, with
-    its diagonal and that diagonal averaged over each degeneracy cluster."""
+    its diagonal and that diagonal averaged over each degeneracy cluster,
+    tr(P_n O) / rank(P_n), which is the same in every eigenbasis."""
 
     diag_mean: float
     diag_std: float
@@ -168,15 +160,6 @@ def eth_report(s: Spectrum, o) -> EthReport:
         diagonal=diag,
         cluster_averaged_diagonal=s.cluster_means(diag),
     )
-
-
-def cluster_averaged_diagonal(s: Spectrum, o) -> np.ndarray:
-    """tr(P_n O) / rank(P_n) per degeneracy cluster.
-
-    Insensitive to the basis chosen inside each cluster, unlike the raw
-    diagonal of observable_in_energy_basis.
-    """
-    return s.cluster_means(np.diag(observable_in_energy_basis(s, o)))
 
 
 class SymmetryCheck(NamedTuple):

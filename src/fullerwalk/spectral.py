@@ -196,5 +196,6 @@ def gap_count(s: Spectrum, epsilon: float) -> int:
     levels = s.cluster_values()
     diffs = np.subtract.outer(levels, levels)
     gaps = np.sort(diffs[diffs > 0])
-    ends = np.searchsorted(gaps, gaps + epsilon)  # first gap outside [g, g + eps)
+    # first gap outside [g, g + eps); g itself is inside even where g + eps rounds to g
+    ends = np.maximum(np.searchsorted(gaps, gaps + epsilon), np.searchsorted(gaps, gaps, "right"))
     return int((ends - np.arange(len(gaps))).max(initial=0))

@@ -1,11 +1,12 @@
 """Pentagon subsystem thermodynamics.
 
 Splits a fullerene Hamiltonian into the pentagon system (nodes 1..5), the
-bath, and the interaction, and builds the canonical Gibbs state of the
-isolated pentagon on the 6-dimensional space spanned by the no-walker
-state and the five node states. The pentagon Hamiltonian here is the
-5-cycle adjacency divided by its degree 2, so its eigenvalues are
-cos(2 pi j / 5); the walk modules keep the raw adjacency convention.
+bath, and the interaction by masking its adjacency, and builds the
+canonical Gibbs state of the isolated pentagon on the 6-dimensional space
+spanned by the no-walker state and the five node states, as a real
+matrix in closed form. The pentagon Hamiltonian here is the 5-cycle
+adjacency divided by its degree 2, so its eigenvalues are cos(2 pi j / 5);
+the walk modules keep the raw adjacency convention.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .graphs import Graph, adjacency, build_tube_fullerene
 from .spectral import DEGENERACY_TOL, graph_spectrum
 from .dynamics import limiting_distribution
 
-PENTAGON = (1, 2, 3, 4, 5)
 PENTAGON_CYCLE_EDGES = frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)})
 
 # eigenvalues of the normalized pentagon Hamiltonian, j = 0..4
@@ -41,7 +41,7 @@ class HamiltonianDecomposition:
 
 
 def decompose_hamiltonian(g: Graph) -> HamiltonianDecomposition:
-    """Partition the adjacency of `g` by pentagon endpoint membership.
+    """Split the adjacency of `g` with pentagon-membership masks.
 
     Raises
     ------
@@ -54,18 +54,11 @@ def decompose_hamiltonian(g: Graph) -> HamiltonianDecomposition:
             "nodes 1..5 must induce the pentagon 5-cycle; "
             f"found internal edges {sorted(pent)}"
         )
-    n = g.n_nodes
-    h_s = np.zeros((n, n))
-    h_b = np.zeros((n, n))
-    h_int = np.zeros((n, n))
-    for a, b in g.edges:
-        inside = (a <= 5) + (b <= 5)
-        target = h_s if inside == 2 else (h_int if inside == 1 else h_b)
-        target[a - 1, b - 1] = 1.0
-        target[b - 1, a - 1] = 1.0
-    return HamiltonianDecomposition(
-        h_total=adjacency(g), h_s=h_s, h_b=h_b, h_int=h_int
-    )
+    a = adjacency(g)
+    inside = np.arange(g.n_nodes) < 5
+    h_s = a * np.outer(inside, inside)
+    h_b = a * np.outer(~inside, ~inside)
+    return HamiltonianDecomposition(h_total=a, h_s=h_s, h_b=h_b, h_int=a - h_s - h_b)
 
 
 @dataclass(frozen=True)
@@ -116,25 +109,17 @@ def gibbs_node_probability(beta: float) -> float:
 
 
 def pentagon_gibbs(beta: float) -> PentagonGibbs:
-    """Gibbs state exp(-beta H_S)/Z from the pentagon eigenprojectors.
+    """Gibbs state exp(-beta H_S)/Z, written out as a real matrix.
 
-    Assembled level by level: weight 1/Z on |b0><b0| plus the Boltzmann
-    weight of each pentagon Fourier mode on its projector. The conjugate
-    Fourier pairs combine to a real symmetric matrix; the tiny complex
-    residue from finite arithmetic is dropped after a sanity check.
+    Weight 1/Z on |b0><b0|; on the pentagon the block is the real
+    circulant sum_j w_j cos(2 pi j (a - b)/5) / 5, w_j the Boltzmann
+    weight of Fourier mode j. Finite and exactly symmetric at every beta.
     """
     weights, log_z = _boltzmann_weights(beta)
-
-    omega = np.exp(2j * np.pi / 5.0)
-    state = np.zeros((6, 6), dtype=complex)
+    d = np.subtract.outer(np.arange(5), np.arange(5))  # a - b
+    state = np.zeros((6, 6))
     state[0, 0] = weights[0]
-    for j in range(5):
-        mode = np.zeros(6, dtype=complex)
-        mode[1:] = omega ** (j * np.arange(5)) / np.sqrt(5.0)
-        state += weights[1 + j] * np.outer(mode, mode.conj())
-    if np.abs(state.imag).max() > 1e-14:
-        raise ArithmeticError("pentagon Gibbs state has a complex residue")
-    state = np.ascontiguousarray(state.real)
+    state[1:, 1:] = np.cos(2.0 * np.pi / 5.0 * d[..., None] * np.arange(5)) @ weights[1:] / 5.0
 
     probs = np.empty(6)
     probs[0] = weights[0]

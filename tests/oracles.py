@@ -198,7 +198,7 @@ def brute_force_gap_count(levels, epsilon):
     hi = 0
     for lo in range(len(gaps)):
         hi = max(hi, lo)
-        while hi < len(gaps) and gaps[hi] < gaps[lo] + epsilon:
+        while hi < len(gaps) and gaps[hi] - gaps[lo] < epsilon:
             hi += 1
         best = max(best, hi - lo)
     return best

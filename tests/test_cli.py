@@ -648,6 +648,72 @@ def test_gibbs_negative_beta(tmp_path):
     assert run("gibbs", "--beta", "-1", "-o", str(tmp_path / "g.json")) == 2
 
 
+def test_gibbs_at_large_beta_writes_the_pentagon_ground_state(tmp_path):
+    # the Gibbs state is finite at every beta; node 0 is the no-walker state
+    out = tmp_path / "g.csv"
+    assert run("gibbs", "--beta", "1000", "--format", "csv", "-o", str(out)) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert rows[0] == ["node", "probability"]
+    probs = [float(p) for _, p in rows[1:]]
+    assert probs[0] == 0.0
+    assert probs[1:] == [0.2] * 5
+
+
+def test_gibbs_refuses_flags_it_would_not_read(tmp_path, capsys):
+    out = tmp_path / "g.out"
+    for argv, message in (
+        (("--beta", "0.7", "--beta-count", "3"),
+         "--beta-count is not read with --beta, got --beta-count 3"),
+        (("--beta", "0.7", "--beta-min", "5"),
+         "--beta-min is not read with --beta, got --beta-min 5.0"),
+        (("--beta", "0.7", "--beta-max", "9"),
+         "--beta-max is not read with --beta, got --beta-max 9.0"),
+        (("--beta", "0.7", "--tol", "1e-3"),
+         "--tol is not read with --beta, got --tol 0.001"),
+        (("--beta-sweep", "--tol", "1e-3"),
+         "--tol is not read with --beta-sweep, got --tol 0.001"),
+    ):
+        assert run("gibbs", *argv, "-o", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    # the flags each mode does read still run, and the family reads --tol
+    argv = ("--beta-sweep", "--beta-min", "1", "--beta-max", "2", "--beta-count", "3")
+    assert run("gibbs", *argv, "-o", str(out)) == 0
+    argv = ("--family", "30", "--tol", "1e-3", "--beta-count", "5")
+    assert run("gibbs", *argv, "-o", str(out)) == 0
+
+
+def test_overflowing_family_and_override_exit_2_before_the_solve(tmp_path, capsys, eigh_calls):
+    out = tmp_path / "o.json"
+    family = ("gibbs", "--family", "30.." + "1" + "0" * 30)
+    override = ("bound", "--c60", "--start", "1", "--n-eps-override", "1" + "0" * 400)
+    for argv, message in (
+        (family, "family sizes must be integers in 30..130, got 140"),
+        (override, "n_eps_override must fit in a float, got 401 digits"),
+    ):
+        assert run(*argv, "-o", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    assert eigh_calls == []
+
+
+def test_a_long_family_range_is_never_materialised(tmp_path):
+    # as a list, 30..1000000000 would be 10^8 ints; the range stops at 140
+    out = tmp_path / "f.json"
+    proc = run_process("gibbs", "--family", "30..1000000000", "-o", str(out), cap=1 << 30)
+    assert proc.returncode == 2
+    assert "got 140" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_bound_at_a_tiny_epsilon_counts_the_repeated_gap(tmp_path):
+    # g + 1e-18 rounds to g, yet the window [g, g + eps) still holds g
+    out = tmp_path / "b.json"
+    assert run("bound", "--c60", "--start", "1", "--epsilon", "1e-18", "-o", str(out)) == 0
+    assert read_json(out)["n_eps"] == 2
+
+
 def test_eth_position_flat_diagonal(tmp_path):
     out = tmp_path / "eth.json"
     assert run("eth", "--c60", "--observable", "position", "-o", str(out)) == 0

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -342,6 +343,18 @@ def test_report_rejects_a_bad_epsilon_or_override_before_the_solve(eigh_calls):
         with pytest.raises(ValueError, match=message):
             equilibration_report(g, 1, o, n_eps_override=k)
     assert eigh_calls == []
+
+
+def test_report_refuses_an_override_no_float_holds_before_the_solve(eigh_calls):
+    # the rhs scales N(eps) as a float; the largest float itself is taken
+    big = int(sys.float_info.max)
+    with pytest.raises(ValueError, match="n_eps_override must fit in a float, got 309 digits"):
+        equilibration_report(build_tube_fullerene(1000), 1, _node(1000, 1), n_eps_override=big + 1)
+    assert eigh_calls == []
+    with np.errstate(over="ignore"):  # the rhs itself may overflow to inf
+        rep = equilibration_report(build_tube_fullerene(30), 1, _node(30, 1), tau_grid=[1.0],
+                                   n_eps_override=big)
+    assert rep.n_eps_override == big and not np.isnan(rep.rhs).any()
 
 
 def test_report_rejects_a_bad_observable_before_the_solve(eigh_calls):

@@ -6,14 +6,12 @@ import pytest
 from fullerwalk import (
     Spectrum,
     adjacency,
-    cluster_averaged_diagonal,
     eigendecompose,
     eth_report,
     eth_symmetry_check,
     graph_from_edges,
     haar_entropy_baseline,
     haar_orthogonal_state,
-    measurement_entropy,
     node_entropies,
     observable_in_energy_basis,
     position_observable,
@@ -60,6 +58,8 @@ def test_projector_diag_mean_is_exactly_one_over_n(c60_spectrum):
     for x in (1, 2, 17, 60):
         mean, _ = projector_eth_stats(c60_spectrum, x)
         assert mean == pytest.approx(1.0 / 60.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        projector_eth_stats(c60_spectrum, 61)
 
 
 def test_dichotomy_nodes_fluctuate_position_does_not(c60, c60_spectrum):
@@ -104,8 +104,8 @@ def test_cluster_averaged_diagonal_is_basis_independent(
     c60_spectrum, c60_sym_spectrum, c60
 ):
     o = position_observable(60)
-    a_plain = cluster_averaged_diagonal(c60_spectrum, o)
-    a_sym = cluster_averaged_diagonal(c60_sym_spectrum, o)
+    a_plain = eth_report(c60_spectrum, o).cluster_averaged_diagonal
+    a_sym = eth_report(c60_sym_spectrum, o).cluster_averaged_diagonal
     assert np.abs(a_plain - 30.5).max() < 1e-9
     assert np.abs(a_sym - 30.5).max() < 1e-9
     # and the same through a foreign eigensolver on a small graph
@@ -115,7 +115,7 @@ def test_cluster_averaged_diagonal_is_basis_independent(
     w, v = jacobi_eigh(np.array(a4))
     diag = np.diag(v.T @ np.diag(position_observable(4)) @ v)
     oracle = np.array([diag[list(c)].mean() for c in s4.clusters])
-    lib = cluster_averaged_diagonal(s4, position_observable(4))
+    lib = eth_report(s4, position_observable(4)).cluster_averaged_diagonal
     assert np.abs(lib - oracle).max() < 1e-9
 
 
@@ -126,14 +126,7 @@ def test_measurement_entropy_bounds_and_extremes(c60_spectrum):
     assert np.all(ents <= np.log(60.0) + 1e-12)
     # a delta distribution has zero entropy
     s1 = eigendecompose(np.diag([1.0, 2.0, 3.0]))
-    assert measurement_entropy(s1, 1) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_measurement_entropy_node_validation(c60_spectrum):
-    with pytest.raises(ValueError):
-        measurement_entropy(c60_spectrum, 0)
-    with pytest.raises(ValueError):
-        projector_eth_stats(c60_spectrum, 61)
+    assert node_entropies(s1)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_haar_states_are_unit_and_reproducible():

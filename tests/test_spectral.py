@@ -168,9 +168,10 @@ def test_gap_count_rejects_bad_epsilon(epsilon):
 
 def test_gap_count_window_is_half_open():
     # gaps {1, 2, 3}: a window of width 1 or 2 starting at a gap excludes
-    # the gap at its right end
+    # the gap at its right end, and one of width 1e-300 (g + 1e-300 rounds
+    # to g) still holds the gap it starts at
     s = eigendecompose(np.diag([0.0, 1.0, 3.0]))
-    for epsilon, expected in ((1.0, 1), (2.0, 2)):
+    for epsilon, expected in ((1.0, 1), (2.0, 2), (1e-300, 1)):
         assert gap_count(s, epsilon) == expected
         assert brute_force_gap_count(s.cluster_values(), epsilon) == expected
 
@@ -184,7 +185,7 @@ def test_gap_count_matches_brute_force_scan(name):
     gaps = gaps[gaps > 0]
     # the last epsilon equals an actual gap, so the open window end lands
     # exactly on gaps at that distance
-    for epsilon in (0.1, 1.0, 3.0, gaps[len(gaps) // 3]):
+    for epsilon in (0.1, 1.0, 3.0, gaps[len(gaps) // 3], 1e-18, 1e-300):
         assert gap_count(s, epsilon) == brute_force_gap_count(levels, epsilon)
 
 

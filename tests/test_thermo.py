@@ -98,7 +98,7 @@ def test_gibbs_probability_survives_extreme_beta():
     assert gibbs_node_probability(5000.0) == pytest.approx(0.2, abs=1e-12)
 
 
-@pytest.mark.parametrize("beta", [0.0, 0.5, 5.0, 50.0])
+@pytest.mark.parametrize("beta", [0.0, 0.5, 5.0, 50.0, 317.0, 700.0])
 def test_gibbs_state_matches_expm_oracle(beta):
     pg = pentagon_gibbs(beta)
     z_o, state_o = pentagon_gibbs_expm(beta)
@@ -108,7 +108,7 @@ def test_gibbs_state_matches_expm_oracle(beta):
 
 
 def test_gibbs_state_is_a_density_matrix():
-    for beta in (0.0, 0.7, 8.0):
+    for beta in (0.0, 0.7, 8.0, 317.0, 1e3, 1e6):
         pg = pentagon_gibbs(beta)
         assert abs(np.trace(pg.state) - 1.0) < 1e-12
         assert np.abs(pg.state - pg.state.T).max() < 1e-14

@@ -10,8 +10,8 @@ count may move the last digits of a matrix product. The list covers every
 subcommand, both formats and both limiting layouts, --vectors, C60, F30,
 F130, a --graph file, F1000 (the bound with both a node and the position
 observable, and the position observable's energy-basis matrix), the F40
-and F2000 graph files, --tol 1e-3, all three gibbs modes, symmetry, and
-eight commands that must fail.
+and F2000 graph files, --tol 1e-3, all three gibbs modes (--beta 1000
+too), a bound at epsilon 1e-18, symmetry, and ten commands that must fail.
 
 CSV and graph files must be byte-identical. JSON files must be
 byte-identical apart from the digits of meta.timing_seconds. Exit codes
@@ -98,6 +98,8 @@ def commands() -> list:
         add("gibbs-sweep", "gibbs", "--beta-sweep", "--format", fmt, ext=ext)
         add("gibbs-family", "gibbs", "--family", "30..130", "--format", fmt, ext=ext)
     add("gibbs-beta0", "gibbs", "--beta", "0")
+    add("gibbs-beta1000", "gibbs", "--beta", "1000")
+    add("bound-c60-tiny-eps", "bound", "--c60", "--start", "1", "--epsilon", "1e-18")
     add("gibbs-sweep-short", "gibbs", "--beta-sweep", "--beta-min", "1", "--beta-max", "5",
         "--beta-count", "9", "--format", "csv", ext="csv")
     add("symmetry", "symmetry")
@@ -112,6 +114,8 @@ def commands() -> list:
         "--haar-samples", "5", "--seed", "-1")
     add("fail-eth-csv-flags", "eth", "--tube", "30", "--observable", "position",
         "--format", "csv", "--haar-samples", "5", "--seed", "3", "--entropies", ext="csv")
+    add("fail-gibbs-family-overflow", "gibbs", "--family", "30..1" + "0" * 30)
+    add("fail-gibbs-beta-count", "gibbs", "--beta", "0.7", "--beta-count", "3")
     return cmds
 
 
