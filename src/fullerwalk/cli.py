@@ -8,8 +8,9 @@ as '#' comment lines. Commands only compute; main adds the metadata and
 writes each file, JSON through one streaming emitter and CSV through one
 row-template writer. Timing appears only in JSON (timing_seconds); CSV
 and graph files are byte-identical across reruns of the same command with
-the same number of BLAS threads (the BLAS may split a matrix product
-differently at another count, which moves the last digits of u).
+the same number of BLAS threads. Another count moves the last digits of u
+and may pick another basis inside a degenerate cluster, which changes the
+per-vector outputs outright (spectrum --vectors, the eth CSV and JSON).
 
 Exit codes: 0 success, 2 usage or validation error, an allocation
 refused for lack of memory or a bound horizon over the lhs node budget,
@@ -65,7 +66,18 @@ from .thermo import (
 )
 
 # argparse bookkeeping that is not part of the reproducible configuration
-_NOT_CONFIG = {"func", "command"}
+_NOT_CONFIG = {"func", "command", "parser"}
+
+# flags only some runs read: command -> dest -> (those runs, is args one of them)
+_JSON = ("--format json", lambda a: a.format == "json")
+_GRID = ("--beta-sweep or --family", lambda a: a.beta is None)
+_READ_ONLY_WITH = {
+    "limiting": {"layout": ("--format csv", lambda a: a.format == "csv")},
+    "gibbs": {"beta_min": _GRID, "beta_max": _GRID, "beta_count": _GRID,
+              "tol": ("--family", lambda a: a.family is not None)},
+    "eth": {"entropies": _JSON, "haar_samples": _JSON,
+            "seed": ("--haar-samples > 0", lambda a: a.haar_samples > 0)},
+}
 
 
 def _config_echo(args) -> dict:
@@ -217,8 +229,8 @@ def _parse_family(spec: str):
 
 
 def _linear_grid(lo: float, hi: float, count: int, name: str) -> np.ndarray:
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"{name} grid endpoints must be finite")
+    if not (math.isfinite(lo) and math.isfinite(hi - lo)):  # numpy would overflow on hi - lo
+        raise ValueError(f"{name} grid endpoints and their span must be finite")
     if hi <= lo:
         raise ValueError(f"{name} grid needs max > min, got [{lo}, {hi}]")
     if count < 2:
@@ -231,10 +243,6 @@ def _log_grid(lo: float, hi: float, count: int, name: str) -> np.ndarray:
         raise ValueError(f"{name} grid must start above 0, got {lo}")
     _linear_grid(lo, hi, count, name)
     return np.logspace(np.log10(lo), np.log10(hi), count)
-
-
-# gibbs defaults: --beta reads none of these flags, --beta-sweep all but --tol
-_GIBBS_DEFAULTS = {"beta_min": 0.0, "beta_max": 200.0, "beta_count": 201, "tol": DEGENERACY_TOL}
 
 
 def _mirror_residual(u: np.ndarray) -> float:
@@ -334,13 +342,6 @@ def _cmd_bound(args):
 
 
 def _cmd_gibbs(args):
-    # refuse flags this run would echo in its config but never read
-    unread = [] if args.family is not None else ["tol"] if args.beta_sweep else _GIBBS_DEFAULTS
-    for name in unread:
-        if getattr(args, name) != _GIBBS_DEFAULTS[name]:
-            flag = "--" + name.replace("_", "-")
-            mode = "--beta-sweep" if args.beta_sweep else "--beta"
-            raise ValueError(f"{flag} is not read with {mode}, got {flag} {getattr(args, name)}")
     if args.beta is not None:
         pg = pentagon_gibbs(args.beta)
         payload = {
@@ -388,12 +389,6 @@ def _cmd_gibbs(args):
 def _cmd_eth(args):
     if args.haar_samples < 0:
         raise ValueError(f"--haar-samples must be >= 0, got {args.haar_samples}")
-    # refuse flags this run would echo in its config but never read
-    if args.format == "csv" and (args.entropies or args.haar_samples):
-        flag = "--entropies" if args.entropies else "--haar-samples"
-        raise ValueError(f"{flag} is read only by the JSON report, not by --format csv")
-    if args.seed and not args.haar_samples:
-        raise ValueError(f"--seed is read only with --haar-samples > 0, got --seed {args.seed}")
     g = _resolve_graph(args)
     o = _parse_observable(args.observable, g.n_nodes)  # before the eigh
     haar = {}
@@ -490,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a fullerene graph file")
     _add_graph_source(p, with_file=False)
     _add_output(p, formats=())
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, parser=p)
 
     p = sub.add_parser("spectrum", help="eigenvalues and degeneracy clusters")
     _add_graph_source(p)
@@ -499,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--vectors", metavar="PATH", help="also write eigenvectors as CSV"
     )
     _add_output(p)
-    p.set_defaults(func=_cmd_spectrum)
+    p.set_defaults(func=_cmd_spectrum, parser=p)
 
     p = sub.add_parser("limiting", help="limiting distribution u(x, y)")
     _add_graph_source(p)
@@ -511,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="CSV layout: (x, y, u) triples or the full N x N matrix",
     )
     _add_output(p)
-    p.set_defaults(func=_cmd_limiting)
+    p.set_defaults(func=_cmd_limiting, parser=p)
 
     p = sub.add_parser("bound", help="equilibration bound versus measured deviation")
     _add_graph_source(p)
@@ -534,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-max", type=float, default=TAU_MAX, help="largest horizon")
     p.add_argument("--tau-count", type=int, default=TAU_COUNT, help="grid size")
     _add_output(p)
-    p.set_defaults(func=_cmd_bound)
+    p.set_defaults(func=_cmd_bound, parser=p)
 
     p = sub.add_parser("gibbs", help="pentagon Gibbs states and the family comparison")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -547,12 +542,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="compare u(N, N) against the Gibbs range for sizes 'LO..HI' or a comma list",
     )
-    p.add_argument("--beta-min", type=float, help="grid start")
-    p.add_argument("--beta-max", type=float, help="grid end")
-    p.add_argument("--beta-count", type=int, help="grid size")
+    p.add_argument("--beta-min", type=float, default=0.0, help="grid start")
+    p.add_argument("--beta-max", type=float, default=200.0, help="grid end")
+    p.add_argument("--beta-count", type=int, default=201, help="grid size")
     _add_tol(p)
     _add_output(p)
-    p.set_defaults(func=_cmd_gibbs, **_GIBBS_DEFAULTS)
+    p.set_defaults(func=_cmd_gibbs, parser=p)
 
     p = sub.add_parser("eth", help="observable statistics in the energy eigenbasis")
     _add_graph_source(p)
@@ -577,12 +572,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="base seed for the Haar baseline")
     _add_output(p)
-    p.set_defaults(func=_cmd_eth)
+    p.set_defaults(func=_cmd_eth, parser=p)
 
     p = sub.add_parser("symmetry", help="C60 mirror-symmetry consistency suite")
     _add_tol(p)
     _add_output(p, formats=())
-    p.set_defaults(func=_cmd_symmetry)
+    p.set_defaults(func=_cmd_symmetry, parser=p)
 
     return parser
 
@@ -590,6 +585,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _run(args) -> None:
     """Run one command and write what it returns, with meta added."""
     t0 = time.perf_counter()
+    for dest, (runs, reads) in _READ_ONLY_WITH.get(args.command, {}).items():
+        flag, value = "--" + dest.replace("_", "-"), getattr(args, dest)
+        if value != args.parser.get_default(dest) and not reads(args):
+            raise ValueError(f"{flag} is read only with {runs}, got {flag} {value}")
     g, payload, table, *csv_files = args.func(args)
     meta = _meta(args, None if g is None else edge_checksum(g))
     header = _meta_comment_lines(meta)

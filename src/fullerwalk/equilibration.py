@@ -99,15 +99,32 @@ def bound_rhs(
     tau: float | np.ndarray,
 ) -> float | np.ndarray:
     """Analytic right-hand side (||O||^2 N(eps)/d_eff)(1 + 8 log2(N_lambda)/(eps tau)),
-    elementwise when tau is an array of horizons."""
+    elementwise when tau is an array of horizons.
+
+    An eps tau past the float range leaves 1 + 0, right to rounding; where
+    another step overflows, the rhs is summed again from logs. A rhs that
+    is itself past the float range raises ValueError.
+    """
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0):
+    if not np.all(tau > 0):
         raise ValueError("tau must be positive")
     for name, v in zip(("d_eff", "n_lambda", "n_eps", "op_norm_sq", "epsilon"),
                        (d_eff, n_lambda, n_eps, op_norm_sq, epsilon)):
         if v <= 0:
             raise ValueError(f"{name} must be positive, got {v}")
-    return (op_norm_sq * n_eps / d_eff) * (1.0 + 8.0 * np.log2(n_lambda) / (epsilon * tau))
+    c = 8.0 * np.log2(n_lambda)
+    with np.errstate(over="ignore", divide="ignore"):
+        rhs = (op_norm_sq * n_eps / d_eff) * (1.0 + c / (epsilon * tau))
+        if not np.all(np.isfinite(rhs)):
+            log_scale = np.log(op_norm_sq) + np.log(float(n_eps)) - np.log(d_eff)
+            log_term = log_scale + np.log(c) - np.log(epsilon) - np.log(tau)
+            rhs = np.where(np.isfinite(rhs), rhs, np.exp(log_scale) + np.exp(log_term))
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError(
+            f"the rhs exceeds the float range at tau {tau.min():.3g}; raise epsilon "
+            "or the smallest tau, or lower n_eps"
+        )
+    return rhs
 
 
 def operator_norm_sq(o) -> float:
@@ -133,15 +150,18 @@ def _panel_counts(taus: np.ndarray, levels: np.ndarray, rank: int) -> np.ndarray
     spectrum allows.
     """
     max_panel = GL_PHASE_SPAN / (2.0 * (levels[-1] - levels[0]))
-    # float until checked: a huge tau would overflow an int count
-    n_panels = np.ceil(np.diff(taus, prepend=0.0) / max_panel)
+    tau_limit = LHS_MAX_NODES // GL_NODES * max_panel
+    # float until checked: a huge tau would overflow an int count. A step
+    # over 2^32 tau_limit is counted as that, so the count stays finite
+    steps, cap = np.diff(taus, prepend=0.0), 2.0**32 * tau_limit
+    n_panels = np.ceil(np.minimum(steps, cap) / max_panel)
     nodes = GL_NODES * n_panels.sum()
     if nodes > LHS_MAX_NODES:
         raise ValueError(
-            f"lhs quadrature too long: {nodes:.3g} nodes over {len(levels)} "
-            f"levels at signal rank {rank}, above the budget of "
-            f"{LHS_MAX_NODES} nodes; this spectrum allows tau up to about "
-            f"{LHS_MAX_NODES // GL_NODES * max_panel:.3g}"
+            f"lhs quadrature too long: {'more than ' if steps.max() > cap else ''}{nodes:.3g} "
+            f"nodes over {len(levels)} levels at signal rank {rank}, above the "
+            f"budget of {LHS_MAX_NODES} nodes; this spectrum allows tau up to "
+            f"about {tau_limit:.3g}"
         )
     return n_panels.astype(int)
 
@@ -249,7 +269,8 @@ class EquilibrationReport:
     @property
     def rhs_asymptote(self) -> float:
         n_eps = self.n_eps if self.n_eps_override is None else self.n_eps_override
-        return self.operator_norm_sq * n_eps / self.d_eff
+        return float(bound_rhs(self.d_eff, self.n_lambda, n_eps, self.operator_norm_sq,
+                               self.epsilon, np.inf))  # the rhs as tau -> inf
 
 
 def equilibration_report(
@@ -270,15 +291,15 @@ def equilibration_report(
         raise ValueError(f"n_eps_override must be a positive integer, got {k!r}")
     if k is not None and k > sys.float_info.max:  # the rhs scales it as a float
         raise ValueError(f"n_eps_override must fit in a float, got {len(str(k))} digits")
+    taus = default_tau_grid() if tau_grid is None else _check_tau_grid(tau_grid)
     s = graph_spectrum(g, degeneracy_tol)
     d_eff = effective_dimension(s, start)
     n_eps = gap_count(s, epsilon)
     norm_sq = operator_norm_sq(o)
-    taus = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=float)
 
     n_eps_used = n_eps if n_eps_override is None else n_eps_override
+    rhs = bound_rhs(d_eff, s.n_distinct, n_eps_used, norm_sq, epsilon, taus)  # before the lhs
     lhs = empirical_lhs(s, start, o, taus)
-    rhs = bound_rhs(d_eff, s.n_distinct, n_eps_used, norm_sq, epsilon, taus)
     return EquilibrationReport(
         d_eff=d_eff,
         n_lambda=s.n_distinct,

@@ -84,7 +84,8 @@ def _boltzmann_weights(beta: float):
         raise ValueError(f"beta must be finite and non-negative, got {beta}")
     exponents = np.concatenate([[0.0], -beta * _PENTAGON_LEVELS])
     shift = exponents.max()
-    unnorm = np.exp(exponents - shift)
+    with np.errstate(over="ignore"):  # a gap past -1.8e308 weighs exp(-inf) = 0, as it should
+        unnorm = np.exp(exponents - shift)
     total = unnorm.sum()
     log_z = shift + np.log(total)
     return unnorm / total, log_z

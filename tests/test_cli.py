@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import resource
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -28,8 +30,10 @@ from fullerwalk import (
     load_graph,
     pentagon_gibbs,
     position_observable,
+    save_graph,
 )
-from fullerwalk.cli import _json_chunks, main
+from fullerwalk import cli
+from fullerwalk.cli import _READ_ONLY_WITH, _json_chunks, build_parser, main
 from oracles import node_projector_widths
 
 REFERENCE_ROW1 = [0.079, 0.024, 0.021, 0.021, 0.024]
@@ -663,15 +667,15 @@ def test_gibbs_refuses_flags_it_would_not_read(tmp_path, capsys):
     out = tmp_path / "g.out"
     for argv, message in (
         (("--beta", "0.7", "--beta-count", "3"),
-         "--beta-count is not read with --beta, got --beta-count 3"),
+         "--beta-count is read only with --beta-sweep or --family, got --beta-count 3"),
         (("--beta", "0.7", "--beta-min", "5"),
-         "--beta-min is not read with --beta, got --beta-min 5.0"),
+         "--beta-min is read only with --beta-sweep or --family, got --beta-min 5.0"),
         (("--beta", "0.7", "--beta-max", "9"),
-         "--beta-max is not read with --beta, got --beta-max 9.0"),
+         "--beta-max is read only with --beta-sweep or --family, got --beta-max 9.0"),
         (("--beta", "0.7", "--tol", "1e-3"),
-         "--tol is not read with --beta, got --tol 0.001"),
+         "--tol is read only with --family, got --tol 0.001"),
         (("--beta-sweep", "--tol", "1e-3"),
-         "--tol is not read with --beta-sweep, got --tol 0.001"),
+         "--tol is read only with --family, got --tol 0.001"),
     ):
         assert run("gibbs", *argv, "-o", str(out)) == 2
         assert message in capsys.readouterr().err
@@ -781,11 +785,12 @@ def test_eth_rejects_a_negative_seed_without_traceback(tmp_path):
 def test_eth_refuses_flags_it_would_not_read_before_the_solve(tmp_path, capsys, eigh_calls):
     base = ("eth", "--tube", "1000", "--observable", "position")
     for extra, message in (
-        (("--format", "csv", "--entropies"), "--entropies is read only by the JSON report"),
+        (("--format", "csv", "--entropies"),
+         "--entropies is read only with --format json, got --entropies True"),
         (("--format", "csv", "--haar-samples", "5"),
-         "--haar-samples is read only by the JSON report"),
+         "--haar-samples is read only with --format json, got --haar-samples 5"),
         (("--format", "csv", "--haar-samples", "5", "--seed", "3", "--entropies"),
-         "--entropies is read only by the JSON report"),
+         "--entropies is read only with --format json"),
         (("--seed", "3"), "--seed is read only with --haar-samples > 0, got --seed 3"),
         (("--format", "csv", "--seed", "3"), "--seed is read only with --haar-samples > 0"),
     ):
@@ -794,6 +799,228 @@ def test_eth_refuses_flags_it_would_not_read_before_the_solve(tmp_path, capsys, 
         assert message in capsys.readouterr().err
         assert not out.exists()
     assert eigh_calls == []
+
+
+(SUBPARSERS,) = [
+    a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+]
+# argv that make each command a valid run, apart from its format, output
+# and conditionally read flags
+MODES = {
+    "limiting": [["--c60"], ["--tube", "30"]],
+    "gibbs": [["--beta", "0.7"], ["--beta-sweep"], ["--family", "30"]],
+    "eth": [[*src, "--observable", "node:2", *haar]
+            for src in (["--c60"], ["--tube", "30"]) for haar in ([], ["--haar-samples", "2"])],
+}
+
+
+# numbers any run that reads the flag accepts, none of them a default
+READ = {int: st.integers(2, 4), float: st.floats(0.5, 4.0)}
+BOUNDARY = {
+    float: st.sampled_from(["5e-324", "1e-308", "0.5", "1e308", "inf", "nan", "-1", "0"]),
+    int: st.sampled_from(["-1", "0", "1", "3", "30", "35"]),  # small: every count is work
+}
+# valid values of the text flags, {graph} standing for a small graph file
+TEXT_VALUES = {
+    "--graph": ["{graph}"], "--family": ["30,40"], "--observable": ["node:2", "position"]
+}
+
+
+def _flag_values(action, numbers):
+    """Argv setting one action's flag: the bare flag for a switch, a choice
+    other than the default, numbers[type] for a number, else a valid text."""
+    flag = action.option_strings[-1]
+    if action.nargs == 0:
+        return st.just([flag])
+    if action.choices:
+        values = st.sampled_from([c for c in action.choices if c != action.default])
+    elif action.type in numbers:
+        values = numbers[action.type]
+    else:
+        values = st.sampled_from(TEXT_VALUES[flag])
+    return values.map(lambda v: [f"{flag}={v}"])
+
+
+@st.composite
+def one_conditional_flag(draw):
+    """(argv, dest): one mode of a command, plus one of its conditionally
+    read flags off its default."""
+    command = draw(st.sampled_from(sorted(_READ_ONLY_WITH)))
+    dest = draw(st.sampled_from(sorted(_READ_ONLY_WITH[command])))
+    actions = {a.dest: a for a in SUBPARSERS[command]._actions}
+    fmt = draw(st.sampled_from(actions["format"].choices))
+    # the Haar baseline is itself read only by the JSON report
+    modes = [m for m in MODES[command] if fmt == "json" or "--haar-samples" not in m]
+    mode = draw(st.sampled_from(modes))
+    return [command, *mode, "--format", fmt, *draw(_flag_values(actions[dest], READ))], dest
+
+
+def _echoed_config(path):
+    text = path.read_text()
+    if text.startswith("{"):
+        return json.loads(text)["meta"]["config"]
+    (line,) = [ln for ln in text.splitlines() if ln.startswith("# config: ")]
+    return json.loads(line[len("# config: "):])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=one_conditional_flag())
+@example(case=(["limiting", "--c60", "--format", "json", "--layout", "matrix"], "layout"))
+@example(case=(["eth", "--c60", "--observable", "node:2", "--format", "json", "--seed", "3"],
+               "seed"))
+def test_a_flag_is_refused_exactly_where_its_run_does_not_read_it(
+    tmp_path, capsys, eigh_calls, case
+):
+    argv, dest = case
+    out = tmp_path / "out"
+    argv = [*argv, "-o", str(out)]
+    read = set()
+
+    class Reads(argparse.Namespace):
+        def __getattribute__(self, name):
+            if reading:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    reading = False
+    args = build_parser().parse_args(argv, namespace=Reads())
+    eigh_calls.clear()
+    capsys.readouterr()
+    try:
+        if not _READ_ONLY_WITH[args.command][dest][1](args):
+            flag = "--" + dest.replace("_", "-")
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"fullerwalk: error: {flag} is read only")
+            assert not out.exists()
+            assert eigh_calls == []
+            return
+        command = args.func
+
+        def traced(a):
+            nonlocal reading
+            reading = True
+            return command(a)
+
+        args.func = traced
+        cli._run(args)  # main returns 0 exactly when this returns
+        defaults = SUBPARSERS[args.command]
+        set_flags = {k for k, v in _echoed_config(out).items() if v != defaults.get_default(k)}
+        assert dest in set_flags
+        assert set_flags <= read, set_flags - read
+    finally:
+        out.unlink(missing_ok=True)
+
+
+def _numbers_off_z(path):
+    """Every number the output file holds outside a column or key named z."""
+    text = path.read_text()
+    if text.startswith("{"):
+        def walk(v, key):
+            if isinstance(v, dict):
+                for k, x in v.items():
+                    yield from walk(x, k)
+            elif isinstance(v, list):
+                for x in v:
+                    yield from walk(x, key)
+            elif isinstance(v, float) and key != "z":
+                yield v
+
+        yield from walk(json.loads(text), None)
+        return
+    header, *rows = [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")]
+    for row in rows:
+        for name, v in zip(header, row):
+            if name != "z" and v not in ("true", "false"):
+                yield float(v)
+
+
+@st.composite
+def boundary_run(draw):
+    """Argv for any command, read off its parser: one member of each
+    required group, every required flag, and some optional flags, numbers
+    at boundary values. Graphs are C60, F30 or a small graph file."""
+    command = draw(st.sampled_from(sorted(SUBPARSERS)))
+    sub = SUBPARSERS[command]
+    grouped = set()
+    argv = [command]
+    for group in sub._mutually_exclusive_groups:
+        grouped.update(group._group_actions)
+        action = draw(st.sampled_from(group._group_actions))
+        tube = action.option_strings == ["--tube"]
+        argv += ["--tube", "30"] if tube else draw(_flag_values(action, BOUNDARY))
+    for action in sub._actions:
+        if action in grouped or not action.option_strings or action.dest in ("help", "output"):
+            continue
+        if action.dest == "vectors":  # a second output file
+            continue
+        if action.required or draw(st.integers(0, 2)) == 0:
+            argv += draw(_flag_values(action, BOUNDARY))
+    return argv
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=boundary_run())
+@example(argv=["limiting", "--c60", "--format", "json", "--layout", "matrix"])
+@example(argv=["bound", "--c60", "--start", "1", "--tau-min", "1e-308"])
+@example(argv=["bound", "--c60", "--start", "1", "--tau-min", "5e-324", "--format", "csv"])
+@example(argv=["bound", "--c60", "--start", "1", "--epsilon", "1e-308"])
+@example(argv=["bound", "--c60", "--start", "1", "--epsilon", "5e-324", "--format", "csv"])
+@example(argv=["bound", "--c60", "--start", "1", "--epsilon", "1e308"])
+@example(argv=["bound", "--c60", "--start", "1", "--epsilon", "1e-300"])
+@example(argv=["bound", "--c60", "--start", "1", "--n-eps-override", str(int(1.7e308))])
+@example(argv=["bound", "--c60", "--start", "1", "--tau-max", "1e308"])
+@example(argv=["gibbs", "--beta", "1e308"])
+@example(argv=["gibbs", "--beta", "1000"])
+@example(argv=["gibbs", "--beta-sweep", "--beta-max", "1e308", "--format", "csv"])
+@example(argv=["gibbs", "--family", "30,40", "--beta-max", "1e308"])
+@example(argv=["gibbs", "--beta-sweep", "--beta-min=-1e308", "--beta-max", "1e308"])
+def test_a_run_exits_clean_with_finite_numbers_or_exits_2(tmp_path, capsys, argv):
+    # RuntimeWarning is an error in this suite, so a warning fails main itself
+    out, graph = tmp_path / "out", tmp_path / "f50.txt"
+    if not graph.exists():
+        save_graph(build_tube_fullerene(50), graph)
+    capsys.readouterr()
+    try:
+        rc = main([a.replace("{graph}", str(graph)) for a in argv] + ["-o", str(out)])
+        err = capsys.readouterr().err
+        assert rc in (0, 2)
+        if rc == 0:
+            assert err == ""
+            if argv[0] != "gen":  # a graph file holds only integers
+                assert all(math.isfinite(v) for v in _numbers_off_z(out))
+        else:
+            assert not out.exists()
+            assert err.startswith("fullerwalk: error: ") and err.count("\n") == 1
+    finally:
+        out.unlink(missing_ok=True)
+
+
+def test_limiting_refuses_a_layout_json_never_reads_before_the_solve(tmp_path, capsys, eigh_calls):
+    out = tmp_path / "u.json"
+    assert run("limiting", "--c60", "--format", "json", "--layout", "matrix", "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "fullerwalk: error: --layout is read only with --format csv, got --layout matrix\n"
+    )
+    assert not out.exists()
+    assert eigh_calls == []
+    # the default layout, given or not, is no refusal
+    assert run("limiting", "--c60", "--layout", "triples", "-o", str(out)) == 0
+
+
+def test_bound_inputs_past_the_float_range_exit_2_naming_the_flag(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    for extra, message in (
+        (("--tau-min", "1e-308"), "the rhs exceeds the float range at tau 1e-308; raise"),
+        (("--epsilon", "1e-308"), "the rhs exceeds the float range at tau 0.1; raise epsilon"),
+        (("--n-eps-override", str(int(1.7e308))), "or lower n_eps"),
+        (("--tau-max", "1e308"), "lhs quadrature too long: more than 8.07e+18 nodes"),
+    ):
+        assert run("bound", "--c60", "--start", "1", *extra, "-o", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_bound_on_a_one_level_graph_names_n_eps(tmp_path, capsys):

@@ -96,6 +96,25 @@ def test_bound_rhs_quoted_instantiation_algebra():
     assert abs(bound_rhs(12.5, 15, 1, 1.0, 1.0, 1e15) - 0.08) < 1e-12
 
 
+def test_bound_rhs_is_finite_wherever_its_value_is():
+    # eps tau past the float range leaves the asymptote, to rounding
+    assert bound_rhs(12.5, 15, 1, 1.0, 1e308, 1e3) == 0.08
+    # one step overflows while the value fits: 8 log2(15) / 12.5 / 1e-307
+    rhs = bound_rhs(12.5, 15, 1, 1.0, 1e-306, np.array([0.1, 1.0]))
+    expected = 0.08 + 0.64 * np.log2(15.0) / 1e-306 / np.array([0.1, 1.0])
+    assert np.isfinite(expected).all()
+    assert np.allclose(rhs, expected, rtol=1e-13, atol=0.0)
+    # ||O||^2 N(eps) overflows while ||O||^2 N(eps) / d_eff fits
+    assert bound_rhs(12.5, 15, 10**305, 3600.0, 1e300, 1e5) == pytest.approx(
+        3600.0 * (1e305 / 12.5), rel=1e-13
+    )
+    for eps, tau in ((1e-308, 0.1), (1.0, 1e-308), (5e-324, 5e-324)):
+        with pytest.raises(ValueError, match="rhs exceeds the float range at tau"):
+            bound_rhs(12.5, 15, 1, 1.0, eps, tau)
+    with pytest.raises(ValueError, match="lower n_eps"):
+        bound_rhs(12.5, 15, int(sys.float_info.max), 1.0, 1.0, 0.1)
+
+
 def test_bound_rhs_validation():
     with pytest.raises(ValueError, match="tau"):
         bound_rhs(12.5, 15, 1, 1.0, 1.0, 0.0)
@@ -331,6 +350,16 @@ def test_report_rejects_a_bad_start_before_the_solve(eigh_calls):
     assert len(eigh_calls) == 1
 
 
+def test_report_rejects_a_bad_tau_grid_before_the_solve(eigh_calls):
+    g, o = build_tube_fullerene(1000), position_observable(1000)
+    for taus, message in (([float("nan"), 1.0], "all tau values must be finite and positive"),
+                          ([1.0, float("inf")], "all tau values must be finite and positive"),
+                          ([2.0, 1.0], "tau_grid must be ascending")):
+        with pytest.raises(ValueError, match=message):
+            equilibration_report(g, 1, o, tau_grid=taus)
+    assert eigh_calls == []
+
+
 def test_report_rejects_a_bad_epsilon_or_override_before_the_solve(eigh_calls):
     g = build_tube_fullerene(1000)
     o = position_observable(1000)
@@ -351,10 +380,13 @@ def test_report_refuses_an_override_no_float_holds_before_the_solve(eigh_calls):
     with pytest.raises(ValueError, match="n_eps_override must fit in a float, got 309 digits"):
         equilibration_report(build_tube_fullerene(1000), 1, _node(1000, 1), n_eps_override=big + 1)
     assert eigh_calls == []
-    with np.errstate(over="ignore"):  # the rhs itself may overflow to inf
-        rep = equilibration_report(build_tube_fullerene(30), 1, _node(30, 1), tau_grid=[1.0],
-                                   n_eps_override=big)
-    assert rep.n_eps_override == big and not np.isnan(rep.rhs).any()
+    # taken where the rhs still fits in a float, refused where it does not
+    g, o = build_tube_fullerene(30), _node(30, 1)
+    rep = equilibration_report(g, 1, o, tau_grid=[1.0], epsilon=1e300, n_eps_override=big)
+    assert rep.n_eps_override == big and np.isfinite(rep.rhs).all()
+    assert rep.rhs_asymptote == pytest.approx(big / rep.d_eff, rel=1e-15)
+    with pytest.raises(ValueError, match=r"rhs exceeds the float range at tau 1; .* n_eps"):
+        equilibration_report(g, 1, o, tau_grid=[1.0], n_eps_override=big)
 
 
 def test_report_rejects_a_bad_observable_before_the_solve(eigh_calls):

@@ -11,7 +11,8 @@ subcommand, both formats and both limiting layouts, --vectors, C60, F30,
 F130, a --graph file, F1000 (the bound with both a node and the position
 observable, and the position observable's energy-basis matrix), the F40
 and F2000 graph files, --tol 1e-3, all three gibbs modes (--beta 1000
-too), a bound at epsilon 1e-18, symmetry, and ten commands that must fail.
+too), a bound at epsilon 1e-18, symmetry, and eleven commands that must
+fail.
 
 CSV and graph files must be byte-identical. JSON files must be
 byte-identical apart from the digits of meta.timing_seconds. Exit codes
@@ -116,6 +117,7 @@ def commands() -> list:
         "--format", "csv", "--haar-samples", "5", "--seed", "3", "--entropies", ext="csv")
     add("fail-gibbs-family-overflow", "gibbs", "--family", "30..1" + "0" * 30)
     add("fail-gibbs-beta-count", "gibbs", "--beta", "0.7", "--beta-count", "3")
+    add("fail-limiting-json-layout", "limiting", "--c60", "--format", "json", "--layout", "matrix")
     return cmds
 
 
@@ -134,10 +136,13 @@ def run_all(src: Path, out: Path, graph: Path) -> dict:
     return codes
 
 
-def differences(base: Path, head: Path) -> list:
-    """One line per output file that is missing on one side or differs."""
+def differences(base: Path, head: Path, skip=()) -> list:
+    """One line per output file that is missing on one side or differs,
+    apart from the files of the commands named in skip."""
     lines = []
     for name in sorted({p.name for p in base.iterdir()} | {p.name for p in head.iterdir()}):
+        if name.startswith(tuple(f"{cmd}." for cmd in skip)):
+            continue
         a, b = base / name, head / name
         if not (a.exists() and b.exists()):
             lines.append(f"{name}: written only by {'base' if a.exists() else 'head'}")
@@ -174,12 +179,13 @@ def main(argv=None) -> int:
         base_codes = run_all(tmp / "base" / "src", tmp / "out-base", graph)
         head_codes = run_all(ROOT / "src", tmp / "out-head", graph)
 
+        # a command whose exit code differs is reported once, not per file
+        moved = [name for name in base_codes if base_codes[name] != head_codes[name]]
         report = [
             f"{name}: exit codes {base_codes[name]} at base, {head_codes[name]} here"
-            for name in base_codes
-            if base_codes[name] != head_codes[name]
+            for name in moved
         ]
-        report += differences(tmp / "out-base", tmp / "out-head")
+        report += differences(tmp / "out-base", tmp / "out-head", skip=moved)
         n_files = len(list((tmp / "out-head").iterdir()))
 
     for line in report:
