@@ -5,8 +5,9 @@ left to downstream tooling and each output is the table behind one. The
 JSON header echoes the exact flag set plus the graph checksum so a run
 can be reproduced from its own output. CSV files carry the same metadata
 as '#' comment lines. Commands only compute; main adds the metadata and
-writes each file, JSON through one streaming emitter and CSV through one
-row-template writer. Timing appears only in JSON (timing_seconds); CSV
+writes each file, JSON through one streaming emitter and CSV as one filled
+'%' template per row; u is exactly symmetric, so its CSV formats each
+value once for both cells. Timing is only in JSON (timing_seconds); CSV
 and graph files are byte-identical across reruns of the same command with
 the same number of BLAS threads. Another count moves the last digits of u
 and may pick another basis inside a degenerate cluster, which changes the
@@ -25,8 +26,9 @@ import json
 import math
 import sys
 import time
+from collections import deque
 from dataclasses import asdict
-from itertools import chain, repeat
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -173,10 +175,10 @@ def _meta_comment_lines(meta) -> list:
 def _write_csv(path, header, template, rows) -> None:
     """Header lines, then one `template % row` per row.
 
-    An N x N table is formatted one row at a time, so the formatter holds
-    N Python values, never N^2. '%.17g' is the routine behind
-    format(v, '.17g'), so each value reads exactly as that gives it, and
-    '%r' of a Python float is its repr.
+    Rows are filled one at a time, so a matrix table holds N Python values
+    and the limiting table at most about N^2/4 texts, never N^2. '%.17g'
+    is the routine behind format(v, '.17g'), so each value reads exactly
+    as that gives it, and '%r' of a Python float is its repr.
     """
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n")
@@ -188,6 +190,18 @@ def _matrix_table(m, *lines):
     """CSV table of a full N x N matrix, one row per line, 17 significant digits."""
     template = ",".join(["%.17g"] * m.shape[1]) + "\n"
     return list(lines), template, (tuple(r.tolist()) for r in m)
+
+
+def _symmetric_rows(u):
+    """Each row of an exactly symmetric u as '%.17g' texts: row x formats
+    u[x, x:] and reads u[x, :x] from the texts rows y < x made, each dropped
+    once read, so at most about N^2/4 texts are alive at once."""
+    fmt = ",%.17g" * len(u)
+    pending = []  # pending[y]: the texts of u[y, x:] that rows x > y have yet to read
+    for x, r in enumerate(u):
+        own = (fmt[6 * x + 1 :] % tuple(r[x:].tolist())).split(",")
+        yield (*map(deque.popleft, pending), *own)
+        pending.append(deque(own[1:]))
 
 
 def _resolve_graph(args):
@@ -296,15 +310,12 @@ def _cmd_limiting(args):
     }
     if args.c60:
         payload["mirror_residual"] = _mirror_residual(u)
+    texts = _symmetric_rows(u)  # u[x, y] and u[y, x] have the same bits and text
     if args.layout == "matrix":
-        return g, payload, _matrix_table(u)
-    # one line per cell with 1-based x and y; one template fills a matrix row
-    template = "".join(f"%d,{y},%.17g\n" for y in range(1, u.shape[1] + 1))
-    rows = (
-        tuple(chain.from_iterable(zip(repeat(x), r.tolist())))
-        for x, r in enumerate(u, start=1)
-    )
-    return g, payload, (["x,y,u"], template, rows)
+        return g, payload, ([], ",".join(["%s"] * g.n_nodes) + "\n", texts)
+    line = "".join(f"\0,{y},%s\n" for y in range(1, g.n_nodes + 1))  # x goes in at \0
+    rows = ((line.replace("\0", str(x)) % t,) for x, t in enumerate(texts, start=1))
+    return g, payload, (["x,y,u"], "%s", rows)
 
 
 def _cmd_bound(args):
@@ -605,9 +616,11 @@ def _run(args) -> None:
         _write_csv(path, header + lines, template, rows)
 
 
+_parser = cache(build_parser)  # built on the first main call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _run(args)
         return 0

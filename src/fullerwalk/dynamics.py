@@ -123,7 +123,9 @@ def limiting_distribution(s: Spectrum) -> LimitingDistribution:
 
     P_j o P_j = sum_{k,l in C_j} (v_k o v_l)(v_k o v_l)^T, so u = Z Z^T with
     one column v_k o v_l per same-cluster pair (k, l), formed N columns at
-    a time to keep memory O(N^2) when one cluster holds most levels.
+    a time to keep memory O(N^2) when one cluster holds most levels. numpy
+    forms each z @ z.T by a symmetric rank-k update and mirrors it, so u is
+    symmetric to the bit; the limiting CSV writer relies on this.
     """
     k, l = np.nonzero(s.same_cluster())
     v = s.eigenvectors

@@ -302,8 +302,14 @@ def test_limiting_csv_triples_and_matrix(tmp_path, request):
     assert len(rows) == 30
     assert len(rows[0].split(",")) == 30
 
-    for source, fixture in GRAPH_SOURCES:
-        u = limiting_distribution(request.getfixturevalue(fixture)).u
+    # the writer formats each value once and mirrors it; every cell must
+    # still read as format(v, '.17g') of its own entry
+    f130 = build_tube_fullerene(130)
+    cases = [(source, request.getfixturevalue(fixture)) for source, fixture in GRAPH_SOURCES]
+    cases += [(("--tube", "130"), graph_spectrum(f130))]
+    cases += [(("--tube", "130", "--tol", "1e-3"), graph_spectrum(f130, 1e-3))]
+    for source, s in cases:
+        u = limiting_distribution(s).u
         assert run("limiting", *source, "-o", str(tri), "--format", "csv") == 0
         assert_csv_is(tri, triples_body(u), columns="x,y,u")
         assert run(
@@ -363,19 +369,24 @@ def test_limiting_outputs_are_deterministic(tmp_path):
 def test_commands_in_one_process_write_what_fresh_processes_write(tmp_path):
     # graph_spectrum keeps the last spectrum between commands of one
     # process: F130 is solved once for four commands, then F30 at two
-    # tolerances. No output may depend on what ran before it.
+    # tolerances. main keeps one parser, and a usage error between two
+    # runs must leave nothing behind in it. No output may depend on what
+    # ran before it.
     g = str(tmp_path / "f130.txt")
     steps = [
         ["gen", "--tube", "130", "-o", g],
         ["spectrum", "--graph", g, "--vectors", str(tmp_path / "v.csv"), "-o"],
         ["limiting", "--tube", "130", "--format", "csv", "-o"],
+        ["limiting", "--tube", "130", "--c60", "--layout", "matrix", "--format", "csv", "-o"],
         ["eth", "--tube", "130", "--observable", "position", "--entropies", "-o"],
         ["bound", "--tube", "30", "--start", "1", "-o"],
         ["limiting", "--tube", "30", "--tol", "1e-3", "-o"],
     ]
+    codes = [0, 0, 0, 2, 0, 0, 0]  # argparse refuses --tube with --c60
     for k, argv in enumerate(steps[1:], start=1):
         argv.append(str(tmp_path / f"{k}-{argv[0]}.{'csv' if 'csv' in argv else 'json'}"))
-    outputs = [argv[-1] for argv in steps] + [str(tmp_path / "v.csv")]
+    outputs = [argv[-1] for argv, code in zip(steps, codes) if code == 0]
+    outputs.append(str(tmp_path / "v.csv"))
 
     # one fresh process for the sequence too: the BLAS thread count of the
     # test process may differ, and with it the last bits of a GEMM
@@ -383,15 +394,21 @@ def test_commands_in_one_process_write_what_fresh_processes_write(tmp_path):
         "-c",
         "import json, sys\n"
         "from fullerwalk.cli import main\n"
-        "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))",
+        "def code(argv):\n"
+        "    try:\n"
+        "        return main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        return exc.code\n"
+        "print(json.dumps([code(argv) for argv in json.loads(sys.argv[1])]))",
         json.dumps(steps),
         timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == codes, proc.stderr
+    assert not os.path.exists(steps[3][-1])
     in_sequence = {path: Path(path).read_bytes() for path in outputs}
-    for argv in steps:
+    for argv, code in zip(steps, codes):
         proc = run_process(*argv)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == code, proc.stderr
 
     for path, before in in_sequence.items():
         if path.endswith(".json"):

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from fullerwalk import (
+    DEGENERACY_TOL,
     adjacency,
+    build_c60_blocked,
+    build_tube_fullerene,
     cumulative_time_average,
     eigendecompose,
     evolve,
@@ -64,6 +67,25 @@ def test_limiting_distribution_rows_sum_to_one(c60_spectrum, f30_spectrum):
         assert np.abs(u.sum(axis=1) - 1.0).max() < 1e-9
         assert np.all(u >= -1e-15)
         assert np.abs(u - u.T).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "graph, tol, relabel",
+    [("C60", DEGENERACY_TOL, False)]
+    + [(f"F{n}", DEGENERACY_TOL, False) for n in (*range(30, 131, 10), 500)]
+    + [("F130", 0.03, False), ("F130", 0.3, False), ("F130", DEGENERACY_TOL, True)],
+)
+def test_limiting_distribution_is_exactly_symmetric(graph, tol, relabel):
+    # the limiting CSV formats u[x, y] once for both cells, so u must be
+    # symmetric to the bit (signed zeros included), not just to rounding
+    g = build_c60_blocked() if graph == "C60" else build_tube_fullerene(int(graph[1:]))
+    a = adjacency(g)
+    if relabel:
+        p = np.random.default_rng(130).permutation(g.n_nodes)
+        a = a[np.ix_(p, p)]
+    u = limiting_distribution(eigendecompose(a, tol)).u
+    assert np.array_equal(u, u.T)
+    assert np.array_equal(u.view(np.uint64), u.T.view(np.uint64))
 
 
 def test_limiting_distribution_is_basis_independent(c60_spectrum, c60_sym_spectrum):

@@ -75,6 +75,8 @@ def commands() -> list:
     tol = ["--tol", "1e-3"]
     add("spectrum-f130-tol", "spectrum", *SOURCES["f130"], *tol)
     add("limiting-f130-tol", "limiting", *SOURCES["f130"], *tol, "--format", "csv", ext="csv")
+    add("limiting-f130-tol-matrix", "limiting", *SOURCES["f130"], *tol, "--format", "csv",
+        "--layout", "matrix", ext="csv")
     add("limiting-f130-tol", "limiting", *SOURCES["f130"], *tol)
     add("bound-f130-tol", "bound", *SOURCES["f130"], "--start", "1", *tol)
     add("eth-f130-tol", "eth", *SOURCES["f130"], "--observable", "position", *tol)
