@@ -60,12 +60,7 @@ from .spectral import (
     graph_spectrum,
     symmetry_adapted_c60_basis,
 )
-from .thermo import (
-    gibbs_node_probability,
-    gibbs_partition_function,
-    gibbs_vs_limiting,
-    pentagon_gibbs,
-)
+from .thermo import gibbs_vs_limiting, pentagon_gibbs
 
 # argparse bookkeeping that is not part of the reproducible configuration
 _NOT_CONFIG = {"func", "command", "parser"}
@@ -370,12 +365,12 @@ def _cmd_gibbs(args):
 
     betas = _linear_grid(args.beta_min, args.beta_max, args.beta_count, "beta").tolist()
     if args.beta_sweep:
-        p_j = [gibbs_node_probability(beta) for beta in betas]
+        states = [pentagon_gibbs(beta) for beta in betas]
         columns = {
             "beta": betas,
-            "z": [gibbs_partition_function(beta) for beta in betas],
-            "p_j": p_j,
-            "p_0": [1.0 - 5.0 * p for p in p_j],
+            "z": [pg.z for pg in states],
+            "p_j": [float(pg.node_probs[1]) for pg in states],
+            "p_0": [float(pg.node_probs[0]) for pg in states],
         }
         table = ([",".join(columns)], "%r,%r,%r,%r\n", zip(*columns.values()))
         return None, {"table": columns}, table
@@ -424,8 +419,7 @@ def _cmd_eth(args):
         "cluster_averaged_diagonal": rep.cluster_averaged_diagonal,
         "node_table": [
             {"x": x, "diag_mean": m, "diag_std": sd}
-            for x in range(1, s.n + 1)
-            for m, sd in [projector_eth_stats(s, x)]
+            for x, m, sd in zip(range(1, s.n + 1), *(a.tolist() for a in projector_eth_stats(s)))
         ],
         **haar,
     }

@@ -28,10 +28,10 @@ GL_PHASE_SPAN = 50.0
 BLOCK_ELEMENTS = 2**14
 # quadrature nodes a tau grid may need before it is refused up front. The
 # count depends only on the horizon and on B = 2 (lam_max - lam_min), at
-# most 4 x the largest degree, never on the graph size: the default grid
-# needs about 9e3 nodes on any cubic graph, and no cubic graph reaches the
-# budget below tau 4.3e6. C60 reaches it near 4.7e6, where the lhs takes
-# 8 s for the node observable and 13 s for position (one BLAS thread,
+# most 4 x the largest degree, never on the graph size: no cubic graph hits
+# it below tau 4.3e6; C60 hits it near 4.7e6 (lhs 8 s for a node, 13 s for
+# position). Grid intervals are not counted: each costs about 65-80 us of
+# Python, so 1e5 of them on C60 (tau to 10) take 6.5-8 s (one BLAS thread,
 # 2-vCPU x86 machine)
 LHS_MAX_NODES = 2**25
 # the default horizon grid, shared with the bound command's defaults

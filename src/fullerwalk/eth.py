@@ -7,6 +7,10 @@ states drawn from the orthogonal-group Haar measure. Per-vector numbers
 inside degenerate clusters depend on the eigenbasis, which is why results
 carry the spectrum's basis_tag and why the cluster-averaged diagonal is
 the basis-independent quantity.
+
+Every energy-basis diagonal is read from W = V*V (entrywise), W[x, k] =
+|<x|lam_k>|^2: o @ W for diag(o), row x for |x><x|. Only
+observable_in_energy_basis forms the N x N matrix V^T diag(o) V.
 """
 
 from __future__ import annotations
@@ -61,12 +65,12 @@ def _node_projector(n: int, x: int, name: str) -> np.ndarray:
     return o
 
 
-def projector_eth_stats(s: Spectrum, x: int):
-    """Mean and population std of the diagonal of |x><x| in the energy basis.
+def projector_eth_stats(s: Spectrum):
+    """Mean and population std of the diagonal of |x><x| in the energy
+    basis, row x of W, for every node x: two arrays, entry x-1 for node x.
 
-    The diagonal entries are |<lam_m|x>|^2; they sum to 1, so the mean is
-    exactly 1/N for every node. The std depends on the basis chosen inside
-    degenerate clusters (see basis_tag). With cluster weights
+    Each row sums to 1, so every mean is 1/N. The std depends on the basis
+    chosen inside degenerate clusters (see basis_tag). With cluster weights
     w_j = (P_j)_xx and ranks d_j, every eigenbasis gives a std in
     [sigma_min, sigma_max], and each value in between is reached by some
     basis: sigma_max^2 = sum_j w_j^2 / N - 1/N^2 (each cluster's weight on
@@ -75,9 +79,8 @@ def projector_eth_stats(s: Spectrum, x: int):
     The basis-independent quantity is the cluster-averaged diagonal
     w_j / d_j (EthReport.cluster_averaged_diagonal).
     """
-    _check_label(x, s.n, "x")
-    diag = s.eigenvectors[x - 1, :] ** 2
-    return float(diag.mean()), float(diag.std())
+    w = np.square(s.eigenvectors, order="C")  # each row reduces as that 1-D row would
+    return w.mean(axis=1), w.std(axis=1)
 
 
 def node_entropies(s: Spectrum) -> np.ndarray:
@@ -146,12 +149,16 @@ class EthReport:
 
 
 def eth_report(s: Spectrum, o) -> EthReport:
-    """Diagonal statistics and off-diagonal rms of diag(o) in the energy basis."""
-    o_mn = observable_in_energy_basis(s, o)
-    diag = np.diag(o_mn)
-    off = o_mn - np.diag(diag)
-    n = s.n
-    rms = float(np.sqrt((off**2).sum() / (n * n - n))) if n > 1 else 0.0
+    """Diagonal statistics and off-diagonal rms of diag(o) in the energy basis.
+    The diagonal is o @ W; V is orthogonal, so the off-diagonal sum of
+    squares is sum o^2 - sum diag^2, taken for o less its median: a shift
+    moves only the diagonal, and a large one would cancel the rest away."""
+    o = _check_observable(o, s.n)
+    n, w = s.n, s.eigenvectors**2
+    diag = o @ w
+    oc = o - np.sort(o)[n // 2]
+    off_sq = max(0.0, float((oc**2).sum() - ((oc @ w) ** 2).sum()))
+    rms = float(np.sqrt(off_sq / (n * n - n))) if n > 1 else 0.0
     return EthReport(
         diag_mean=float(diag.mean()),
         diag_std=float(diag.std()),
@@ -179,8 +186,7 @@ def eth_symmetry_check(s: Spectrum) -> SymmetryCheck:
         raise ValueError("mirror check needs an even number of nodes")
     v = s.eigenvectors
     mirror = float(np.abs(np.abs(v) - np.abs(np.flipud(v))).max())
-    diag = np.diag(observable_in_energy_basis(s, position_observable(s.n)))
-    flat = float(np.abs(diag - (s.n + 1) / 2.0).max())
+    flat = float(np.abs(position_observable(s.n) @ v**2 - (s.n + 1) / 2.0).max())
     bar = SYMMETRY_THRESHOLDS
     return SymmetryCheck(
         passed=bool(mirror < bar["mirror_residual"] and flat < bar["position_diag_deviation"]),

@@ -238,7 +238,7 @@ def test_acceptance_07_eth_dichotomy(c60_spectrum, c60_sym_spectrum, c60_widths)
     assert [len(c) for c in c60_spectrum.clusters] == c60_widths.dims.tolist()
     mean_ok, in_range = True, {}
     for s in (c60_spectrum, c60_sym_spectrum):
-        stats = np.array([projector_eth_stats(s, x) for x in range(1, 61)])
+        stats = np.column_stack(projector_eth_stats(s))
         mean_ok &= bool(np.all(np.abs(stats[:, 0] - 1.0 / 60.0) <= 1e-14))
         sds = stats[:, 1]
         in_range[s.basis_tag] = bool(np.all((sds >= 0.0) & (sds <= sigma_max + 1e-12)))
@@ -260,7 +260,7 @@ def test_acceptance_07_eth_dichotomy(c60_spectrum, c60_sym_spectrum, c60_widths)
             c60_spectrum.degeneracy_tol,
             "haar-rotated",
         )
-        sq[i] = [projector_eth_stats(r, x)[1] ** 2 for x in range(1, 6)]
+        sq[i] = projector_eth_stats(r)[1][:5] ** 2
         rot_pos_std = max(rot_pos_std, eth_report(r, position_observable(60)).diag_std)
     haar_sq = c60_widths.sigma_haar[:5] ** 2
     haar_dev = float(np.abs(sq.mean(axis=0) / haar_sq - 1.0).max())

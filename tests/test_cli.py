@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -478,8 +479,8 @@ def beta_rows():
 def sweep_rows():
     rows = []
     for beta in np.linspace(0.0, 200.0, 7).tolist():
-        p_j = gibbs_node_probability(beta)
-        rows.append((beta, gibbs_partition_function(beta), p_j, 1.0 - 5.0 * p_j))
+        p_0 = pentagon_gibbs(beta).node_probs[0].item()  # the Boltzmann weight of b0
+        rows.append((beta, gibbs_partition_function(beta), gibbs_node_probability(beta), p_0))
     return [tuple(map(repr, row)) for row in rows]
 
 
@@ -649,6 +650,27 @@ def test_gibbs_sweep_csv_monotone(tmp_path):
     ps = [float(ln.split(",")[2]) for ln in data[1:]]
     assert len(ps) == 11
     assert all(b >= a for a, b in zip(ps, ps[1:]))
+
+
+def test_gibbs_sweep_p0_is_the_boltzmann_weight_at_large_beta(tmp_path):
+    # p_0 = 1 / (1 + sum_j exp(-beta cos(2 pi j / 5))), evaluated at 40
+    # digits from the closed forms cos(2 pi/5) = (sqrt5 - 1)/4 and
+    # cos(4 pi/5) = -(sqrt5 + 1)/4; 1 - 5 p_j cancels to 0 here
+    out = tmp_path / "sweep.csv"
+    rc = run(
+        "gibbs", "--beta-sweep", "--beta-min", "20", "--beta-max", "200",
+        "--beta-count", "10", "-o", str(out), "--format", "csv",
+    )
+    assert rc == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    p_0 = {float(r[0]): float(r[3]) for r in rows[1:]}
+    with localcontext() as ctx:
+        ctx.prec = 40
+        root5 = Decimal(5).sqrt()
+        levels = [Decimal(1)] + [(root5 - 1) / 4] * 2 + [-(root5 + 1) / 4] * 2
+        for beta in (20.0, 40.0, 100.0, 200.0):
+            exact = 1 / (1 + sum((-Decimal(beta) * c).exp() for c in levels))
+            assert abs(Decimal(p_0[beta]) - exact) <= Decimal("1e-13") * exact, beta
 
 
 def test_gibbs_family_table(tmp_path):
@@ -1070,6 +1092,24 @@ def test_eth_energy_basis_matrix_csv(tmp_path, request):
         rc = run("eth", *source, "--observable", "position", "-o", str(out), "--format", "csv")
         assert rc == 0
         assert_csv_is(out, matrix_body(v.T @ np.diag(position_observable(s.n)) @ v))
+
+
+def test_eth_json_and_symmetry_form_no_energy_basis_matrix(tmp_path, monkeypatch):
+    # their diagonals come from V*V; only the eth CSV writes V^T diag(o) V
+    class Formed(Exception):
+        pass
+
+    def formed(s, o):
+        raise Formed
+
+    monkeypatch.setattr("fullerwalk.eth.observable_in_energy_basis", formed)
+    monkeypatch.setattr("fullerwalk.cli.observable_in_energy_basis", formed)
+    out = tmp_path / "e.json"
+    for spec in ("position", "node:2"):
+        assert run("eth", "--c60", "--observable", spec, "--entropies", "-o", str(out)) == 0
+    assert run("symmetry", "-o", str(out)) == 0
+    with pytest.raises(Formed):
+        run("eth", "--c60", "--observable", "position", "--format", "csv", "-o", str(out))
 
 
 def test_eth_observable_validation(tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 from fullerwalk import (
     Spectrum,
     adjacency,
+    build_c60_blocked,
+    build_tube_fullerene,
     eigendecompose,
     eth_report,
     eth_symmetry_check,
@@ -55,11 +57,10 @@ def test_position_observable_contents():
 
 
 def test_projector_diag_mean_is_exactly_one_over_n(c60_spectrum):
+    means, _ = projector_eth_stats(c60_spectrum)
+    assert means.shape == (60,)
     for x in (1, 2, 17, 60):
-        mean, _ = projector_eth_stats(c60_spectrum, x)
-        assert mean == pytest.approx(1.0 / 60.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        projector_eth_stats(c60_spectrum, 61)
+        assert means[x - 1] == pytest.approx(1.0 / 60.0, abs=1e-15)
 
 
 def test_dichotomy_nodes_fluctuate_position_does_not(c60, c60_spectrum):
@@ -69,9 +70,9 @@ def test_dichotomy_nodes_fluctuate_position_does_not(c60, c60_spectrum):
     # over rotations inside the clusters, which is rough (rms 0.017); the
     # position diagonal is flat at 30.5 in every basis
     widths = node_projector_widths(np.array(adjacency(c60)))
+    _, stds = projector_eth_stats(c60_spectrum)
     for x in range(1, 6):
-        _, std = projector_eth_stats(c60_spectrum, x)
-        assert 0.0 <= std <= widths.sigma_max[x - 1] + 1e-12
+        assert 0.0 <= stds[x - 1] <= widths.sigma_max[x - 1] + 1e-12
         avg = eth_report(c60_spectrum, _node(60, x)).cluster_averaged_diagonal
         assert np.abs(avg - 1.0 / 60.0).max() < 1e-12
     assert widths.sigma_haar[:5].min() > 0.01
@@ -81,7 +82,7 @@ def test_dichotomy_nodes_fluctuate_position_does_not(c60, c60_spectrum):
     for i in range(200):
         v = haar_rotate_within_clusters(c60_spectrum.eigenvectors, c60_spectrum.clusters, rng)
         r = Spectrum(c60_spectrum.eigenvalues, v, c60_spectrum.clusters, c60_spectrum.degeneracy_tol)
-        sq[i] = [projector_eth_stats(r, x)[1] ** 2 for x in range(1, 6)]
+        sq[i] = projector_eth_stats(r)[1][:5] ** 2
         assert eth_report(r, position_observable(60)).diag_std < 1e-8
     # five standard errors: one rotation's squared width has a relative
     # std of at most 0.21 around its Haar mean
@@ -98,6 +99,44 @@ def test_eth_report_offdiagonal_fields(c60_spectrum):
     assert rep.diag_mean == pytest.approx(1.0 / 60.0, abs=1e-15)
     assert 0.0 < rep.offdiag_rms < rep.diag_std
     assert rep.basis_tag == "plain"
+
+
+@pytest.mark.parametrize("graph", ["C60", "F30", "F130", "F130-relabelled"])
+def test_eth_report_matches_the_energy_basis_matrix(graph):
+    # the report reads the diagonal from V*V and the off-diagonal rms from
+    # the Frobenius norm; both must agree with the full V^T diag(o) V
+    g = build_c60_blocked() if graph == "C60" else build_tube_fullerene(int(graph[1:4]))
+    a = adjacency(g)
+    if graph.endswith("relabelled"):
+        p = np.random.default_rng(130).permutation(g.n_nodes)
+        a = a[np.ix_(p, p)]
+    s = eigendecompose(a)
+    n = s.n
+    rng = np.random.default_rng(7)
+    for o in (position_observable(n), _node(n, 1), _node(n, n), rng.standard_normal(n)):
+        o_mn = observable_in_energy_basis(s, o)
+        diag = np.diag(o_mn)
+        rms = np.sqrt(((o_mn - np.diag(diag)) ** 2).sum() / (n * n - n))
+        rep = eth_report(s, o)
+        assert np.abs(rep.diagonal - diag).max() <= 1e-12 * np.abs(diag).max()
+        assert abs(rep.offdiag_rms - rms) <= 1e-12 * rms
+
+
+def test_eth_report_offdiagonal_rms_ignores_a_constant_shift(c60_spectrum, f30_spectrum):
+    for s in (c60_spectrum, f30_spectrum):
+        assert eth_report(s, np.full(s.n, 7.3)).offdiag_rms == 0.0
+        pos = position_observable(s.n)
+        assert eth_report(s, pos + 1e8).offdiag_rms == eth_report(s, pos).offdiag_rms
+
+
+def test_projector_eth_stats_match_each_row(c60_spectrum, c60_sym_spectrum, f30_spectrum):
+    # the eth JSON node table prints these values, so they must keep the
+    # bits of the per-row reductions in both memory layouts of V
+    for s in (c60_spectrum, c60_sym_spectrum, f30_spectrum):
+        means, stds = projector_eth_stats(s)
+        v = s.eigenvectors
+        assert np.array_equal(means, [(v[x] ** 2).mean() for x in range(s.n)])
+        assert np.array_equal(stds, [(v[x] ** 2).std() for x in range(s.n)])
 
 
 def test_cluster_averaged_diagonal_is_basis_independent(

@@ -17,11 +17,17 @@ fail.
 CSV and graph files must be byte-identical. JSON files must be
 byte-identical apart from the digits of meta.timing_seconds. Exit codes
 must agree. Prints one line per difference and exits 1 if there is any.
+Under each differing file it says what moved: for JSON every key path
+whose value differs (list indices written as []), with the largest
+relative change |head - base| / |base| over that path's numbers; for the
+other files the first differing line and column, and how many lines differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import os
 import re
 import subprocess
@@ -138,9 +144,66 @@ def run_all(src: Path, out: Path, graph: Path) -> dict:
     return codes
 
 
+def _json_changes(a, b, path, changes) -> None:
+    """Fill changes with what differs between the JSON values a (base) and
+    b (head): key path -> the largest relative change of its numbers, or a
+    note for anything else that differs. meta.timing_seconds is skipped."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            if sub == "meta.timing_seconds":
+                continue
+            if key in a and key in b:
+                _json_changes(a[key], b[key], sub, changes)
+            else:
+                changes[sub] = f"written only by {'base' if key in a else 'head'}"
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            changes[path + "[]"] = f"length {len(a)} at base, {len(b)} here"
+            return
+        for x, y in zip(a, b):
+            _json_changes(x, y, path + "[]", changes)
+    elif {type(a), type(b)} <= {int, float}:
+        if a == b or (a != a and b != b):  # NaN at both sides is no change
+            return
+        rel = abs(b - a) / abs(a) if a and math.isfinite(a) and math.isfinite(b) else math.inf
+        if isinstance(changes.get(path, 0.0), float):
+            changes[path] = max(changes.get(path, 0.0), rel)
+    elif a != b or type(a) is not type(b):
+        changes.setdefault(path, f"{a!r} at base, {b!r} here")
+
+
+def _what_moved(name: str, x: bytes, y: bytes) -> list:
+    """Indented lines saying what differs between the base and head bytes
+    of one output file."""
+    if name.endswith(".json"):
+        changes = {}
+        _json_changes(json.loads(x), json.loads(y), "", changes)
+        if not changes:
+            return ["  same values, other text"]
+        return [
+            f"  {path}: largest relative change {note:.3g}" if isinstance(note, float)
+            else f"  {path}: {note}"
+            for path, note in changes.items()
+        ]
+    xs, ys = x.decode().splitlines(), y.decode().splitlines()
+    n_diff = sum(p != q for p, q in zip(xs, ys)) + abs(len(xs) - len(ys))
+    i = next((i for i, (p, q) in enumerate(zip(xs, ys)) if p != q), min(len(xs), len(ys)))
+    if i == min(len(xs), len(ys)):
+        return [f"  {len(xs)} lines at base, {len(ys)} here; the first {i} agree"]
+    p, q = xs[i].split(","), ys[i].split(",")
+    j = next((j for j, (c, d) in enumerate(zip(p, q)) if c != d), min(len(p), len(q)))
+    a, b = (repr(cols[j]) if j < len(cols) else "no cell" for cols in (p, q))
+    return [
+        f"  line {i + 1}, column {j + 1}: {a} at base, {b} here "
+        f"({n_diff} of {max(len(xs), len(ys))} lines differ)"
+    ]
+
+
 def differences(base: Path, head: Path, skip=()) -> list:
-    """One line per output file that is missing on one side or differs,
-    apart from the files of the commands named in skip."""
+    """One entry per output file that is missing on one side or differs,
+    apart from the files of the commands named in skip; the entry of a
+    differing file goes on to say what moved in it."""
     lines = []
     for name in sorted({p.name for p in base.iterdir()} | {p.name for p in head.iterdir()}):
         if name.startswith(tuple(f"{cmd}." for cmd in skip)):
@@ -150,10 +213,11 @@ def differences(base: Path, head: Path, skip=()) -> list:
             lines.append(f"{name}: written only by {'base' if a.exists() else 'head'}")
             continue
         x, y = a.read_bytes(), b.read_bytes()
+        same = x == y
         if name.endswith(".json"):
-            x, y = TIMING.sub(b"", x), TIMING.sub(b"", y)
-        if x != y:
-            lines.append(f"{name}: differs")
+            same = TIMING.sub(b"", x) == TIMING.sub(b"", y)
+        if not same:
+            lines.append("\n".join([f"{name}: differs", *_what_moved(name, x, y)]))
     return lines
 
 
