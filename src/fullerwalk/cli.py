@@ -316,7 +316,7 @@ def _cmd_limiting(args):
 def _cmd_bound(args):
     g = _resolve_graph(args)
     _check_label(args.start, g.n_nodes, "start")
-    obs_spec = args.observable if args.observable else f"node:{args.start}"
+    obs_spec = args.observable if args.observable is not None else f"node:{args.start}"
     o = _parse_observable(obs_spec, g.n_nodes)
     taus = _log_grid(args.tau_min, args.tau_max, args.tau_count, "tau")
 

@@ -26,13 +26,12 @@ GL_PHASE_SPAN = 50.0
 # elements in the largest temporary of one block of panels (at least one
 # panel per block, so the cap is 32 N_lambda when N_lambda > 512)
 BLOCK_ELEMENTS = 2**14
-# quadrature nodes a tau grid may need before it is refused up front. The
-# count depends only on the horizon and on B = 2 (lam_max - lam_min), at
-# most 4 x the largest degree, never on the graph size: no cubic graph hits
-# it below tau 4.3e6; C60 hits it near 4.7e6 (lhs 8 s for a node, 13 s for
-# position). Grid intervals are not counted: each costs about 65-80 us of
-# Python, so 1e5 of them on C60 (tau to 10) take 6.5-8 s (one BLAS thread,
-# 2-vCPU x86 machine)
+# quadrature nodes a tau grid may need before it is refused up front: 32 on
+# each whole panel of length 50 / B below the largest tau, B = 2 (lam_max -
+# lam_min) at most 4 x the largest degree, and 32 on one partial panel per
+# grid point. The count never depends on the graph size: no cubic graph
+# hits it below tau 4.3e6, C60 near 4.7e6 (lhs 7-8 s for a node, 11 s for
+# position), and no grid of more than 2^20 points is accepted
 LHS_MAX_NODES = 2**25
 # the default horizon grid, shared with the bound command's defaults
 TAU_MIN, TAU_MAX, TAU_COUNT = 0.1, 1000.0, 60
@@ -142,28 +141,26 @@ def _deviation_signal(s: Spectrum, start: int, o) -> np.ndarray:
     return b.T @ (o[:, None] * b)
 
 
-def _panel_counts(taus: np.ndarray, levels: np.ndarray, rank: int) -> np.ndarray:
-    """Equal panels of length at most GL_PHASE_SPAN / B per grid interval.
+def _panel_lattice(taus: np.ndarray, levels: np.ndarray, rank: int):
+    """Panel length h = GL_PHASE_SPAN / B and the whole-panel counts floor(tau / h).
 
-    Refuses, before any quadrature, a grid that needs more than
-    LHS_MAX_NODES nodes, stating the node count and the largest horizon the
-    spectrum allows.
+    Refuses up front a grid whose GL_NODES (m_max + len(taus)) nodes, one
+    partial panel per tau included, exceed LHS_MAX_NODES, naming what does.
     """
-    max_panel = GL_PHASE_SPAN / (2.0 * (levels[-1] - levels[0]))
-    tau_limit = LHS_MAX_NODES // GL_NODES * max_panel
-    # float until checked: a huge tau would overflow an int count. A step
-    # over 2^32 tau_limit is counted as that, so the count stays finite
-    steps, cap = np.diff(taus, prepend=0.0), 2.0**32 * tau_limit
-    n_panels = np.ceil(np.minimum(steps, cap) / max_panel)
-    nodes = GL_NODES * n_panels.sum()
+    h = GL_PHASE_SPAN / (2.0 * (levels[-1] - levels[0]))
+    with np.errstate(over="ignore"):  # counted in float: a huge tau gives inf
+        m = np.floor(taus / h)
+        nodes = GL_NODES * (m[-1] + len(taus))
     if nodes > LHS_MAX_NODES:
+        cap = LHS_MAX_NODES // GL_NODES
+        count = f"{nodes:.3g}" if np.isfinite(nodes) else f"more than {sys.float_info.max:.3g}"
+        limit = (f"the grid has {len(taus)} points, over the {cap} allowed" if len(taus) > cap
+                 else f"this spectrum allows tau up to about {(cap - len(taus) + 1) * h:.3g}")
         raise ValueError(
-            f"lhs quadrature too long: {'more than ' if steps.max() > cap else ''}{nodes:.3g} "
-            f"nodes over {len(levels)} levels at signal rank {rank}, above the "
-            f"budget of {LHS_MAX_NODES} nodes; this spectrum allows tau up to "
-            f"about {tau_limit:.3g}"
+            f"lhs quadrature too long: {count} nodes over {len(levels)} levels at signal "
+            f"rank {rank}, above the budget of {LHS_MAX_NODES} nodes; {limit}"
         )
-    return n_panels.astype(int)
+    return h, m.astype(int)
 
 
 def empirical_lhs(s: Spectrum, start: int, o, tau_grid) -> np.ndarray:
@@ -174,17 +171,17 @@ def empirical_lhs(s: Spectrum, start: int, o, tau_grid) -> np.ndarray:
     factored once, W = Q diag(mu) Q^T, dropping eigenvalues at rounding
     level, so f = sum_i mu_i |q_i^T z|^2 - sum_i mu_i: rank 1 for a node
     observable, up to N_lambda for a general one. f^2 holds no frequency
-    above B = 2 (lam_max - lam_min), so composite 32-point Gauss-Legendre
-    on equal panels of length at most 50/B integrates it to rounding, with
-    no step size or convergence test. The integral accumulates interval by
-    interval along the grid, so every node is evaluated once.
+    above B = 2 (lam_max - lam_min), so 32-point Gauss-Legendre on a panel
+    of length at most h = 50/B integrates it to rounding, with no step size
+    or convergence test.
 
-    Each node phase is split as lam (t0 + h x_k) = lam t0 + lam h x_k: the
-    32 x N_lambda offset table is built once per grid interval, and cos
-    and sin are taken only at panel starts t0, each computed directly from
-    t0 so rounding does not grow along the grid. Angle addition gives cos
-    and sin at every node, and two real GEMMs with Q give q_i^T z. Every
-    temporary holds a block of about BLOCK_ELEMENTS values.
+    The panels lie on one lattice: whole panels [j h, (j + 1) h] up to the
+    largest tau, summed cumulatively and read at m = floor(tau / h), plus a
+    partial panel [m h, tau] per tau; each node is evaluated once. On whole
+    panels, cos and sin at each start t0 (taken directly, so rounding does
+    not grow along the lattice) reach every node by angle addition with one
+    32 x N_lambda offset table of lam h x_k; partial panels take their node
+    phases directly. Two real GEMMs with Q then give q_i^T z at every node.
 
     f is unchanged by o -> o + c, because tr rho(t) = tr omega = 1, but an
     offset c would enter W's diagonal as c (P_j)_xx and cost about
@@ -216,28 +213,30 @@ def empirical_lhs(s: Spectrum, start: int, o, tau_grid) -> np.ndarray:
     mu, q = mu[keep], q[:, keep]
     levels = s.cluster_values()
     n_lev = len(levels)
-    n_panels = _panel_counts(taus, levels, len(mu))
+    h, m = _panel_lattice(taus, levels, len(mu))
     block = max(1, BLOCK_ELEMENTS // (GL_NODES * n_lev))
-
     x, weights = _gauss_legendre(GL_NODES)
-    out = np.empty(len(taus))
-    total = 0.0
-    lo = 0.0
-    for k, (hi, n) in enumerate(zip(taus, n_panels)):
-        h = (hi - lo) / max(n, 1)
-        offset = np.multiply.outer(h * x, levels)
-        ce, se = np.cos(offset), np.sin(offset)
-        for first in range(0, n, block):
-            start = np.multiply.outer(lo + h * np.arange(first, min(first + block, n)), levels)
-            cs, ss = np.cos(start)[:, None, :], np.sin(start)[:, None, :]
-            # cos and sin of every node phase by angle addition
-            c = (cs * ce - ss * se).reshape(-1, n_lev)
-            sn = (ss * ce + cs * se).reshape(-1, n_lev)
-            f = ((c @ q) ** 2 + (sn @ q) ** 2) @ mu - mu.sum()
-            total += h * float(np.sum((f.reshape(-1, GL_NODES) ** 2) @ weights))
-        out[k] = total / hi
-        lo = hi
-    return out
+    offset = np.multiply.outer(h * x, levels)
+    ce, se = np.cos(offset), np.sin(offset)
+    # c, sn and f stay bound until the next block replaces them; freed at once,
+    # glibc trims the heap every block and page-faults it back (63k at tau 1e5)
+    whole = np.empty(m[-1])
+    for first in range(0, m[-1], block):
+        t0 = np.multiply.outer(h * np.arange(first, min(first + block, m[-1])), levels)
+        cs, ss = np.cos(t0)[:, None, :], np.sin(t0)[:, None, :]
+        # cos and sin of every node phase by angle addition
+        c = (cs * ce - ss * se).reshape(-1, n_lev)
+        sn = (ss * ce + cs * se).reshape(-1, n_lev)
+        f = ((c @ q) ** 2 + (sn @ q) ** 2) @ mu - mu.sum()
+        whole[first:first + block] = (f.reshape(-1, GL_NODES) ** 2) @ weights
+    lo, part = h * m, np.empty(len(taus))
+    for k in range(0, len(taus), block):
+        d = taus[k:k + block] - lo[k:k + block]  # partial panel lengths
+        phase = np.multiply.outer(lo[k:k + block, None] + d[:, None] * x, levels)
+        c, sn = np.cos(phase).reshape(-1, n_lev), np.sin(phase).reshape(-1, n_lev)
+        f = ((c @ q) ** 2 + (sn @ q) ** 2) @ mu - mu.sum()
+        part[k:k + block] = d * ((f.reshape(-1, GL_NODES) ** 2) @ weights)
+    return (np.concatenate(([0.0], np.cumsum(h * whole)))[m] + part) / taus
 
 
 def default_tau_grid() -> np.ndarray:

@@ -548,6 +548,12 @@ def test_bound_refuses_an_over_long_horizon_up_front(tmp_path, capsys):
     assert "Traceback" not in err
     assert elapsed < 2.0
     assert not out.exists()
+    # a grid of more points than the budget has panels is refused as such
+    assert run("bound", "--c60", "--start", "1", "--tau-count", "3000000", "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fullerwalk: error: lhs quadrature too long: 9.6e+07 nodes")
+    assert err.rstrip().endswith("the grid has 3000000 points, over the 1048576 allowed")
+    assert not out.exists()
 
 
 def test_bound_imports_neither_numpy_polynomial_nor_ma(tmp_path):
@@ -1055,7 +1061,7 @@ def test_bound_inputs_past_the_float_range_exit_2_naming_the_flag(tmp_path, caps
         (("--tau-min", "1e-308"), "the rhs exceeds the float range at tau 1e-308; raise"),
         (("--epsilon", "1e-308"), "the rhs exceeds the float range at tau 0.1; raise epsilon"),
         (("--n-eps-override", str(int(1.7e308))), "or lower n_eps"),
-        (("--tau-max", "1e308"), "lhs quadrature too long: more than 8.07e+18 nodes"),
+        (("--tau-max", "1e308"), "lhs quadrature too long: more than 1.8e+308 nodes"),
     ):
         assert run("bound", "--c60", "--start", "1", *extra, "-o", str(out)) == 2
         assert message in capsys.readouterr().err
@@ -1125,9 +1131,11 @@ def test_eth_rejects_a_bad_observable_before_the_solve(tmp_path, capsys, eigh_ca
         ("node:0", "observable node must be in 1..1000, got 0"),
         ("node:1001", "observable node must be in 1..1000, got 1001"),
         ("bogus", "observable must be 'position' or 'node:K', got 'bogus'"),
+        ("", "observable must be 'position' or 'node:K', got ''"),
     ):
-        assert run("eth", "--tube", "1000", "--observable", spec, "-o", str(out)) == 2
-        assert message in capsys.readouterr().err
+        for cmd in (("eth",), ("bound", "--start", "1")):
+            assert run(*cmd, "--tube", "1000", "--observable", spec, "-o", str(out)) == 2
+            assert message in capsys.readouterr().err
     assert eigh_calls == []
     assert not out.exists()
 

@@ -22,9 +22,11 @@ from fullerwalk import (
 )
 from fullerwalk.equilibration import (
     GL_NODES,
+    GL_PHASE_SPAN,
+    LHS_MAX_NODES,
     _deviation_signal,
     _gauss_legendre,
-    _panel_counts,
+    _panel_lattice,
 )
 from oracles import SMALL_GRAPHS, closed_form_lhs, expm_evolution, jacobi_eigh
 
@@ -244,11 +246,25 @@ def test_horizon_budget_does_not_grow_with_the_graph():
     # spectrum, at full rank, needs as many nodes as on C60 and is not
     # refused; 4.3e6 on the same spectrum is
     levels = np.linspace(-3.0, 3.0, 20000)
-    n_panels = _panel_counts(default_tau_grid(), levels, len(levels))
-    assert GL_NODES * n_panels.sum() < 1e4
-    _panel_counts(np.array([4.3e6]), levels, len(levels))
+    _, m = _panel_lattice(default_tau_grid(), levels, len(levels))
+    assert GL_NODES * (m[-1] + len(m)) < 1e4
+    _panel_lattice(np.array([4.3e6]), levels, len(levels))
     with pytest.raises(ValueError, match="lhs quadrature too long"):
-        _panel_counts(np.array([4.4e6]), levels, len(levels))
+        _panel_lattice(np.array([4.4e6]), levels, len(levels))
+
+
+def test_lhs_budget_counts_the_grid_points():
+    # one partial panel per tau: 2^20 taus below one panel use the whole
+    # budget; one more point, or a longer horizon, is refused, naming which
+    levels = np.array([-3.0, 3.0])
+    h = GL_PHASE_SPAN / 12.0
+    cap = LHS_MAX_NODES // GL_NODES
+    _, m = _panel_lattice(np.full(cap, 0.5 * h), levels, 1)
+    assert GL_NODES * (m[-1] + len(m)) == LHS_MAX_NODES
+    with pytest.raises(ValueError, match=f"the grid has {cap + 1} points, over the {cap} allowed"):
+        _panel_lattice(np.full(cap + 1, 0.5 * h), levels, 1)
+    with pytest.raises(ValueError, match=f"this spectrum allows tau up to about {h:.3g}"):
+        _panel_lattice(np.append(np.full(cap - 1, 0.5 * h), 1.5 * h), levels, 1)
 
 
 def test_empirical_lhs_small_graph_against_oracle():
@@ -256,10 +272,18 @@ def test_empirical_lhs_small_graph_against_oracle():
     a = adjacency(graph_from_edges(n, edges))
     s = eigendecompose(a)
     o = np.array([1.0, 0.0, -1.0, 0.5, 0.0])
-    taus = [2.0, 20.0]
-    got = empirical_lhs(s, 1, o, taus)
-    want = closed_form_lhs(a, np.diag(_node(5, 1)), np.diag(o), taus)
-    assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
+    levels = s.cluster_values()
+    h = GL_PHASE_SPAN / (2.0 * (levels[-1] - levels[0]))  # the panel length
+    for taus in (
+        [2.0, 20.0],
+        h * np.arange(1.0, 8.0),  # on panel multiples: partial panels of length 0 or h
+        h * np.array([1e-3, 0.25, 0.5, 0.999]),  # every tau below one panel
+        [2.0, 2.0, 20.0, 20.0, 3.0 * h, 3.0 * h, 3.0 * h],  # repeated taus
+        np.logspace(-1.0, 3.0, 5000),
+    ):
+        got = empirical_lhs(s, 1, o, taus)
+        want = closed_form_lhs(a, np.diag(_node(5, 1)), np.diag(o), taus)
+        assert np.all(np.abs(got - want) < 1e-12 * np.abs(want))
 
 
 @pytest.mark.parametrize("start", [15, 16])

@@ -11,8 +11,8 @@ subcommand, both formats and both limiting layouts, --vectors, C60, F30,
 F130, a --graph file, F1000 (the bound with both a node and the position
 observable, and the position observable's energy-basis matrix), the F40
 and F2000 graph files, --tol 1e-3, all three gibbs modes (--beta 1000
-too), a bound at epsilon 1e-18, symmetry, and eleven commands that must
-fail.
+too), a bound at epsilon 1e-18, a 5,000-point bound grid, a bound to tau
+1e5, symmetry, and twelve commands that must fail.
 
 CSV and graph files must be byte-identical. JSON files must be
 byte-identical apart from the digits of meta.timing_seconds. Exit codes
@@ -109,6 +109,9 @@ def commands() -> list:
     add("gibbs-beta0", "gibbs", "--beta", "0")
     add("gibbs-beta1000", "gibbs", "--beta", "1000")
     add("bound-c60-tiny-eps", "bound", "--c60", "--start", "1", "--epsilon", "1e-18")
+    add("bound-c60-dense", "bound", "--c60", "--start", "1", "--tau-max", "10",
+        "--tau-count", "5000", "--format", "csv", ext="csv")
+    add("bound-f130-long", "bound", *SOURCES["f130"], "--start", "1", "--tau-max", "1e5")
     add("gibbs-sweep-short", "gibbs", "--beta-sweep", "--beta-min", "1", "--beta-max", "5",
         "--beta-count", "9", "--format", "csv", ext="csv")
     add("symmetry", "symmetry")
@@ -125,6 +128,7 @@ def commands() -> list:
         "--format", "csv", "--haar-samples", "5", "--seed", "3", "--entropies", ext="csv")
     add("fail-gibbs-family-overflow", "gibbs", "--family", "30..1" + "0" * 30)
     add("fail-gibbs-beta-count", "gibbs", "--beta", "0.7", "--beta-count", "3")
+    add("fail-bound-tau-count", "bound", "--c60", "--start", "1", "--tau-count", "3000000")
     add("fail-limiting-json-layout", "limiting", "--c60", "--format", "json", "--layout", "matrix")
     return cmds
 
