@@ -14,7 +14,7 @@ and may pick another basis inside a degenerate cluster, which changes the
 per-vector outputs outright (spectrum --vectors, the eth CSV and JSON).
 
 Exit codes: 0 success, 2 usage or validation error, an allocation
-refused for lack of memory or a bound horizon over the lhs node budget,
+refused for lack of memory or a bound grid over the lhs node budget,
 3 numerical failure (an ArithmeticError that validation did not catch;
 no code path raises one on purpose).
 """
@@ -35,9 +35,10 @@ import numpy as np
 
 from . import __version__
 from .dynamics import limiting_distribution
-from .equilibration import TAU_COUNT, TAU_MAX, TAU_MIN, equilibration_report
+from .equilibration import TAU_COUNT, TAU_MAX, TAU_MIN, _check_point_count, equilibration_report
 from .eth import (
     SYMMETRY_THRESHOLDS,
+    _mirror_residual,
     _node_projector,
     eth_report,
     eth_symmetry_check,
@@ -254,10 +255,6 @@ def _log_grid(lo: float, hi: float, count: int, name: str) -> np.ndarray:
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
-def _mirror_residual(u: np.ndarray) -> float:
-    return float(np.abs(u - u[:, ::-1]).max())
-
-
 # Each _cmd_* computes and writes nothing. It returns (graph, payload,
 # table, *csv_files): the graph the meta checksum names, or None; the JSON
 # payload, or None where the output has no JSON form; the CSV table, or
@@ -303,8 +300,9 @@ def _cmd_limiting(args):
         "u": u,
         "row_sum_max_dev": float(np.abs(u.sum(axis=1) - 1.0).max()),
     }
-    if args.c60:
-        payload["mirror_residual"] = _mirror_residual(u)
+    n = g.n_nodes
+    if g.edges == {(n + 1 - b, n + 1 - a) for a, b in g.edges}:  # x -> N+1-x is a symmetry
+        payload["mirror_residual"] = _mirror_residual(u, 1)
     texts = _symmetric_rows(u)  # u[x, y] and u[y, x] have the same bits and text
     if args.layout == "matrix":
         return g, payload, ([], ",".join(["%s"] * g.n_nodes) + "\n", texts)
@@ -314,6 +312,7 @@ def _cmd_limiting(args):
 
 
 def _cmd_bound(args):
+    _check_point_count(args.tau_count)  # before the grid, the graph and the eigh
     g = _resolve_graph(args)
     _check_label(args.start, g.n_nodes, "start")
     obs_spec = args.observable if args.observable is not None else f"node:{args.start}"
@@ -350,18 +349,12 @@ def _cmd_bound(args):
 def _cmd_gibbs(args):
     if args.beta is not None:
         pg = pentagon_gibbs(args.beta)
-        payload = {
-            "beta": pg.beta,
-            "z": pg.z,
-            "node_probs": pg.node_probs,
-            "state": pg.state,
-        }
         table = (
             ["# node 0 is the no-walker state b0", "node,probability"],
             "%d,%r\n",
             enumerate(pg.node_probs.tolist()),
         )
-        return None, payload, table
+        return None, asdict(pg), table
 
     betas = _linear_grid(args.beta_min, args.beta_max, args.beta_count, "beta").tolist()
     if args.beta_sweep:
@@ -433,16 +426,8 @@ def _cmd_eth(args):
 
 def _cmd_symmetry(args):
     s = symmetry_adapted_c60_basis(degeneracy_tol=args.tol)
-    chk = eth_symmetry_check(s)
-    u_resid = _mirror_residual(limiting_distribution(s).u)
-    payload = {
-        "basis": s.basis_tag,
-        "mirror_residual": chk.mirror_residual,
-        "position_diag_deviation": chk.position_diag_deviation,
-        "u_mirror_residual": u_resid,
-        "passed": bool(chk.passed and u_resid < SYMMETRY_THRESHOLDS["u_mirror_residual"]),
-        "thresholds": SYMMETRY_THRESHOLDS,
-    }
+    payload = {"basis": s.basis_tag, **eth_symmetry_check(s)._asdict(),
+               "thresholds": SYMMETRY_THRESHOLDS}
     return build_c60_blocked(), payload, None
 
 

@@ -38,33 +38,17 @@ TAU_MIN, TAU_MAX, TAU_COUNT = 0.1, 1000.0, 60
 
 
 def _gauss_legendre(n: int):
-    """n-point Gauss-Legendre rule on [0, 1].
-
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    Legendre recurrence. One Newton step on P_n takes them to rounding, and
-    the weights 2 / ((1 - x)(1 + x) P_n'(x)^2) follow with P_n' from its
-    own recurrence (1e-14 relative at n = 32 against a 50-digit reference).
-    """
+    """n-point Gauss-Legendre rule on [0, 1] by Golub-Welsch: the nodes are the
+    eigenvalues of the Legendre recurrence's Jacobi matrix, the weights on [-1, 1]
+    twice the squared first components of its unit eigenvectors (at n = 32, 2e-16
+    absolute and 1e-14 relative off a 50-digit reference)."""
     k = np.arange(1.0, n)
     beta = k / np.sqrt(4.0 * k * k - 1.0)
-    x = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
-
-    def legendre(x):
-        # P_n and P_n' by P_{j+1} = ((2j+1) x P_j - j P_{j-1}) / (j+1)
-        # and P'_{j+1} = P'_{j-1} + (2j+1) P_j
-        p_prev, p, dp_prev, dp = np.ones_like(x), x, np.zeros_like(x), np.ones_like(x)
-        for j in range(1, n):
-            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
-            dp_prev, dp = dp, dp_prev + (2 * j + 1) * p_prev
-        return p, dp
-
-    p, dp = legendre(x)
-    x = x - p / dp
-    _, dp = legendre(x)
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    x, v = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    w = v[0] ** 2  # halved for [0, 1]
     # the rule is symmetric about 0; average away the rounding asymmetry
     x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
-    return 0.5 * (x + 1.0), 0.5 * w
+    return 0.5 * (x + 1.0), w
 
 
 def _start_projections(s: Spectrum, start: int) -> np.ndarray:
@@ -141,24 +125,34 @@ def _deviation_signal(s: Spectrum, start: int, o) -> np.ndarray:
     return b.T @ (o[:, None] * b)
 
 
+def _check_point_count(count: int) -> None:
+    """Refuse a grid of more points than LHS_MAX_NODES has panels: each costs
+    one partial panel of GL_NODES nodes, whatever the spectrum."""
+    cap = LHS_MAX_NODES // GL_NODES
+    if count > cap:
+        raise ValueError(
+            f"lhs quadrature too long: {GL_NODES * count:.3g} nodes or more, above the "
+            f"budget of {LHS_MAX_NODES} nodes; the grid has {count} points, over the {cap} allowed"
+        )
+
+
 def _panel_lattice(taus: np.ndarray, levels: np.ndarray, rank: int):
     """Panel length h = GL_PHASE_SPAN / B and the whole-panel counts floor(tau / h).
 
     Refuses up front a grid whose GL_NODES (m_max + len(taus)) nodes, one
     partial panel per tau included, exceed LHS_MAX_NODES, naming what does.
     """
+    _check_point_count(len(taus))
     h = GL_PHASE_SPAN / (2.0 * (levels[-1] - levels[0]))
     with np.errstate(over="ignore"):  # counted in float: a huge tau gives inf
         m = np.floor(taus / h)
         nodes = GL_NODES * (m[-1] + len(taus))
     if nodes > LHS_MAX_NODES:
-        cap = LHS_MAX_NODES // GL_NODES
         count = f"{nodes:.3g}" if np.isfinite(nodes) else f"more than {sys.float_info.max:.3g}"
-        limit = (f"the grid has {len(taus)} points, over the {cap} allowed" if len(taus) > cap
-                 else f"this spectrum allows tau up to about {(cap - len(taus) + 1) * h:.3g}")
         raise ValueError(
             f"lhs quadrature too long: {count} nodes over {len(levels)} levels at signal "
-            f"rank {rank}, above the budget of {LHS_MAX_NODES} nodes; {limit}"
+            f"rank {rank}, above the budget of {LHS_MAX_NODES} nodes; this spectrum allows "
+            f"tau up to about {(LHS_MAX_NODES // GL_NODES - len(taus) + 1) * h:.3g}"
         )
     return h, m.astype(int)
 
@@ -291,6 +285,7 @@ def equilibration_report(
     if k is not None and k > sys.float_info.max:  # the rhs scales it as a float
         raise ValueError(f"n_eps_override must fit in a float, got {len(str(k))} digits")
     taus = default_tau_grid() if tau_grid is None else _check_tau_grid(tau_grid)
+    _check_point_count(len(taus))  # before the eigh
     s = graph_spectrum(g, degeneracy_tol)
     d_eff = effective_dimension(s, start)
     n_eps = gap_count(s, epsilon)

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dynamics import limiting_distribution
 from .graphs import _check_label
 from .spectral import Spectrum
 
@@ -89,18 +90,29 @@ def node_entropies(s: Spectrum) -> np.ndarray:
     return np.array([_entropy_of(p) for p in s.eigenvectors**2])
 
 
-def haar_orthogonal_state(n: int, seed: int) -> np.ndarray:
-    """Uniform random unit vector on the real (n-1)-sphere.
-
-    n iid standard normals from a counter-based Philox generator keyed by
-    the seed, normalized to unit 2-norm; deterministic per (n, seed) and
-    independent of call order, so sample sets aggregate reproducibly.
-    """
+def _haar_states(n: int, seeds):
+    """Per seed, n iid standard normals from a counter-based Philox keyed by
+    it, normalized to unit 2-norm; one generator is rekeyed per seed, since
+    building a Philox costs more than drawing n normals from it."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+    bg = np.random.Philox(key=0)
+    rng = np.random.Generator(bg)
+    state = bg.state
+    for seed in seeds:
+        key = int(seed)
+        if not 0 <= key < 2**128:
+            raise ValueError(f"seed {key} must lie in [0, 2**128)")
+        state["state"]["key"] = np.array([key & (2**64 - 1), key >> 64], dtype=np.uint64)
+        bg.state = state
+        v = rng.standard_normal(n)
+        yield v / np.linalg.norm(v)
+
+
+def haar_orthogonal_state(n: int, seed: int) -> np.ndarray:
+    """Uniform random unit vector on the real (n-1)-sphere, deterministic per
+    (n, seed) for a seed in [0, 2**128), so sample sets aggregate reproducibly."""
+    return next(_haar_states(n, [seed]))
 
 
 def _entropy_of(p: np.ndarray) -> float:
@@ -110,28 +122,11 @@ def _entropy_of(p: np.ndarray) -> float:
 
 def haar_entropy_baseline(n: int, n_samples: int, seed: int = 0):
     """Mean and population std of the coordinate-distribution entropy over
-    n_samples Haar-orthogonal states, seeded seed, seed+1, ...
-
-    Draws what haar_orthogonal_state does, from one generator rekeyed per
-    sample: building a Philox costs more than drawing n normals from it.
-    """
+    the n_samples Haar-orthogonal states of seeds seed, seed+1, ..."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    bg = np.random.Philox(key=0)
-    rng = np.random.Generator(bg)
-    state = bg.state
-    ents = np.empty(n_samples)
-    for i in range(n_samples):
-        key = int(seed + i)
-        if not 0 <= key < 2**128:
-            raise ValueError(f"seed {key} must lie in [0, 2**128)")
-        state["state"]["key"] = np.array([key & (2**64 - 1), key >> 64], dtype=np.uint64)
-        bg.state = state
-        v = rng.standard_normal(n)
-        ents[i] = _entropy_of((v / np.linalg.norm(v)) ** 2)
-    return float(ents.mean()), float(ents.std())
+    ents = [_entropy_of(v**2) for v in _haar_states(n, (seed + i for i in range(n_samples)))]
+    return float(np.mean(ents)), float(np.std(ents))
 
 
 @dataclass(frozen=True)
@@ -169,27 +164,35 @@ def eth_report(s: Spectrum, o) -> EthReport:
     )
 
 
+def _mirror_residual(a: np.ndarray, axis: int) -> float:
+    """max |a - a reversed along axis|, 0 where the label reversal x -> N+1-x fixes a."""
+    return float(np.abs(a - np.flip(a, axis)).max())
+
+
 class SymmetryCheck(NamedTuple):
     passed: bool
     mirror_residual: float
     position_diag_deviation: float
+    u_mirror_residual: float
 
 
 def eth_symmetry_check(s: Spectrum) -> SymmetryCheck:
     """Verify the mirror mechanism behind the flat position diagonal.
 
     For a symmetry-adapted C60 basis, checks |<x|lam_k>| = |<61-x|lam_k>|
-    for all x, k (max residual) and that consequently every diagonal entry
-    of the position observable in the energy basis equals (N+1)/2 = 30.5.
+    for all x, k (max residual), that consequently every diagonal entry of
+    the position observable in the energy basis equals (N+1)/2 = 30.5, and
+    that the limiting distribution has u(x, y) = u(x, 61-y). It passes when
+    each residual lies strictly below its SYMMETRY_THRESHOLDS entry.
     """
     if s.n % 2 != 0:
         raise ValueError("mirror check needs an even number of nodes")
     v = s.eigenvectors
-    mirror = float(np.abs(np.abs(v) - np.abs(np.flipud(v))).max())
-    flat = float(np.abs(position_observable(s.n) @ v**2 - (s.n + 1) / 2.0).max())
-    bar = SYMMETRY_THRESHOLDS
-    return SymmetryCheck(
-        passed=bool(mirror < bar["mirror_residual"] and flat < bar["position_diag_deviation"]),
-        mirror_residual=mirror,
-        position_diag_deviation=flat,
-    )
+    flat = position_observable(s.n) @ v**2 - (s.n + 1) / 2.0
+    residuals = {
+        "mirror_residual": _mirror_residual(np.abs(v), 0),
+        "position_diag_deviation": float(np.abs(flat).max()),
+        "u_mirror_residual": _mirror_residual(limiting_distribution(s).u, 1),
+    }
+    passed = all(r < SYMMETRY_THRESHOLDS[k] for k, r in residuals.items())
+    return SymmetryCheck(passed=passed, **residuals)

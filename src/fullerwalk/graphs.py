@@ -198,6 +198,11 @@ def build_c60_blocked() -> Graph:
     return g
 
 
+def _edge_list_text(g: Graph) -> str:
+    """The canonical edge list: the line N, then an 'a b' line per sorted edge."""
+    return f"{g.n_nodes}\n" + "\n".join(f"{a} {b}" for a, b in sorted(g.edges))
+
+
 def save_graph(g: Graph, path, header=()) -> None:
     """Write the plain-text edge-list format: first line N, then 'a b' lines.
 
@@ -205,11 +210,8 @@ def save_graph(g: Graph, path, header=()) -> None:
     load_graph skips.
     """
     lines = [h if h.startswith("#") else "# " + h for h in header]
-    lines.append(str(g.n_nodes))
-    for a, b in sorted(g.edges):
-        lines.append(f"{a} {b}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([*lines, _edge_list_text(g)]) + "\n")
 
 
 def load_graph(path) -> Graph:
@@ -249,7 +251,4 @@ def load_graph(path) -> Graph:
 
 def edge_checksum(g: Graph) -> str:
     """Order-independent SHA-256 over the canonical edge list."""
-    canon = str(g.n_nodes) + "\n" + "\n".join(
-        f"{a} {b}" for a, b in sorted(g.edges)
-    )
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return hashlib.sha256(_edge_list_text(g).encode()).hexdigest()

@@ -76,26 +76,29 @@ class PentagonGibbs:
     node_probs: np.ndarray
 
 
-def _boltzmann_weights(beta: float):
-    """Normalized weights exp(-beta*lam)/Z over the six levels
-    (0 for the no-walker state, then cos(2 pi j/5) for j=0..4),
-    evaluated via log-sum-exp so large beta cannot overflow."""
+def _boltzmann(beta: float):
+    """The normalized weights exp(-beta*lam)/Z over the six levels (0 for
+    the no-walker state, then cos(2 pi j/5) for j=0..4), the node
+    probabilities (p0, then p(j) for the five pentagon nodes) and Z, via
+    log-sum-exp so large beta cannot overflow."""
     if not (beta >= 0 and np.isfinite(beta)):
         raise ValueError(f"beta must be finite and non-negative, got {beta}")
     exponents = np.concatenate([[0.0], -beta * _PENTAGON_LEVELS])
     shift = exponents.max()
-    with np.errstate(over="ignore"):  # a gap past -1.8e308 weighs exp(-inf) = 0, as it should
+    # a gap past -1.8e308 weighs exp(-inf) = 0, as it should; Z may overflow to inf
+    with np.errstate(over="ignore"):
         unnorm = np.exp(exponents - shift)
-    total = unnorm.sum()
-    log_z = shift + np.log(total)
-    return unnorm / total, log_z
+        total = unnorm.sum()
+        z = float(np.exp(shift + np.log(total)))
+    weights = unnorm / total
+    probs = np.full(6, weights[1:].sum() / 5.0)
+    probs[0] = weights[0]
+    return weights, probs, z
 
 
 def gibbs_partition_function(beta: float) -> float:
     """Z = tr exp(-beta H_S) over the six levels, via log-sum-exp."""
-    _, log_z = _boltzmann_weights(beta)
-    with np.errstate(over="ignore"):
-        return float(np.exp(log_z))
+    return _boltzmann(beta)[2]
 
 
 def gibbs_node_probability(beta: float) -> float:
@@ -105,8 +108,7 @@ def gibbs_node_probability(beta: float) -> float:
     exactly 1/5 (Fourier modes), so p(j) does not depend on j. Moves
     monotonically from 1/6 at beta=0 toward 1/5 as beta grows.
     """
-    weights, _ = _boltzmann_weights(beta)
-    return float(weights[1:].sum() / 5.0)
+    return float(_boltzmann(beta)[1][1])
 
 
 def pentagon_gibbs(beta: float) -> PentagonGibbs:
@@ -116,17 +118,11 @@ def pentagon_gibbs(beta: float) -> PentagonGibbs:
     circulant sum_j w_j cos(2 pi j (a - b)/5) / 5, w_j the Boltzmann
     weight of Fourier mode j. Finite and exactly symmetric at every beta.
     """
-    weights, log_z = _boltzmann_weights(beta)
+    weights, probs, z = _boltzmann(beta)
     d = np.subtract.outer(np.arange(5), np.arange(5))  # a - b
     state = np.zeros((6, 6))
     state[0, 0] = weights[0]
     state[1:, 1:] = np.cos(2.0 * np.pi / 5.0 * d[..., None] * np.arange(5)) @ weights[1:] / 5.0
-
-    probs = np.empty(6)
-    probs[0] = weights[0]
-    probs[1:] = weights[1:].sum() / 5.0
-    with np.errstate(over="ignore"):
-        z = float(np.exp(log_z))
     return PentagonGibbs(beta=float(beta), z=z, state=state, node_probs=probs)
 
 

@@ -4,9 +4,13 @@ Everything here deliberately avoids the library's own code paths: the
 eigensolver is a textbook cyclic Jacobi, time evolution goes through
 scipy's expm, the limiting distribution through brute-force time
 averaging, and the bound's left-hand side through a closed-form double
-sum over gap pairs. Slow is fine; independent is the point.
+sum over gap pairs, whose quadrature rule is checked against a 50-digit
+Gauss-Legendre rule in stdlib decimal. Slow is fine; independent is the
+point.
 """
 
+import math
+from decimal import Decimal, localcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -275,3 +279,39 @@ SMALL_GRAPHS = {
     "c5": (5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
     "c6": (6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]),
 }
+
+
+def gauss_legendre_reference(n, digits=50):
+    """n-point Gauss-Legendre rule on [0, 1] to `digits` digits, as two lists
+    of Decimals (ascending nodes, weights).
+
+    Newton's method on P_n from the float guesses cos(pi (i + 3/4) / (n + 1/2)),
+    with P_n and P_{n-1} from the three-term recurrence in decimal arithmetic,
+    P_n' = n (x P_n - P_{n-1}) / (x^2 - 1), and weights 2 / ((1 - x^2) P_n'^2)
+    on [-1, 1], halved for [0, 1].
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits + 15
+        tiny = Decimal(10) ** -(digits + 5)
+
+        def legendre(x):
+            p_prev, p = Decimal(1), x
+            for j in range(1, n):
+                p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+            return p, n * (x * p - p_prev) / (x * x - 1)
+
+        nodes, weights = [], []
+        for i in range(n):
+            x = Decimal(math.cos(math.pi * (i + 0.75) / (n + 0.5)))
+            for _ in range(100):
+                p, dp = legendre(x)
+                step = p / dp
+                x -= step
+                if abs(step) < tiny:
+                    break
+            else:
+                raise RuntimeError(f"Newton did not converge on node {i}")
+            _, dp = legendre(x)
+            nodes.append((x + 1) / 2)
+            weights.append(1 / ((1 - x * x) * dp * dp))
+    return nodes[::-1], weights[::-1]

@@ -284,6 +284,23 @@ def test_limiting_json_matches_quoted_row(tmp_path):
     assert doc["mirror_residual"] < 1e-9
 
 
+def test_limiting_reports_the_mirror_residual_of_any_reversal_symmetric_graph(tmp_path):
+    # C60 read from its gen file is the graph --c60 builds, so the output is
+    # the same apart from the flags echoed; no tube maps onto itself under
+    # x -> N+1-x, so a tube gets no mirror residual
+    graph = tmp_path / "c60.txt"
+    assert run("gen", "--c60", "-o", str(graph)) == 0
+    docs = []
+    for src in (["--c60"], ["--graph", str(graph)], ["--tube", "30"]):
+        out = tmp_path / "u.json"
+        assert run("limiting", *src, "-o", str(out)) == 0
+        docs.append(read_json(out))
+        del docs[-1]["meta"]["config"], docs[-1]["meta"]["timing_seconds"]
+    assert docs[1] == docs[0]
+    assert docs[0]["mirror_residual"] < 1e-9
+    assert "mirror_residual" not in docs[2]
+
+
 def test_limiting_csv_triples_and_matrix(tmp_path, request):
     tri = tmp_path / "u_tri.csv"
     assert run("limiting", "--tube", "30", "-o", str(tri), "--format", "csv") == 0
@@ -553,6 +570,21 @@ def test_bound_refuses_an_over_long_horizon_up_front(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("fullerwalk: error: lhs quadrature too long: 9.6e+07 nodes")
     assert err.rstrip().endswith("the grid has 3000000 points, over the 1048576 allowed")
+    assert not out.exists()
+
+
+def test_bound_refuses_a_grid_too_large_for_memory_on_its_count_alone(tmp_path, capsys, eigh_calls):
+    # 10^12 points would be an 8 TB grid: the count is refused before the
+    # grid, the graph or the eigh is built
+    out = tmp_path / "b.json"
+    argv = ["bound", "--c60", "--start", "1", "--tau-count", "1000000000000"]
+    assert run(*argv, "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "fullerwalk: error: lhs quadrature too long: 3.2e+13 nodes or more, above the budget "
+        "of 33554432 nodes; the grid has 1000000000000 points, over the 1048576 allowed\n"
+    )
+    assert eigh_calls == []
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import re
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -28,7 +29,13 @@ from fullerwalk.equilibration import (
     _gauss_legendre,
     _panel_lattice,
 )
-from oracles import SMALL_GRAPHS, closed_form_lhs, expm_evolution, jacobi_eigh
+from oracles import (
+    SMALL_GRAPHS,
+    closed_form_lhs,
+    expm_evolution,
+    gauss_legendre_reference,
+    jacobi_eigh,
+)
 
 
 def _node(n, x):
@@ -217,6 +224,14 @@ def test_gauss_legendre_rule_matches_numpy():
     assert np.abs(x - 0.5 * (x_ref + 1.0)).max() < 1e-15
     # leggauss's own end weights are 6e-14 off a 50-digit reference
     assert np.abs(w / (0.5 * w_ref) - 1.0).max() < 1e-13
+
+
+def test_gauss_legendre_rule_matches_a_50_digit_reference():
+    x, w = _gauss_legendre(GL_NODES)
+    x_ref, w_ref = gauss_legendre_reference(GL_NODES, digits=50)
+    # float -> Decimal is exact, so each error is taken at 50 digits
+    assert max(abs(Decimal(a) - b) for a, b in zip(x.tolist(), x_ref)) < Decimal("2.3e-16")
+    assert max(abs(Decimal(a) / b - 1) for a, b in zip(w.tolist(), w_ref)) < Decimal("2e-14")
 
 
 @pytest.mark.parametrize("graph", ["c60", "f30"])

@@ -19,6 +19,7 @@ from fullerwalk import (
     position_observable,
     projector_eth_stats,
 )
+from fullerwalk import eth
 from oracles import haar_rotate_within_clusters, jacobi_eigh, node_projector_widths
 
 
@@ -202,7 +203,7 @@ def test_haar_baseline_validation():
 
 
 @pytest.mark.parametrize("n", [1, 7, 60, 130])
-@pytest.mark.parametrize("seed", [0, 2**31 - 5, 2**64 - 2])
+@pytest.mark.parametrize("seed", [0, 2**31 - 5, 2**64 - 2, 2**128 - 4])
 def test_haar_baseline_is_the_mean_over_haar_states(n, seed):
     ents = []
     for i in range(4):
@@ -231,6 +232,14 @@ def test_symmetry_check_distinguishes_mirror_from_no_mirror():
     chk = eth_symmetry_check(s_star)
     assert not chk.passed
     assert chk.mirror_residual > 1e-3
+
+
+def test_symmetry_check_applies_the_u_mirror_threshold(c60_sym_spectrum, monkeypatch):
+    chk = eth_symmetry_check(c60_sym_spectrum)
+    assert chk.passed and chk.u_mirror_residual < 1e-9
+    # every residual is at least 0, so a threshold of 0 alone fails the check
+    monkeypatch.setitem(eth.SYMMETRY_THRESHOLDS, "u_mirror_residual", 0.0)
+    assert eth_symmetry_check(c60_sym_spectrum) == chk._replace(passed=False)
 
 
 def test_symmetry_check_needs_even_n():

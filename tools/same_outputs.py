@@ -8,11 +8,12 @@ checkout's src/ (the working tree, uncommitted edits included). Each
 command runs in its own process at one BLAS thread, since another thread
 count may move the last digits of a matrix product. The list covers every
 subcommand, both formats and both limiting layouts, --vectors, C60, F30,
-F130, a --graph file, F1000 (the bound with both a node and the position
-observable, and the position observable's energy-basis matrix), the F40
-and F2000 graph files, --tol 1e-3, all three gibbs modes (--beta 1000
-too), a bound at epsilon 1e-18, a 5,000-point bound grid, a bound to tau
-1e5, symmetry, and twelve commands that must fail.
+F130, a --graph file, the C60 graph file, F1000 (the bound with both a
+node and the position observable, and the position observable's
+energy-basis matrix), the F40 and F2000 graph files, --tol 1e-3, all
+three gibbs modes (--beta 1000 too), a bound at epsilon 1e-18, a
+5,000-point bound grid, a bound to tau 1e5, a Haar baseline seeded near
+2**128, symmetry, and thirteen commands that must fail.
 
 CSV and graph files must be byte-identical. JSON files must be
 byte-identical apart from the digits of meta.timing_seconds. Exit codes
@@ -39,6 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ONE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 TIMING = re.compile(rb'"timing_seconds": [^,\n]*')
 GRAPH = "{graph}"  # stands for the shared --graph input file
+C60_GRAPH = "{c60}"  # stands for the graph file gen --c60 writes
 
 SOURCES = {
     "c60": ["--c60"],
@@ -115,6 +117,9 @@ def commands() -> list:
     add("gibbs-sweep-short", "gibbs", "--beta-sweep", "--beta-min", "1", "--beta-max", "5",
         "--beta-count", "9", "--format", "csv", ext="csv")
     add("symmetry", "symmetry")
+    add("limiting-c60-file", "limiting", "--graph", C60_GRAPH)
+    add("eth-c60-haar-high", "eth", "--c60", "--observable", "node:2", "--haar-samples", "5",
+        "--seed", str(2**128 - 56))  # the last keys use the high word of the Philox key
     # these must fail, with the same exit code on both sides
     add("fail-bound-start", "bound", *SOURCES["f30"], "--start", "31")
     add("fail-eth-node", "eth", "--c60", "--observable", "node:99")
@@ -129,17 +134,20 @@ def commands() -> list:
     add("fail-gibbs-family-overflow", "gibbs", "--family", "30..1" + "0" * 30)
     add("fail-gibbs-beta-count", "gibbs", "--beta", "0.7", "--beta-count", "3")
     add("fail-bound-tau-count", "bound", "--c60", "--start", "1", "--tau-count", "3000000")
+    add("fail-bound-tau-count-huge", "bound", "--c60", "--start", "1",
+        "--tau-count", "1000000000000")
     add("fail-limiting-json-layout", "limiting", "--c60", "--format", "json", "--layout", "matrix")
     return cmds
 
 
-def run_all(src: Path, out: Path, graph: Path) -> dict:
-    """Run every command with `src` first on the path; returns {name: exit codes}."""
+def run_all(src: Path, out: Path, graphs: dict) -> dict:
+    """Run every command with `src` first on the path, the graph files
+    `graphs` maps each stand-in to put in; returns {name: exit codes}."""
     env = dict(os.environ, PYTHONPATH=str(src), **ONE_THREAD)
     out.mkdir()
     codes = {}
     for name, argv in commands():
-        argv = [str(graph) if a == GRAPH else a for a in argv]
+        argv = [str(graphs.get(a, a)) for a in argv]
         proc = subprocess.run(
             [sys.executable, "-m", "fullerwalk.cli", *argv],
             cwd=out, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -241,13 +249,14 @@ def main(argv=None) -> int:
         (tmp / "base").mkdir()
         subprocess.run(["tar", "-x", "-C", str(tmp / "base")], input=archive, check=True)
 
-        graph = tmp / "f50.txt"
-        subprocess.run(
-            [sys.executable, "-m", "fullerwalk.cli", "gen", "--tube", "50", "-o", str(graph)],
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
-        )
-        base_codes = run_all(tmp / "base" / "src", tmp / "out-base", graph)
-        head_codes = run_all(ROOT / "src", tmp / "out-head", graph)
+        graphs = {GRAPH: tmp / "f50.txt", C60_GRAPH: tmp / "c60.txt"}
+        for path, src in zip(graphs.values(), (["--tube", "50"], ["--c60"])):
+            subprocess.run(
+                [sys.executable, "-m", "fullerwalk.cli", "gen", *src, "-o", str(path)],
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True,
+            )
+        base_codes = run_all(tmp / "base" / "src", tmp / "out-base", graphs)
+        head_codes = run_all(ROOT / "src", tmp / "out-head", graphs)
 
         # a command whose exit code differs is reported once, not per file
         moved = [name for name in base_codes if base_codes[name] != head_codes[name]]
