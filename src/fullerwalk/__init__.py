@@ -31,11 +31,10 @@ from .spectral import (
     symmetry_adapted_c60_basis,
 )
 from .dynamics import (
-    LimitingDistribution,
-    WalkState,
     cumulative_time_average,
     evolve,
     limiting_distribution,
+    limiting_row,
     node_probability,
 )
 from .equilibration import (

@@ -294,7 +294,7 @@ def _cmd_spectrum(args):
 def _cmd_limiting(args):
     g = _resolve_graph(args)
     s = graph_spectrum(g, args.tol)
-    u = limiting_distribution(s).u
+    u = limiting_distribution(s)
     payload = {
         "n_nodes": g.n_nodes,
         "u": u,

@@ -1,15 +1,13 @@
-"""Walk evolution and time-averaged transition probabilities.
+"""Walk evolution, limiting rows and time averages from a start node x.
 
-Evolution is always spectral: amplitudes are rotated by e^{-i lam_k t} in
-the eigenbasis, never by series-expanding the matrix exponential. Time
-averages use the exact closed form, with the oscillatory cross terms
-grouped by degeneracy-cluster pair so exactly degenerate levels dephase
-into the limiting distribution instead of leaving spurious slow terms.
+Every per-start quantity is read from the start-node matrix B, whose
+column j is P_j|x> (_start_projections). Evolution is spectral: amplitudes
+are rotated by e^{-i lam_k t} in the eigenbasis. Time averages use the
+exact closed form, with cross terms grouped by degeneracy-cluster pair so
+exactly degenerate levels dephase into the limiting distribution.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,33 +18,18 @@ from .spectral import Spectrum
 TIME_AVERAGE_BLOCK = 2**16
 
 
-@dataclass(frozen=True)
-class WalkState:
-    """Amplitude vector of the walker at a fixed time (2-norm 1)."""
+def _start_projections(s: Spectrum, start: int) -> np.ndarray:
+    """B, N x N_lambda, whose column j is P_j|x> = sum_{m in j} v_m v_m[x]."""
+    _check_label(start, s.n, "start")
+    v = s.eigenvectors
+    return s.cluster_sums(v * v[start - 1], axis=1)
 
-    amplitudes: np.ndarray
-    time: float
 
-
-@dataclass(frozen=True)
-class LimitingDistribution:
-    """Row-stochastic matrix u with u[x-1, y-1] the long-time average
-    probability of finding the walker at node y after starting at x."""
-
-    u: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.u.shape[0]
-
-    def row(self, x: int) -> np.ndarray:
-        _check_label(x, self.n, "x")
-        return self.u[x - 1, :]
-
-    def value(self, x: int, y: int) -> float:
-        _check_label(x, self.n, "x")
-        _check_label(y, self.n, "y")
-        return float(self.u[x - 1, y - 1])
+def limiting_row(s: Spectrum, x: int) -> np.ndarray:
+    """Row x of the limiting distribution, u(x, y) = sum_j (P_j)_yx^2 for
+    every end node y: the squared entries of B summed across its clusters."""
+    _check_label(x, s.n, "x")
+    return np.square(_start_projections(s, x)).sum(axis=1)
 
 
 def _check_tau_grid(tau_grid) -> np.ndarray:
@@ -60,20 +43,19 @@ def _check_tau_grid(tau_grid) -> np.ndarray:
     return taus
 
 
-def evolve(s: Spectrum, start: int, t: float) -> WalkState:
-    """Amplitudes alpha_y(t) = sum_k e^{-i lam_k t} <y|lam_k><lam_k|start>."""
+def evolve(s: Spectrum, start: int, t: float) -> np.ndarray:
+    """Amplitudes alpha_y(t) = sum_k e^{-i lam_k t} <y|lam_k><lam_k|start>,
+    a complex vector of 2-norm 1."""
     _check_label(start, s.n, "start")
     overlaps = s.eigenvectors[start - 1, :]  # <lam_k|start>, real basis
     phases = np.exp(-1j * s.eigenvalues * float(t))
-    amps = s.eigenvectors @ (phases * overlaps)
-    return WalkState(amplitudes=amps, time=float(t))
+    return s.eigenvectors @ (phases * overlaps)
 
 
 def node_probability(s: Spectrum, start: int, end: int, t: float) -> float:
     """|<end|e^{-iHt}|start>|^2."""
     _check_label(end, s.n, "end")
-    state = evolve(s, start, t)
-    return float(np.abs(state.amplitudes[end - 1]) ** 2)
+    return float(np.abs(evolve(s, start, t)[end - 1]) ** 2)
 
 
 def cumulative_time_average(s: Spectrum, start: int, end: int, tau_grid) -> np.ndarray:
@@ -98,8 +80,8 @@ def cumulative_time_average(s: Spectrum, start: int, end: int, tau_grid) -> np.n
     _check_label(end, s.n, "end")
     taus = _check_tau_grid(tau_grid)
 
-    # per-cluster sums s_j = sum_{k in C_j} <end|lam_k><lam_k|start>
-    sums = s.cluster_sums(s.eigenvectors[end - 1, :] * s.eigenvectors[start - 1, :])
+    # s_j = <end|P_j|start> = sum_{k in C_j} <end|lam_k><lam_k|start>, row end of B
+    sums = _start_projections(s, start)[end - 1]
     stationary = float(np.sum(sums**2))
     j, l = np.triu_indices(s.n_distinct, 1)
     coeff = 2.0 * sums[j] * sums[l]
@@ -114,12 +96,11 @@ def cumulative_time_average(s: Spectrum, start: int, end: int, tau_grid) -> np.n
     return out
 
 
-def limiting_distribution(s: Spectrum) -> LimitingDistribution:
-    """u(x, y) = sum_j |<y|P_j|x>|^2 over the eigenspace projectors P_j.
-
-    Normalized so every row sums to 1 (it is a probability distribution
-    over the end node y; with orthonormal eigenvectors this holds exactly,
-    no prefactor needed).
+def limiting_distribution(s: Spectrum) -> np.ndarray:
+    """u[x-1, y-1] = sum_j |<y|P_j|x>|^2, the long-time average probability
+    of finding the walker at node y after starting at x, as a read-only
+    N x N array; a per-start analysis reads one row with limiting_row.
+    Every row sums to 1 exactly with orthonormal eigenvectors.
 
     P_j o P_j = sum_{k,l in C_j} (v_k o v_l)(v_k o v_l)^T, so u = Z Z^T with
     one column v_k o v_l per same-cluster pair (k, l), formed N columns at
@@ -135,4 +116,4 @@ def limiting_distribution(s: Spectrum) -> LimitingDistribution:
         z *= v[:, l[lo : lo + s.n]]
         u += z @ z.T
     u.flags.writeable = False
-    return LimitingDistribution(u=u)
+    return u

@@ -1,8 +1,8 @@
 """Equilibration analysis: effective dimension, dephased state, and the bound.
 
-The walk starts on a node x, rho0 = |x><x|, so every quantity here depends
-only on the vectors P_j|x>, segment sums over row x of V. An observable is
-diagonal on the nodes, O = diag(o), and is passed as o. The analytic bound
+The walk starts on a node x, rho0 = |x><x|, so every quantity here is read
+from dynamics' start-node matrix B, whose column j is P_j|x>. An observable
+is diagonal on the nodes, O = diag(o), and is passed as o. The analytic bound
 on the time-averaged deviation <|tr(O rho(t)) - tr(O omega)|^2>_tau is
 compared against a quadrature of the left-hand side; omega is exact.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _check_tau_grid
+from .dynamics import _check_tau_grid, _start_projections, limiting_row
 from .eth import _check_observable
 from .graphs import Graph, _check_label
 from .spectral import DEGENERACY_TOL, Spectrum, _check_positive, gap_count, graph_spectrum
@@ -51,19 +51,12 @@ def _gauss_legendre(n: int):
     return 0.5 * (x + 1.0), w
 
 
-def _start_projections(s: Spectrum, start: int) -> np.ndarray:
-    """B, N x N_lambda, whose column j is P_j|x> = sum_{m in j} v_m v_m[x]."""
-    _check_label(start, s.n, "start")
-    v = s.eigenvectors
-    return s.cluster_sums(v * v[start - 1], axis=1)
-
-
 def effective_dimension(s: Spectrum, start: int) -> float:
     """Inverse participation of the start node over the energy eigenspaces,
-    d_eff = 1 / sum_j (P_j)_xx^2; (P_j)_xx is the cluster sum of row x of V
-    squared, independent of the basis inside each cluster."""
+    d_eff = 1 / sum_j (P_j)_xx^2 = 1 / u(x, x), independent of the basis
+    inside each cluster."""
     _check_label(start, s.n, "start")
-    return float(1.0 / np.sum(s.cluster_sums(s.eigenvectors[start - 1] ** 2) ** 2))
+    return float(1.0 / limiting_row(s, start)[start - 1])
 
 
 def time_averaged_state(s: Spectrum, start: int) -> np.ndarray:

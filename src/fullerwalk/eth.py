@@ -192,7 +192,7 @@ def eth_symmetry_check(s: Spectrum) -> SymmetryCheck:
     residuals = {
         "mirror_residual": _mirror_residual(np.abs(v), 0),
         "position_diag_deviation": float(np.abs(flat).max()),
-        "u_mirror_residual": _mirror_residual(limiting_distribution(s).u, 1),
+        "u_mirror_residual": _mirror_residual(limiting_distribution(s), 1),
     }
     passed = all(r < SYMMETRY_THRESHOLDS[k] for k, r in residuals.items())
     return SymmetryCheck(passed=passed, **residuals)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .graphs import Graph, adjacency, build_tube_fullerene
 from .spectral import DEGENERACY_TOL, graph_spectrum
-from .dynamics import limiting_distribution
+from .dynamics import limiting_row
 
 PENTAGON_CYCLE_EDGES = frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)})
 
@@ -65,7 +65,7 @@ def decompose_hamiltonian(g: Graph) -> HamiltonianDecomposition:
 class PentagonGibbs:
     """Canonical state of the isolated pentagon at inverse temperature beta.
 
-    The 6-dimensional basis is (|b0>, |1>, ..., |5|) with |b0> the
+    The 6-dimensional basis is (|b0>, |1>, ..., |5>) with |b0> the
     zero-eigenvalue no-walker state. node_probs[0] is p0 and
     node_probs[1..5] are the (equal) pentagon node probabilities.
     """
@@ -141,8 +141,9 @@ def gibbs_vs_limiting(family, beta_grid, degeneracy_tol: float = DEGENERACY_TOL)
     """Compare u(N, N) against every Gibbs p(j) on the beta grid.
 
     For each tube size N in `family` (integers from {30, 40, ..., 130})
-    builds F_N, computes the limiting return probability of the last node,
-    and flags gibbs_matchable when some beta gives |u(N,N) - p(j)| < 1e-3.
+    builds F_N, reads the limiting return probability u(N, N) of the last
+    node from its limiting row (no N x N u is formed), and flags
+    gibbs_matchable when some beta gives |u(N,N) - p(j)| < 1e-3.
     """
     betas = np.asarray(beta_grid, dtype=float)
     if betas.ndim != 1 or len(betas) == 0:
@@ -156,7 +157,7 @@ def gibbs_vs_limiting(family, beta_grid, degeneracy_tol: float = DEGENERACY_TOL)
     rows = []
     for g in tubes:
         n = g.n_nodes
-        u_nn = limiting_distribution(graph_spectrum(g, degeneracy_tol)).value(n, n)
+        u_nn = float(limiting_row(graph_spectrum(g, degeneracy_tol), n)[n - 1])
         rows.append(
             GibbsComparisonRow(
                 n=n,
@@ -177,5 +178,4 @@ def initial_state_dependence(g: Graph, degeneracy_tol: float = DEGENERACY_TOL):
     no single thermal state reproduces both starting conditions.
     """
     s = graph_spectrum(g, degeneracy_tol)
-    u = limiting_distribution(s)
-    return u.row(1)[:5].copy(), u.row(2)[:5].copy()
+    return limiting_row(s, 1)[:5], limiting_row(s, 2)[:5]

@@ -87,7 +87,7 @@ def test_acceptance_01_c60_equilibration_constants(c60_spectrum, c60_widths):
     log2n = float(np.log2(n_lambda))
     want = 3600.0 / c60_widths.sum_d2
     weight_dev = float(np.abs(c60_widths.weights[:, 0] - c60_widths.dims / 60.0).max())
-    u11 = float(limiting_distribution(c60_spectrum).row(1)[0])
+    u11 = float(limiting_distribution(c60_spectrum)[0, 0])
 
     ok_log = n_lambda == 15 and abs(log2n - 3.90) <= 0.02
     ok_deff = abs(d_eff - want) < 1e-9 and weight_dev < 1e-12
@@ -139,8 +139,8 @@ def test_acceptance_03_limiting_rows(c60_spectrum):
     u = limiting_distribution(c60_spectrum)
     want1 = np.array([0.079, 0.024, 0.021, 0.021, 0.024])
     want2 = np.array([0.024, 0.079, 0.024, 0.021, 0.021])
-    dev1 = np.abs(u.row(1)[:5] - want1).max()
-    dev2 = np.abs(u.row(2)[:5] - want2).max()
+    dev1 = np.abs(u[0, :5] - want1).max()
+    dev2 = np.abs(u[1, :5] - want2).max()
     ok = dev1 < 5e-4 and dev2 < 5e-4
     _line(3, ok, f"row1 dev {dev1:.2e}, row2 dev {dev2:.2e} (tol 5e-4)")
     assert dev1 < 5e-4
@@ -151,7 +151,7 @@ def test_acceptance_04_symmetry_suite(c60_sym_spectrum):
     """Mirror relation, u mirror symmetry, and the flat 30.5 diagonal."""
     v = c60_sym_spectrum.eigenvectors
     mirror = np.abs(np.abs(v) - np.abs(v[::-1, :])).max()
-    u = limiting_distribution(c60_sym_spectrum).u
+    u = limiting_distribution(c60_sym_spectrum)
     u_mirror = np.abs(u - u[:, ::-1]).max()
     diag = np.diag(v.T @ np.diag(position_observable(60)) @ v)
     pos_dev = np.abs(diag - 30.5).max()
@@ -318,7 +318,7 @@ def test_acceptance_09_property_suite(c60, c60_spectrum, c60_sym_spectrum):
     quadrature agreement, omega fixed point, d_eff invariance, edge split."""
     failures = []
 
-    u = limiting_distribution(c60_spectrum).u
+    u = limiting_distribution(c60_spectrum)
     if np.abs(u.sum(axis=1) - 1.0).max() > 1e-9:
         failures.append("row stochasticity")
 
@@ -343,7 +343,7 @@ def test_acceptance_09_property_suite(c60, c60_spectrum, c60_sym_spectrum):
 
     for name, (n, edges) in sorted(SMALL_GRAPHS.items()):
         a = adjacency(graph_from_edges(n, edges))
-        u_small = limiting_distribution(eigendecompose(a)).u
+        u_small = limiting_distribution(eigendecompose(a))
         dev = np.abs(u_small - brute_force_limiting(a)).max()
         if dev > 5e-3:
             failures.append(f"quadrature agreement on {name} (dev {dev:.1e})")

@@ -327,7 +327,7 @@ def test_limiting_csv_triples_and_matrix(tmp_path, request):
     cases += [(("--tube", "130"), graph_spectrum(f130))]
     cases += [(("--tube", "130", "--tol", "1e-3"), graph_spectrum(f130, 1e-3))]
     for source, s in cases:
-        u = limiting_distribution(s).u
+        u = limiting_distribution(s)
         assert run("limiting", *source, "-o", str(tri), "--format", "csv") == 0
         assert_csv_is(tri, triples_body(u), columns="x,y,u")
         assert run(

@@ -48,7 +48,7 @@ def test_core_matches_projector_oracle(a):
     assert s.n_distinct == len(projs)
     assert np.abs(s.cluster_values() - levels).max() < 1e-9
 
-    u = limiting_distribution(s).u
+    u = limiting_distribution(s)
     assert np.abs(u - sum(p * p for p in projs)).max() < 1e-12
     assert np.abs(u.sum(axis=1) - 1.0).max() < 1e-12
     assert np.abs(u - u.T).max() < 1e-15

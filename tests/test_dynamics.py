@@ -7,11 +7,18 @@ from fullerwalk import (
     build_c60_blocked,
     build_tube_fullerene,
     cumulative_time_average,
+    dynamics,
+    effective_dimension,
     eigendecompose,
+    equilibration,
     evolve,
+    gibbs_vs_limiting,
     graph_from_edges,
+    initial_state_dependence,
     limiting_distribution,
+    limiting_row,
     node_probability,
+    thermo,
 )
 from oracles import SMALL_GRAPHS, brute_force_limiting, expm_evolution
 
@@ -22,17 +29,16 @@ def _small_spectrum(name):
 
 
 def test_evolve_at_zero_is_the_start_state(f30_spectrum):
-    state = evolve(f30_spectrum, 7, 0.0)
+    amps = evolve(f30_spectrum, 7, 0.0)
     expected = np.zeros(30)
     expected[6] = 1.0
-    assert np.abs(state.amplitudes - expected).max() < 1e-12
-    assert state.time == 0.0
+    assert np.abs(amps - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize("t", [0.0, 0.3, 2.7, 50.0, 1234.5])
 def test_evolution_is_unitary(c60_spectrum, t):
-    state = evolve(c60_spectrum, 1, t)
-    assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-10
+    amps = evolve(c60_spectrum, 1, t)
+    assert abs(np.vdot(amps, amps).real - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
@@ -42,8 +48,8 @@ def test_evolution_matches_expm_oracle(name):
     s = eigendecompose(a)
     for t in (0.4, 3.1):
         u_t = expm_evolution(a, t)
-        state = evolve(s, 1, t)
-        assert np.abs(state.amplitudes - u_t[:, 0]).max() < 1e-10
+        amps = evolve(s, 1, t)
+        assert np.abs(amps - u_t[:, 0]).max() < 1e-10
 
 
 def test_node_probability_spot_check_against_expm(c60, c60_spectrum):
@@ -63,7 +69,7 @@ def test_node_validation():
 
 def test_limiting_distribution_rows_sum_to_one(c60_spectrum, f30_spectrum):
     for s in (c60_spectrum, f30_spectrum):
-        u = limiting_distribution(s).u
+        u = limiting_distribution(s)
         assert np.abs(u.sum(axis=1) - 1.0).max() < 1e-9
         assert np.all(u >= -1e-15)
         assert np.abs(u - u.T).max() < 1e-12
@@ -83,14 +89,14 @@ def test_limiting_distribution_is_exactly_symmetric(graph, tol, relabel):
     if relabel:
         p = np.random.default_rng(130).permutation(g.n_nodes)
         a = a[np.ix_(p, p)]
-    u = limiting_distribution(eigendecompose(a, tol)).u
+    u = limiting_distribution(eigendecompose(a, tol))
     assert np.array_equal(u, u.T)
     assert np.array_equal(u.view(np.uint64), u.T.view(np.uint64))
 
 
 def test_limiting_distribution_is_basis_independent(c60_spectrum, c60_sym_spectrum):
-    u_plain = limiting_distribution(c60_spectrum).u
-    u_sym = limiting_distribution(c60_sym_spectrum).u
+    u_plain = limiting_distribution(c60_spectrum)
+    u_sym = limiting_distribution(c60_sym_spectrum)
     assert np.abs(u_plain - u_sym).max() < 1e-10
 
 
@@ -98,7 +104,7 @@ def test_limiting_distribution_is_basis_independent(c60_spectrum, c60_sym_spectr
 def test_limiting_matches_brute_force_quadrature(name):
     n, edges = SMALL_GRAPHS[name]
     a = adjacency(graph_from_edges(n, edges))
-    u = limiting_distribution(eigendecompose(a)).u
+    u = limiting_distribution(eigendecompose(a))
     u_brute = brute_force_limiting(a, t_max=1.0e4, dt=1.0e-2)
     assert np.abs(u - u_brute).max() < 5e-3
 
@@ -113,7 +119,7 @@ def test_k2_cumulative_average_closed_form():
 
 
 def test_cumulative_average_tends_to_limiting(c60_spectrum):
-    u11 = limiting_distribution(c60_spectrum).value(1, 1)
+    u11 = limiting_distribution(c60_spectrum)[0, 0]
     taus = np.array([1.0e4, 1.0e5])
     avg = cumulative_time_average(c60_spectrum, 1, 1, taus)
     assert abs(avg[-1] - u11) < 1e-4
@@ -133,7 +139,7 @@ def test_cumulative_average_against_direct_quadrature():
 def test_f30_average_settles_at_the_limiting_value(f30_spectrum):
     # the running average decays onto u(1, 1) like 1/tau; small gaps keep
     # the transient alive to tau of order 100
-    u11 = limiting_distribution(f30_spectrum).value(1, 1)
+    u11 = limiting_distribution(f30_spectrum)[0, 0]
     taus = np.array([100.0, 1000.0])
     avg = cumulative_time_average(f30_spectrum, 1, 1, taus)
     dev = np.abs(avg - u11)
@@ -152,7 +158,7 @@ def test_cumulative_average_grid_validation(f30_spectrum):
 
 
 def test_limiting_matrix_is_frozen(c60_spectrum):
-    u = limiting_distribution(c60_spectrum).u
+    u = limiting_distribution(c60_spectrum)
     with pytest.raises(ValueError):
         u[0, 0] = 1.0
 
@@ -160,13 +166,35 @@ def test_limiting_matrix_is_frozen(c60_spectrum):
 def test_limiting_accessors_reject_labels_outside_1_to_n(c60_spectrum):
     # 0 and -1 must not wrap round to node 60, nor 61 or 2.0 escape as an IndexError
     u = limiting_distribution(c60_spectrum)
-    assert u.value(1, 60) == u.u[0, 59]
-    assert u.value(np.int64(2), 3) == u.u[1, 2]
-    assert np.array_equal(u.row(60), u.u[59])
+    for x in (60, np.int64(2)):
+        assert np.abs(limiting_row(c60_spectrum, x) - u[x - 1]).max() < 1e-15
     for bad in (0, -1, 61, 2.0):
         with pytest.raises(ValueError, match=f"x must be in 1..60, got {bad}"):
-            u.row(bad)
-        with pytest.raises(ValueError, match=f"x must be in 1..60, got {bad}"):
-            u.value(bad, 1)
-        with pytest.raises(ValueError, match=f"y must be in 1..60, got {bad}"):
-            u.value(1, bad)
+            limiting_row(c60_spectrum, bad)
+
+
+@pytest.mark.parametrize("tol", [DEGENERACY_TOL, 0.03, 0.3])
+@pytest.mark.parametrize("graph", ["c60", "f30", "f130"])
+def test_start_node_values_agree_with_the_full_limiting_matrix(graph, tol):
+    # limiting_row and effective_dimension read B = [P_j|x>]; the full u is Z Z^T
+    g = build_c60_blocked() if graph == "c60" else build_tube_fullerene(int(graph[1:]))
+    s = eigendecompose(adjacency(g), tol)
+    u = limiting_distribution(s)
+    for x in (1, 7, s.n):
+        assert abs(effective_dimension(s, x) * u[x - 1, x - 1] - 1.0) < 2e-15
+        assert np.abs(limiting_row(s, x) - u[x - 1]).max() < 1e-15
+
+
+def test_per_start_analyses_form_no_limiting_matrix(monkeypatch, f30, f30_spectrum):
+    def refuse(s):
+        raise AssertionError("a per-start analysis formed the N x N limiting matrix")
+
+    for module in (dynamics, equilibration, thermo):
+        if hasattr(module, "limiting_distribution"):
+            monkeypatch.setattr(module, "limiting_distribution", refuse)
+    rows = gibbs_vs_limiting([30, 130], np.linspace(0.0, 1.0, 5))
+    assert [r.n for r in rows] == [30, 130]
+    row1, row2 = initial_state_dependence(f30)
+    assert row1.shape == row2.shape == (5,)
+    assert effective_dimension(f30_spectrum, 1) > 1.0
+    assert cumulative_time_average(f30_spectrum, 1, 30, [1.0, 10.0]).shape == (2,)

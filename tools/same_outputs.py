@@ -20,8 +20,11 @@ byte-identical apart from the digits of meta.timing_seconds. Exit codes
 must agree. Prints one line per difference and exits 1 if there is any.
 Under each differing file it says what moved: for JSON every key path
 whose value differs (list indices written as []), with the largest
-relative change |head - base| / |base| over that path's numbers; for the
-other files the first differing line and column, and how many lines differ.
+relative change |head - base| / |base| over that path's numbers; for CSV
+every column that moved, with how many rows differ and the largest
+relative change, and the columns that stayed byte-identical; for the
+other files, or CSVs whose lines do not pair up, the first differing line
+and column, and how many lines differ.
 """
 
 from __future__ import annotations
@@ -156,6 +159,11 @@ def run_all(src: Path, out: Path, graphs: dict) -> dict:
     return codes
 
 
+def _relative_change(a, b) -> float:
+    """|b - a| / |a| for two numbers; inf from 0 or to a non-finite value."""
+    return abs(b - a) / abs(a) if a and math.isfinite(a) and math.isfinite(b) else math.inf
+
+
 def _json_changes(a, b, path, changes) -> None:
     """Fill changes with what differs between the JSON values a (base) and
     b (head): key path -> the largest relative change of its numbers, or a
@@ -178,11 +186,57 @@ def _json_changes(a, b, path, changes) -> None:
     elif {type(a), type(b)} <= {int, float}:
         if a == b or (a != a and b != b):  # NaN at both sides is no change
             return
-        rel = abs(b - a) / abs(a) if a and math.isfinite(a) and math.isfinite(b) else math.inf
         if isinstance(changes.get(path, 0.0), float):
-            changes[path] = max(changes.get(path, 0.0), rel)
+            changes[path] = max(changes.get(path, 0.0), _relative_change(a, b))
     elif a != b or type(a) is not type(b):
         changes.setdefault(path, f"{a!r} at base, {b!r} here")
+
+
+def _number(cell: str):
+    """The float a CSV cell holds, or None for text."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _cell_change(a: str, b: str) -> float:
+    """The relative change between two differing CSV cells; inf for text."""
+    p, q = _number(a), _number(b)
+    return math.inf if p is None or q is None else _relative_change(p, q)
+
+
+def _column_summary(xs: list, ys: list):
+    """Per-column lines for two CSVs whose comment lines and cells pair up
+    one to one, or None when they do not. Columns take their header names
+    when both files share a header with a non-numeric cell, else numbers."""
+    if len(xs) != len(ys):
+        return None
+    comments = [(p, q) for p, q in zip(xs, ys) if p[:1] == "#" or q[:1] == "#"]
+    rows = [(p, q) for p, q in zip(xs, ys) if p[:1] != "#"]
+    if any(p[:1] != q[:1] for p, q in comments) or not rows:
+        return None
+    first = rows[0][0].split(",")
+    names = [f"column {j + 1}" for j in range(len(first))]
+    if rows[0][0] == rows[0][1] and None in map(_number, first):
+        names, rows = first, rows[1:]
+    changes = [[] for _ in names]  # per column, the relative change of each differing cell
+    for p, q in rows:
+        if p != q:
+            a, b = p.split(","), q.split(",")
+            if len(a) != len(names) or len(b) != len(names):
+                return None
+            for j, (c, d) in enumerate(zip(a, b)):
+                if c != d:
+                    changes[j].append(_cell_change(c, d))
+    n_comments = sum(p != q for p, q in comments)
+    lines = [f"  {n_comments} comment lines differ"] if n_comments else []
+    lines += [
+        f"  {name}: {len(c)} of {len(rows)} rows differ, largest relative change {max(c):.3g}"
+        for name, c in zip(names, changes) if c
+    ]
+    same = [name for name, c in zip(names, changes) if not c]
+    return lines + ([f"  byte-identical columns: {', '.join(same)}"] if same else [])
 
 
 def _what_moved(name: str, x: bytes, y: bytes) -> list:
@@ -199,6 +253,9 @@ def _what_moved(name: str, x: bytes, y: bytes) -> list:
             for path, note in changes.items()
         ]
     xs, ys = x.decode().splitlines(), y.decode().splitlines()
+    summary = _column_summary(xs, ys) if name.endswith(".csv") else None
+    if summary is not None:
+        return summary
     n_diff = sum(p != q for p, q in zip(xs, ys)) + abs(len(xs) - len(ys))
     i = next((i for i, (p, q) in enumerate(zip(xs, ys)) if p != q), min(len(xs), len(ys)))
     if i == min(len(xs), len(ys)):
