@@ -28,7 +28,6 @@ from .spectral import (
     eigendecompose,
     gap_count,
     graph_spectrum,
-    symmetry_adapted_c60_basis,
 )
 from .dynamics import (
     cumulative_time_average,

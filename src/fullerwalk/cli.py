@@ -12,6 +12,9 @@ and graph files are byte-identical across reruns of the same command with
 the same number of BLAS threads. Another count moves the last digits of u
 and may pick another basis inside a degenerate cluster, which changes the
 per-vector outputs outright (spectrum --vectors, the eth CSV and JSON).
+Every graph is solved through graph_spectrum, whose basis_tag names the
+basis: C5 sectors for a tube, the mirror sectors for C60 (also behind
+symmetry), the dense solve for a graph with neither symmetry.
 
 Exit codes: 0 success, 2 usage or validation error, an allocation
 refused for lack of memory or a bound grid over the lhs node budget,
@@ -56,11 +59,7 @@ from .graphs import (
     load_graph,
     save_graph,
 )
-from .spectral import (
-    DEGENERACY_TOL,
-    graph_spectrum,
-    symmetry_adapted_c60_basis,
-)
+from .spectral import DEGENERACY_TOL, _is_automorphism, graph_spectrum
 from .thermo import gibbs_vs_limiting, pentagon_gibbs
 
 # argparse bookkeeping that is not part of the reproducible configuration
@@ -300,8 +299,7 @@ def _cmd_limiting(args):
         "u": u,
         "row_sum_max_dev": float(np.abs(u.sum(axis=1) - 1.0).max()),
     }
-    n = g.n_nodes
-    if g.edges == {(n + 1 - b, n + 1 - a) for a, b in g.edges}:  # x -> N+1-x is a symmetry
+    if _is_automorphism(g, np.arange(g.n_nodes)[::-1]):  # x -> N+1-x is a symmetry
         payload["mirror_residual"] = _mirror_residual(u, 1)
     texts = _symmetric_rows(u)  # u[x, y] and u[y, x] have the same bits and text
     if args.layout == "matrix":
@@ -425,10 +423,11 @@ def _cmd_eth(args):
 
 
 def _cmd_symmetry(args):
-    s = symmetry_adapted_c60_basis(degeneracy_tol=args.tol)
+    g = build_c60_blocked()
+    s = graph_spectrum(g, args.tol)
     payload = {"basis": s.basis_tag, **eth_symmetry_check(s)._asdict(),
                "thresholds": SYMMETRY_THRESHOLDS}
-    return build_c60_blocked(), payload, None
+    return g, payload, None
 
 
 def _add_graph_source(p, with_file: bool = True) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _check_tau_grid, _start_projections, limiting_row
+from .dynamics import _check_tau_grid, _start_projections
 from .eth import _check_observable
 from .graphs import Graph, _check_label
 from .spectral import DEGENERACY_TOL, Spectrum, _check_positive, gap_count, graph_spectrum
@@ -54,9 +54,9 @@ def _gauss_legendre(n: int):
 def effective_dimension(s: Spectrum, start: int) -> float:
     """Inverse participation of the start node over the energy eigenspaces,
     d_eff = 1 / sum_j (P_j)_xx^2 = 1 / u(x, x), independent of the basis
-    inside each cluster."""
+    inside each cluster. (P_j)_xx is row x of B, summed from row x of V alone."""
     _check_label(start, s.n, "start")
-    return float(1.0 / limiting_row(s, start)[start - 1])
+    return float(1.0 / np.square(s.cluster_sums(s.eigenvectors[start - 1] ** 2)).sum())
 
 
 def time_averaged_state(s: Spectrum, start: int) -> np.ndarray:

@@ -1,14 +1,20 @@
-"""Dense symmetric eigendecomposition and degeneracy bookkeeping.
+"""Symmetric eigendecomposition and degeneracy bookkeeping.
 
 Everything downstream (limiting distributions, dephasing, the equilibration
 bound) depends on eigenspaces, not on the basis inside them, so the Spectrum
 value carries the degeneracy clustering alongside the raw eigenpairs.
 Clusters are contiguous runs of the eigen-index, so per-eigenspace
 quantities are segment sums (Spectrum.cluster_sums); no projector is
-formed. The C60 buckyball additionally gets a symmetry-adapted basis: its
-mirror x -> 61-x is a row reversal that commutes with the adjacency, so
-the two half-size sectors lift to eigenvectors for which the mirror
-relation |<x|lam_k>| = |<61-x|lam_k>| holds exactly by construction.
+formed.
+
+A graph's spectrum (graph_spectrum) is solved in the sectors of a cyclic
+label symmetry read off N and verified on the edge list: the tube
+builder's C5 rotation gives five sectors of N/5 ("c5-sectors"), the
+reversal x -> N+1-x of an even N two of N/2 ("symmetry-adapted"; C60's
+blocked labels take this route, and its mirror relation
+|<x|lam_k>| = |<N+1-x|lam_k>| then holds exactly by construction), and a
+graph with neither gets one dense solve ("plain"). eigendecompose solves
+any symmetric matrix densely.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, adjacency, build_c60_blocked
+from .graphs import Graph
 
 # matches the degeneracy threshold used to produce the reference data
 DEGENERACY_TOL = 1e-6
@@ -39,9 +45,11 @@ class Spectrum:
         eigenvalues within a cluster agree to degeneracy_tol
     degeneracy_tol : float
     basis_tag : str
-        "plain" for a generic solver basis, "symmetry-adapted" for the C60
-        mirror-symmetric construction. Per-vector quantities inside
-        degenerate clusters depend on this choice; projectors do not.
+        "plain" for the dense solver's basis, "c5-sectors" for real lifts
+        of the tube rotation's sectors, "symmetry-adapted" for the
+        reversal's two sectors, in which |<x|lam_k>| = |<N+1-x|lam_k>|
+        exactly (C60). Per-vector quantities inside degenerate clusters
+        depend on this choice; projectors do not.
     """
 
     eigenvalues: np.ndarray
@@ -139,49 +147,97 @@ def eigendecompose(a, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
     return _spectrum(w, v, degeneracy_tol, "plain")
 
 
+def _is_automorphism(g: Graph, perm: np.ndarray) -> bool:
+    """True when the 0-based node map perm takes the edge set of g onto itself."""
+    p = [0, *(perm + 1).tolist()]  # the image of each 1-based label
+    return g.edges == {(p[a], p[b]) if p[a] < p[b] else (p[b], p[a]) for a, b in g.edges}
+
+
+def _tube_rotation(n: int) -> np.ndarray:
+    """build_tube_fullerene's C5 rotation as a 0-based node map (n a multiple
+    of 10): the pentagon and the far cap shift by 1, each ring of ten by 2."""
+    layers = [(0, 5, 1), *((s, 10, 2) for s in range(5, n - 14, 10)), (n - 5, 5, 1)]
+    return np.array([first + (o + step) % size for first, size, step in layers for o in range(size)])
+
+
+def _symmetry(g: Graph):
+    """(perm, order, basis tag) of the first label map read off N that maps
+    the edges of g onto themselves: the tube's C5 rotation, then for even N
+    the reversal; else the identity."""
+    n = g.n_nodes
+    if n % 10 == 0 and _is_automorphism(g, rot := _tube_rotation(n)):
+        return rot, 5, "c5-sectors"
+    if n % 2 == 0 and _is_automorphism(g, rev := np.arange(n)[::-1]):  # x -> N+1-x
+        return rev, 2, "symmetry-adapted"
+    return np.arange(n), 1, "plain"
+
+
+def _sectored_eigh(g: Graph, perm: np.ndarray, order: int):
+    """Ascending eigenvalues and orthonormal eigenvector columns of
+    adjacency(g), one symmetry sector at a time.
+
+    perm is an automorphism of g whose orbits all have `order` nodes; x is
+    perm^pw(r) for r the smallest label of its orbit. With omega =
+    e^{2 pi i / order}, sector k is the Hermitian block that adds
+    omega^{k (pw(y) - pw(x))} / order for each directed edge x -> y between
+    their orbits, and its eigenvector c lifts to c[orb x] omega^{k pw(x)} /
+    sqrt(order). Sectors k = 0 and order/2 are real; sector order - k is the
+    conjugate of k, so a complex level lifts to sqrt 2 Re and sqrt 2 Im.
+    Lifts go straight into their columns of the ascending (stable) order. At
+    order 1 the one block is adjacency(g): np.linalg.eigh's result, bit for bit.
+    """
+    n, m = g.n_nodes, g.n_nodes // order
+    cycle = np.array([np.arange(n)] * order)  # cycle[p, x] = perm^p(x)
+    for p in range(1, order):
+        cycle[p] = perm[cycle[p - 1]]
+    pw = -cycle.argmin(axis=0) % order
+    orb = np.unique(cycle.min(axis=0), return_inverse=True)[1]
+    e = np.array(sorted(g.edges), dtype=int).reshape(-1, 2) - 1  # sorted: one summation order
+    x, y = np.concatenate([e, e[:, ::-1]]).T
+    sectors = []
+    for k in range(order // 2 + 1):
+        phase = np.exp(2j * np.pi * k * np.arange(order) / order)
+        copies = 1 if 2 * k % order == 0 else 2
+        phase = phase.real if copies == 1 else phase  # exactly 1 and -1
+        h = np.zeros((m, m), phase.dtype)
+        np.add.at(h, (orb[x], orb[y]), phase[(pw[y] - pw[x]) % order] / order)
+        sectors.append((*np.linalg.eigh(h), phase, copies))
+    values = np.concatenate([np.repeat(w, copies) for w, _, _, copies in sectors])
+    by_value = np.argsort(values, kind="stable")
+    column = np.empty(n, dtype=int)
+    column[by_value] = np.arange(n)
+    v, start = np.empty((n, n)), 0
+    for w, c, phase, copies in sectors:
+        lift = c[orb] * phase[pw][:, None] / np.sqrt(order / copies)
+        cols, start = column[start:start + copies * m], start + copies * m
+        for j, part in enumerate([lift] if copies == 1 else [lift.real, lift.imag]):
+            v[:, cols[j::copies]] = part
+    return values[by_value], v
+
+
 # ((graph, type(tol), tol), spectrum) of the last solve: analyses of one
 # graph run back to back, and one slot pins only one N x N basis
 _last = None
 
 
 def graph_spectrum(g: Graph, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
-    """eigendecompose(adjacency(g), degeneracy_tol), keeping the last result.
+    """The Spectrum of adjacency(g), solved in the sectors of the symmetry
+    _symmetry finds on g and tagged with it, keeping the last result.
 
     A graph equal to the last one with an equal tolerance of the same type
     (the Spectrum carries it as passed) gets the same Spectrum back without
-    a solve. Both values are immutable and the solver is deterministic, so
+    a solve. Both values are immutable and the solve is deterministic, so
     a hit returns what a solve would; a call that raises keeps the slot.
     """
     global _last
-    _check_positive(degeneracy_tol, "tol")  # before the adjacency is built
+    _check_positive(degeneracy_tol, "tol")  # before the solve
     key = (g, type(degeneracy_tol), degeneracy_tol)
     if _last is not None and _last[0] == key:
         return _last[1]
-    s = eigendecompose(adjacency(g), degeneracy_tol)
+    perm, order, tag = _symmetry(g)
+    s = _spectrum(*_sectored_eigh(g, perm, order), degeneracy_tol, tag)
     _last = (key, s)
     return s
-
-
-def symmetry_adapted_c60_basis(degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
-    """Eigenbasis of the blocked C60 adjacency with exact mirror symmetry.
-
-    The mirror x -> 61-x reverses the rows, and it commutes with the
-    adjacency, so with B the first half's block and C the cross block with
-    its rows reversed, A decouples into B - C and B + C. Their eigenvectors
-    u, v lift to the full space as (1/sqrt 2)[u; -u reversed] and
-    (1/sqrt 2)[v; v reversed], giving <x|lam_k> = +-<61-x|lam_k> exactly
-    for every column. The combined spectrum is re-sorted ascending (stable,
-    minus-lift first on exact ties).
-    """
-    _check_positive(degeneracy_tol, "tol")
-    a = adjacency(build_c60_blocked())
-    b, c = a[:30, :30], a[30:, :30][::-1]
-    w_minus, u = np.linalg.eigh(b - c)
-    w_plus, v = np.linalg.eigh(b + c)
-    vals = np.concatenate([w_minus, w_plus])
-    vecs = np.vstack([np.hstack([u, v]), np.hstack([-u[::-1], v[::-1]])]) / np.sqrt(2.0)
-    order = np.argsort(vals, kind="stable")
-    return _spectrum(vals[order], vecs[:, order], degeneracy_tol, "symmetry-adapted")
 
 
 def gap_count(s: Spectrum, epsilon: float) -> int:

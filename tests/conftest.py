@@ -5,8 +5,8 @@ from fullerwalk import (
     build_c60_blocked,
     build_tube_fullerene,
     eigendecompose,
+    graph_spectrum,
     spectral,
-    symmetry_adapted_c60_basis,
 )
 
 
@@ -21,8 +21,8 @@ def c60_spectrum(c60):
 
 
 @pytest.fixture(scope="session")
-def c60_sym_spectrum():
-    return symmetry_adapted_c60_basis()
+def c60_sym_spectrum(c60):
+    return graph_spectrum(c60)
 
 
 @pytest.fixture(scope="session")
@@ -37,14 +37,16 @@ def f30_spectrum(f30):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """The arguments of every spectral.eigendecompose call the test makes,
-    one tuple per call, with graph_spectrum's kept spectrum cleared first."""
+    """The arguments of every solve graph_spectrum makes on a miss
+    (spectral._sectored_eigh), one tuple per call, with its kept spectrum
+    cleared first."""
     calls = []
+    solve = spectral._sectored_eigh
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return eigendecompose(*args, **kwargs)
+        return solve(*args)
 
     monkeypatch.setattr(spectral, "_last", None)
-    monkeypatch.setattr(spectral, "eigendecompose", counted)
+    monkeypatch.setattr(spectral, "_sectored_eigh", counted)
     return calls

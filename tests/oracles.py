@@ -108,6 +108,24 @@ def cluster_projectors(s):
     return [v @ v.T for v in blocks]
 
 
+def mirror_sector_eigh(a):
+    """Eigenpairs of a 2h x 2h matrix that commutes with the row reversal.
+
+    With B the first half's block and C the cross block with its rows
+    reversed, A decouples into B - C and B + C; their eigenvectors u, v lift
+    to [u; -u reversed] / sqrt 2 and [v; v reversed] / sqrt 2. Returned
+    ascending (stable, the minus lift first on exact ties).
+    """
+    h = len(a) // 2
+    b, c = a[:h, :h], a[h:, :h][::-1]
+    w_minus, u = np.linalg.eigh(b - c)
+    w_plus, v = np.linalg.eigh(b + c)
+    vals = np.concatenate([w_minus, w_plus])
+    vecs = np.vstack([np.hstack([u, v]), np.hstack([-u[::-1], v[::-1]])]) / np.sqrt(2.0)
+    order = np.argsort(vals, kind="stable")
+    return vals[order], vecs[:, order]
+
+
 def greedy_clusters(values, tol=1e-6):
     """Index lists of an ascending sequence, split wherever the step
     between neighbours exceeds tol."""

@@ -176,7 +176,8 @@ def test_json_emitter_writes_what_json_dump_writes(doc):
     assert "".join(_json_chunks(doc)) == json.dumps(plain(doc), indent=2, sort_keys=True)
 
 
-GRAPH_SOURCES = [(("--c60",), "c60_spectrum"), (("--tube", "30"), "f30_spectrum")]
+# each source with the fixture of its graph; the CLI solves through graph_spectrum
+GRAPH_SOURCES = [(("--c60",), "c60"), (("--tube", "30"), "f30")]
 
 
 def test_gen_tube_writes_a_loadable_file(tmp_path):
@@ -257,7 +258,7 @@ def test_spectrum_json_and_vectors(tmp_path, request):
     assert len(rows[0].split(",")) == 60
 
     for source, fixture in GRAPH_SOURCES:
-        s = request.getfixturevalue(fixture)
+        s = graph_spectrum(request.getfixturevalue(fixture))
         assert run("spectrum", *source, "-o", str(out), "--vectors", str(vecs)) == 0
         assert_csv_is(vecs, matrix_body(s.eigenvectors))
 
@@ -323,7 +324,7 @@ def test_limiting_csv_triples_and_matrix(tmp_path, request):
     # the writer formats each value once and mirrors it; every cell must
     # still read as format(v, '.17g') of its own entry
     f130 = build_tube_fullerene(130)
-    cases = [(source, request.getfixturevalue(fixture)) for source, fixture in GRAPH_SOURCES]
+    cases = [(source, graph_spectrum(request.getfixturevalue(f))) for source, f in GRAPH_SOURCES]
     cases += [(("--tube", "130"), graph_spectrum(f130))]
     cases += [(("--tube", "130", "--tol", "1e-3"), graph_spectrum(f130, 1e-3))]
     for source, s in cases:
@@ -1125,7 +1126,7 @@ def test_eth_energy_basis_matrix_csv(tmp_path, request):
     assert len(first) == 60
 
     for source, fixture in GRAPH_SOURCES:
-        s = request.getfixturevalue(fixture)
+        s = graph_spectrum(request.getfixturevalue(fixture))
         v = s.eigenvectors
         rc = run("eth", *source, "--observable", "position", "-o", str(out), "--format", "csv")
         assert rc == 0

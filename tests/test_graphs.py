@@ -20,6 +20,7 @@ from fullerwalk import (
     save_graph,
     validate_fullerene,
 )
+from fullerwalk import spectral
 
 
 def test_graph_rejects_bad_edges():
@@ -149,6 +150,12 @@ def _assert_free_automorphism(g, perm):
 @pytest.mark.parametrize("n", [*range(30, 131, 10), 500, 1000])
 def test_tube_c5_rotation_is_an_automorphism(n):
     _assert_free_automorphism(build_tube_fullerene(n), _c5_rotation(n))
+
+
+@pytest.mark.parametrize("n", [10, 20, 30, 60, 130, 1000])
+def test_the_solver_reads_the_same_c5_rotation(n):
+    lib = spectral._tube_rotation(n) + 1
+    assert dict(zip(range(1, n + 1), lib.tolist())) == _c5_rotation(n)
 
 
 def test_c60_c5_rotation_and_mirror_are_commuting_automorphisms(c60):

@@ -14,9 +14,9 @@ from fullerwalk import (
     gap_count,
     graph_from_edges,
     graph_spectrum,
+    limiting_distribution,
     load_graph,
     save_graph,
-    symmetry_adapted_c60_basis,
 )
 from fullerwalk import spectral
 from oracles import (
@@ -24,6 +24,7 @@ from oracles import (
     brute_force_gap_count,
     cluster_projectors,
     jacobi_eigh,
+    mirror_sector_eigh,
 )
 
 C60_DEGENERACIES = [3, 4, 4, 5, 3, 5, 3, 3, 5, 9, 4, 3, 5, 3, 1]
@@ -142,6 +143,60 @@ def test_symmetry_adapted_basis_mirror_exact(c60_sym_spectrum):
     assert np.abs(np.abs(v) - mirrored).max() == 0.0
 
 
+@pytest.mark.parametrize("name, tag", [("C60", "symmetry-adapted"), ("F30", "c5-sectors"),
+                                       ("F130", "c5-sectors"), ("F500", "c5-sectors"),
+                                       ("F1000", "c5-sectors")])
+def test_sectored_spectrum_matches_the_dense_solve(name, tag, solves):
+    g = build_c60_blocked() if name == "C60" else build_tube_fullerene(int(name[1:]))
+    a = adjacency(g)
+    s, dense = graph_spectrum(g), eigendecompose(a)
+    assert s.basis_tag == tag
+    v, w = s.eigenvectors, s.eigenvalues
+    assert np.abs(w - dense.eigenvalues).max() <= 1e-13
+    assert np.abs(a @ v - v * w).max() <= 1e-13
+    assert np.abs(v.T @ v - np.eye(g.n_nodes)).max() <= 1e-13
+    assert s.clusters == dense.clusters
+    u = limiting_distribution(s)
+    assert np.abs(u - limiting_distribution(dense)).max() <= 1e-14
+    assert np.array_equal(u, u.T)
+
+
+def test_the_mirror_sectors_are_the_b_minus_plus_c_construction(c60):
+    w, v = mirror_sector_eigh(adjacency(c60))
+    s = graph_spectrum(c60)
+    assert np.array_equal(s.eigenvalues, w)
+    assert np.array_equal(s.eigenvectors, v)
+
+
+def test_a_tube_with_two_labels_swapped_gets_the_plain_solve(f30, solves):
+    swap = {1: 2, 2: 1}
+    g = graph_from_edges(30, [(swap.get(a, a), swap.get(b, b)) for a, b in f30.edges])
+    s = graph_spectrum(g)
+    assert s.basis_tag == "plain" and solves == [1]
+    dense = eigendecompose(adjacency(g))
+    assert np.array_equal(s.eigenvalues, dense.eigenvalues)
+    assert np.array_equal(s.eigenvectors, dense.eigenvectors)
+
+
+def test_only_a_reversal_without_a_fixed_node_is_sectored(solves):
+    # x -> N+1-x maps both paths onto themselves, but fixes the middle node of the odd one
+    odd = graph_spectrum(graph_from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
+    even = graph_spectrum(graph_from_edges(4, [(1, 2), (2, 3), (3, 4)]))
+    assert (odd.basis_tag, even.basis_tag) == ("plain", "symmetry-adapted")
+    assert solves == [1, 2]
+
+
+def test_a_loaded_tube_gets_the_same_sectored_basis(tmp_path, solves, monkeypatch):
+    # the blocks are summed in sorted edge order, whatever order the set holds
+    g = build_tube_fullerene(130)
+    built = graph_spectrum(g)
+    save_graph(g, tmp_path / "f130.txt")
+    monkeypatch.setattr(spectral, "_last", None)
+    loaded = graph_spectrum(load_graph(tmp_path / "f130.txt"))
+    assert solves == [5, 5] and loaded is not built
+    assert np.array_equal(loaded.eigenvectors, built.eigenvectors)
+
+
 def test_gap_count_small_hand_case():
     # levels 0, 1, 3 -> gaps {1, 2, 3}
     a = np.diag([0.0, 1.0, 3.0])
@@ -190,9 +245,22 @@ def test_gap_count_matches_brute_force_scan(name):
 
 
 def test_c60_gap_count_at_unit_window(c60_spectrum):
-    # 15 distinct levels give 105 positive pairwise gaps; the densest
-    # unit window holds 33 of them
+    # 15 distinct levels give 105 positive pairwise gaps; with the dense
+    # solve's rounding the densest unit window holds 33 of them
     assert gap_count(c60_spectrum, 1.0) == 33
+
+
+def test_c60_unit_window_count_is_exact_in_the_mirror_sectors(c60):
+    # 42 pairs of C60 gaps differ by exactly 1, so the count at epsilon = 1
+    # turns on the last bit of the levels. Reading differences within 1e-9
+    # of 0 or 1 as exact ties, the half-open window holds 32, the count in
+    # 40-digit arithmetic too; the dense solve's 33 takes in one tie
+    s = graph_spectrum(c60)
+    levels = s.cluster_values()
+    gaps = np.sort(np.subtract.outer(levels, levels)[np.tril_indices(15, -1)])
+    d = np.subtract.outer(gaps, gaps)  # d[h, g] = gap h - gap g
+    assert int(((d > -1e-9) & (d < 1.0 - 1e-9)).sum(axis=0).max()) == 32
+    assert gap_count(s, 1.0) == 32
 
 
 def test_spectrum_arrays_are_frozen(c60_spectrum):
@@ -212,25 +280,28 @@ def test_degeneracy_tol_is_carried(c60):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Empty the graph_spectrum slot and count the eigendecompose calls
-    made through it; the slot is restored after the test."""
+    """Empty the graph_spectrum slot and record the order of each solve it
+    makes (spectral._sectored_eigh); the slot is restored after the test."""
     calls = []
+    solve = spectral._sectored_eigh
 
-    def counted(a, degeneracy_tol=DEGENERACY_TOL):
-        calls.append(degeneracy_tol)
-        return eigendecompose(a, degeneracy_tol)
+    def counted(g, perm, order):
+        calls.append(order)
+        return solve(g, perm, order)
 
     monkeypatch.setattr(spectral, "_last", None)
-    monkeypatch.setattr(spectral, "eigendecompose", counted)
+    monkeypatch.setattr(spectral, "_sectored_eigh", counted)
     return calls
 
 
-def test_graph_spectrum_hits_on_an_equal_graph(solves):
+def test_graph_spectrum_hits_on_an_equal_graph(solves, monkeypatch):
     s = graph_spectrum(build_tube_fullerene(30))
     assert graph_spectrum(build_tube_fullerene(30)) is s
     assert graph_spectrum(build_tube_fullerene(30), degeneracy_tol=DEGENERACY_TOL) is s
     assert len(solves) == 1
-    direct = eigendecompose(adjacency(build_tube_fullerene(30)))
+    monkeypatch.setattr(spectral, "_last", None)
+    direct = graph_spectrum(build_tube_fullerene(30))
+    assert len(solves) == 2 and direct is not s
     assert np.array_equal(s.eigenvalues, direct.eigenvalues)
     assert np.array_equal(s.eigenvectors, direct.eigenvectors)
     assert s.clusters == direct.clusters
@@ -255,7 +326,7 @@ def test_graph_spectrum_misses_on_another_tolerance(c60, solves):
     one = graph_spectrum(c60, 1)
     assert type(one.degeneracy_tol) is int
     assert type(graph_spectrum(c60, 1.0).degeneracy_tol) is float
-    assert solves == [DEGENERACY_TOL, 1e-1, 1, 1.0]
+    assert solves == [2, 2, 2, 2]  # each a mirror-sector solve
 
 
 def test_graph_spectrum_keeps_one_graph(c60, solves):
@@ -275,7 +346,7 @@ def test_graph_spectrum_failure_leaves_the_slot(c60, solves):
         graph_spectrum(c60, float("nan"))
     assert spectral._last is kept
     assert graph_spectrum(c60) is s
-    assert len(solves) == 1  # the bad tolerance is refused before eigendecompose
+    assert len(solves) == 1  # the bad tolerance is refused before the solve
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
@@ -289,8 +360,6 @@ def test_a_bad_tol_is_refused_before_the_solve(c60, solves, monkeypatch, tol):
         eigendecompose(adjacency(c60), tol)
     with pytest.raises(ValueError, match=message):
         graph_spectrum(c60, tol)
-    with pytest.raises(ValueError, match=message):
-        symmetry_adapted_c60_basis(tol)
     assert solves == []
 
 
