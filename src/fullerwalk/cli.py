@@ -6,12 +6,12 @@ JSON header echoes the exact flag set plus the graph checksum so a run
 can be reproduced from its own output. CSV files carry the same metadata
 as '#' comment lines. Commands only compute; main adds the metadata and
 writes each file, JSON through one streaming emitter and CSV as one filled
-'%' template per row; u is exactly symmetric, so its CSV formats each
-value once for both cells. Timing is only in JSON (timing_seconds); CSV
-and graph files are byte-identical across reruns of the same command with
-the same number of BLAS threads. Another count moves the last digits of u
-and may pick another basis inside a degenerate cluster, which changes the
-per-vector outputs outright (spectrum --vectors, the eth CSV and JSON).
+'%' template per row; u formats each distinct value once. Timing is only
+in JSON (timing_seconds); CSV and graph files are byte-identical across
+reruns of the same command with the same number of BLAS threads. Another
+count moves the last digits of u and may pick another basis inside a
+degenerate cluster, which changes the per-vector outputs outright
+(spectrum --vectors, the eth CSV and JSON).
 Every graph is solved through graph_spectrum, whose basis_tag names the
 basis: C5 sectors for a tube, the mirror sectors for C60 (also behind
 symmetry), the dense solve for a graph with neither symmetry.
@@ -29,7 +29,6 @@ import json
 import math
 import sys
 import time
-from collections import deque
 from dataclasses import asdict
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -114,25 +113,34 @@ def _scalar_text(v) -> str:
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
+def _json_text(a: np.ndarray):
+    """The function json uses for each number of the numeric array a."""
+    if a.dtype.kind != "f":
+        return int.__repr__
+    return float.__repr__ if np.isfinite(a).all() else _float_text
+
+
 def _json_chunks(obj, nl="\n"):
     """The text of obj, in pieces, as json.dump(obj, indent=2,
     sort_keys=True) writes it once arrays and numpy scalars are plain
     Python; nl is the line break and indent of the line obj starts on.
 
     A numeric array is written one 1-D row at a time, each joined in C
-    from float.__repr__ (the repr json uses), so no N^2 list is formed.
-    Dict keys are strings.
+    from float.__repr__ (the repr json uses), so no N^2 list is formed; a
+    float matrix formats each distinct value once (_distinct_rows). Dict
+    keys are strings.
     """
     inner = nl + "  "
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1 and obj.dtype.kind in "fiu" and len(obj):
-            if obj.dtype.kind != "f":
-                text = int.__repr__
-            elif np.isfinite(obj).all():
-                text = float.__repr__
-            else:
-                text = _float_text
-            yield "[" + inner + ("," + inner).join(map(text, obj.tolist())) + nl + "]"
+            yield "[" + inner + ("," + inner).join(map(_json_text(obj), obj.tolist())) + nl + "]"
+            return
+        if obj.ndim == 2 and obj.dtype.kind == "f" and obj.size:
+            sep, row_inner = "[", inner + "  "
+            for row in _distinct_rows(obj, _json_text(obj)):
+                yield sep + inner + "[" + row_inner + ("," + row_inner).join(row) + inner + "]"
+                sep = ","
+            yield nl + "]"
             return
         obj = list(obj) if obj.ndim > 1 else obj.tolist()
     if isinstance(obj, dict):
@@ -171,7 +179,7 @@ def _write_csv(path, header, template, rows) -> None:
     """Header lines, then one `template % row` per row.
 
     Rows are filled one at a time, so a matrix table holds N Python values
-    and the limiting table at most about N^2/4 texts, never N^2. '%.17g'
+    and the limiting table one text per distinct value, never N^2. '%.17g'
     is the routine behind format(v, '.17g'), so each value reads exactly
     as that gives it, and '%r' of a Python float is its repr.
     """
@@ -187,16 +195,25 @@ def _matrix_table(m, *lines):
     return list(lines), template, (tuple(r.tolist()) for r in m)
 
 
-def _symmetric_rows(u):
-    """Each row of an exactly symmetric u as '%.17g' texts: row x formats
-    u[x, x:] and reads u[x, :x] from the texts rows y < x made, each dropped
-    once read, so at most about N^2/4 texts are alive at once."""
-    fmt = ",%.17g" * len(u)
-    pending = []  # pending[y]: the texts of u[y, x:] that rows x > y have yet to read
-    for x, r in enumerate(u):
-        own = (fmt[6 * x + 1 :] % tuple(r[x:].tolist())).split(",")
-        yield (*map(deque.popleft, pending), *own)
-        pending.append(deque(own[1:]))
+def _distinct_rows(m, text):
+    """Each row of the non-empty float matrix m as a tuple of text(v) for its
+    entries, calling text once per distinct bit pattern (-0.0 keeps its own)
+    and taking one row of indices at a time to Python, never an N^2 list.
+    The indices come from one argsort and take the smallest unsigned type,
+    about 17 bytes per entry at the peak against np.unique's 49."""
+    bits = np.ascontiguousarray(m, dtype=float).view(np.uint64).ravel()
+    order = np.argsort(bits)
+    keys = bits[order]
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    texts = np.array([*map(text, keys[first].view(float).tolist())], dtype=object)
+    del keys
+    ids = np.cumsum(first, dtype=np.min_scalar_type(bits.size))
+    ids -= 1
+    inv = np.empty_like(ids)
+    inv[order] = ids
+    del order, ids, first
+    for row in inv.reshape(m.shape):
+        yield tuple(texts[row].tolist())
 
 
 def _resolve_graph(args):
@@ -301,7 +318,7 @@ def _cmd_limiting(args):
     }
     if _is_automorphism(g, np.arange(g.n_nodes)[::-1]):  # x -> N+1-x is a symmetry
         payload["mirror_residual"] = _mirror_residual(u, 1)
-    texts = _symmetric_rows(u)  # u[x, y] and u[y, x] have the same bits and text
+    texts = _distinct_rows(u, "%.17g".__mod__)
     if args.layout == "matrix":
         return g, payload, ([], ",".join(["%s"] * g.n_nodes) + "\n", texts)
     line = "".join(f"\0,{y},%s\n" for y in range(1, g.n_nodes + 1))  # x goes in at \0

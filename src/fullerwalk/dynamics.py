@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import _check_label
-from .spectral import Spectrum
+from .spectral import Spectrum, _powers
 
 # (tau, pair) values evaluated at once by cumulative_time_average
 TIME_AVERAGE_BLOCK = 2**16
@@ -102,18 +102,32 @@ def limiting_distribution(s: Spectrum) -> np.ndarray:
     N x N array; a per-start analysis reads one row with limiting_row.
     Every row sums to 1 exactly with orthonormal eigenvectors.
 
-    P_j o P_j = sum_{k,l in C_j} (v_k o v_l)(v_k o v_l)^T, so u = Z Z^T with
-    one column v_k o v_l per same-cluster pair (k, l), formed N columns at
-    a time to keep memory O(N^2) when one cluster holds most levels. numpy
-    forms each z @ z.T by a symmetric rank-k update and mirrors it, so u is
-    symmetric to the bit; the limiting CSV writer relies on this.
+    Only the row of one node r per orbit of the spectrum's symmetry perm is
+    formed: a cluster with d^2 > N adds P_j[r]^2 with P_j[r] = V_c[r] V_c^T,
+    the others add Z[r] Z^T, with one column v_k o v_l of Z per same-cluster
+    pair, N columns at a time. P_j commutes with perm, so the other rows are
+    u(perm^m r, y) = u(r, perm^-m y). Last, u becomes (u + u^T)/2, which is
+    symmetric to the bit (float addition commutes) and stays invariant under
+    perm to the bit, so equal entries share their bits and their text.
     """
-    k, l = np.nonzero(s.same_cluster())
-    v = s.eigenvectors
-    u = np.zeros((s.n, s.n))
-    for lo in range(0, len(k), max(s.n, 1)):
-        z = v[:, k[lo : lo + s.n]]
-        z *= v[:, l[lo : lo + s.n]]
-        u += z @ z.T
+    n, v, idx = s.n, s.eigenvectors, s.cluster_index
+    cycle = _powers(*(s.symmetry or (np.arange(n), 1)))  # cycle[m, x] = perm^m(x)
+    reps = np.flatnonzero(cycle.min(axis=0) == np.arange(n))
+    ur = np.zeros((len(reps), n))
+    for c in s.clusters:
+        if len(c) ** 2 > n:
+            ur += np.square(v[reps, c[0] : c[-1] + 1] @ v[:, c[0] : c[-1] + 1].T)
+    big = np.array([len(c) ** 2 > n for c in s.clusters], dtype=bool)[idx]
+    k, l = np.nonzero((idx[:, None] == idx) & ~big)
+    for lo in range(0, len(k), max(n, 1)):
+        z = v[:, k[lo : lo + n]]
+        z *= v[:, l[lo : lo + n]]
+        ur += z[reps] @ z.T
+    z = None  # frees the last N x N chunk before u is formed
+    u = np.empty((n, n))
+    for m, row in enumerate(cycle):
+        u[row[reps]] = ur[:, cycle[-m]]  # perm^-m = perm^(order - m)
+    u = u + u.T
+    u *= 0.5
     u.flags.writeable = False
     return u

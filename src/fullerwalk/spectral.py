@@ -50,6 +50,9 @@ class Spectrum:
         reversal's two sectors, in which |<x|lam_k>| = |<N+1-x|lam_k>|
         exactly (C60). Per-vector quantities inside degenerate clusters
         depend on this choice; projectors do not.
+    symmetry : (perm, order), or None for the identity
+        The verified label symmetry solved in: a 0-based node map whose
+        orbits all have `order` nodes, so it commutes with every P_j.
     """
 
     eigenvalues: np.ndarray
@@ -57,6 +60,7 @@ class Spectrum:
     clusters: tuple
     degeneracy_tol: float
     basis_tag: str = "plain"
+    symmetry: tuple | None = None
 
     def __post_init__(self):
         if [k for c in self.clusters for k in c] != list(range(len(self.eigenvalues))):
@@ -79,10 +83,6 @@ class Spectrum:
         """Segment sums of x over each cluster's eigen-indices along axis."""
         starts = [c[0] for c in self.clusters]
         return np.add.reduceat(np.asarray(x, dtype=float), starts, axis=axis)
-
-    def same_cluster(self) -> np.ndarray:
-        """(N, N) mask, True where two eigen-indices share a cluster."""
-        return self.cluster_index[:, None] == self.cluster_index
 
     def cluster_means(self, x: np.ndarray) -> np.ndarray:
         """Mean of the length-N array x over each cluster, each by numpy's
@@ -115,11 +115,11 @@ def cluster_eigenvalues(values, tol: float) -> tuple:
     return tuple(tuple(c.tolist()) for c in np.split(np.arange(len(values)), splits))
 
 
-def _spectrum(w: np.ndarray, v: np.ndarray, degeneracy_tol: float, basis_tag: str) -> Spectrum:
+def _spectrum(w, v, degeneracy_tol: float, basis_tag: str, symmetry=None) -> Spectrum:
     """Read-only Spectrum of ascending eigenvalues w and eigenvector columns v."""
     w.flags.writeable = v.flags.writeable = False
     clusters = cluster_eigenvalues(w, degeneracy_tol)
-    return Spectrum(w, v, clusters, degeneracy_tol, basis_tag)
+    return Spectrum(w, v, clusters, degeneracy_tol, basis_tag, symmetry)
 
 
 def eigendecompose(a, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
@@ -172,6 +172,14 @@ def _symmetry(g: Graph):
     return np.arange(n), 1, "plain"
 
 
+def _powers(perm: np.ndarray, order: int) -> np.ndarray:
+    """(order, N) table whose row p maps each node x to perm^p(x)."""
+    cycle = np.array([np.arange(len(perm))] * order)
+    for p in range(1, order):
+        cycle[p] = perm[cycle[p - 1]]
+    return cycle
+
+
 def _sectored_eigh(g: Graph, perm: np.ndarray, order: int):
     """Ascending eigenvalues and orthonormal eigenvector columns of
     adjacency(g), one symmetry sector at a time.
@@ -187,9 +195,7 @@ def _sectored_eigh(g: Graph, perm: np.ndarray, order: int):
     order 1 the one block is adjacency(g): np.linalg.eigh's result, bit for bit.
     """
     n, m = g.n_nodes, g.n_nodes // order
-    cycle = np.array([np.arange(n)] * order)  # cycle[p, x] = perm^p(x)
-    for p in range(1, order):
-        cycle[p] = perm[cycle[p - 1]]
+    cycle = _powers(perm, order)
     pw = -cycle.argmin(axis=0) % order
     orb = np.unique(cycle.min(axis=0), return_inverse=True)[1]
     e = np.array(sorted(g.edges), dtype=int).reshape(-1, 2) - 1  # sorted: one summation order
@@ -222,7 +228,8 @@ _last = None
 
 def graph_spectrum(g: Graph, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
     """The Spectrum of adjacency(g), solved in the sectors of the symmetry
-    _symmetry finds on g and tagged with it, keeping the last result.
+    _symmetry finds on g, tagged with it and carrying it, keeping the last
+    result.
 
     A graph equal to the last one with an equal tolerance of the same type
     (the Spectrum carries it as passed) gets the same Spectrum back without
@@ -235,7 +242,8 @@ def graph_spectrum(g: Graph, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum
     if _last is not None and _last[0] == key:
         return _last[1]
     perm, order, tag = _symmetry(g)
-    s = _spectrum(*_sectored_eigh(g, perm, order), degeneracy_tol, tag)
+    perm.flags.writeable = False
+    s = _spectrum(*_sectored_eigh(g, perm, order), degeneracy_tol, tag, (perm, order))
     _last = (key, s)
     return s
 

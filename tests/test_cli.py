@@ -34,7 +34,7 @@ from fullerwalk import (
     save_graph,
 )
 from fullerwalk import cli
-from fullerwalk.cli import _READ_ONLY_WITH, _json_chunks, build_parser, main
+from fullerwalk.cli import _READ_ONLY_WITH, _distinct_rows, _json_chunks, build_parser, main
 from oracles import node_projector_widths
 
 REFERENCE_ROW1 = [0.079, 0.024, 0.021, 0.021, 0.024]
@@ -169,6 +169,7 @@ DOCS = st.recursive(
     doc={
         "\u00e9\x01": [np.zeros(0), np.zeros((3, 0)), np.zeros((0, 3)), [], {}],
         "n": np.array([[1.5, np.nan], [np.inf, -np.inf]]),
+        "z": np.array([[0.0, -0.0], [-0.0, 0.0]]),
         "s": (float("nan"), float("inf"), -float("inf"), np.float64(-0.0)),
     }
 )
@@ -321,20 +322,36 @@ def test_limiting_csv_triples_and_matrix(tmp_path, request):
     assert len(rows) == 30
     assert len(rows[0].split(",")) == 30
 
-    # the writer formats each value once and mirrors it; every cell must
-    # still read as format(v, '.17g') of its own entry
+    # the writer formats each distinct value once and shares its text; every
+    # cell must still read as format(v, '.17g') of its own entry, which reads
+    # back to its bits
     f130 = build_tube_fullerene(130)
     cases = [(source, graph_spectrum(request.getfixturevalue(f))) for source, f in GRAPH_SOURCES]
     cases += [(("--tube", "130"), graph_spectrum(f130))]
     cases += [(("--tube", "130", "--tol", "1e-3"), graph_spectrum(f130, 1e-3))]
+    cases += [(("--tube", "130", "--tol", "0.3"), graph_spectrum(f130, 0.3))]
     for source, s in cases:
         u = limiting_distribution(s)
+        assert len(np.unique(u)) < u.size // 4  # values repeat across the symmetry orbits
         assert run("limiting", *source, "-o", str(tri), "--format", "csv") == 0
         assert_csv_is(tri, triples_body(u), columns="x,y,u")
         assert run(
             "limiting", *source, "-o", str(mat), "--format", "csv", "--layout", "matrix"
         ) == 0
         assert_csv_is(mat, matrix_body(u))
+
+
+def test_distinct_rows_formats_each_bit_pattern_once():
+    m = np.array([[0.1, -0.0, 0.1], [0.0, 0.1, 5e-324], [np.inf, -0.0, 0.0]])
+    calls = []
+
+    def text(v):
+        calls.append(v)
+        return repr(v)
+
+    assert list(_distinct_rows(m, text)) == [tuple(map(repr, row)) for row in m.tolist()]
+    assert len(calls) == 5  # 0.1, -0.0, 0.0, 5e-324, inf
+    assert list(_distinct_rows(np.array([[2.5]]), repr)) == [("2.5",)]
 
 
 @pytest.mark.parametrize(

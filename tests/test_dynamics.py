@@ -14,13 +14,14 @@ from fullerwalk import (
     evolve,
     gibbs_vs_limiting,
     graph_from_edges,
+    graph_spectrum,
     initial_state_dependence,
     limiting_distribution,
     limiting_row,
     node_probability,
     thermo,
 )
-from oracles import SMALL_GRAPHS, brute_force_limiting, expm_evolution
+from oracles import SMALL_GRAPHS, brute_force_limiting, cluster_projectors, expm_evolution
 
 
 def _small_spectrum(name):
@@ -92,6 +93,35 @@ def test_limiting_distribution_is_exactly_symmetric(graph, tol, relabel):
     u = limiting_distribution(eigendecompose(a, tol))
     assert np.array_equal(u, u.T)
     assert np.array_equal(u.view(np.uint64), u.T.view(np.uint64))
+
+
+def _named_graph(name):
+    return build_c60_blocked() if name == "C60" else build_tube_fullerene(int(name[1:]))
+
+
+@pytest.mark.parametrize("tol", [DEGENERACY_TOL, 0.3])
+@pytest.mark.parametrize("graph, order", [("C60", 2), ("F30", 5), ("F130", 5)])
+def test_limiting_distribution_is_invariant_under_the_solved_symmetry(graph, order, tol):
+    # u is formed from one row per orbit and scattered, so u(px, py) = u(x, y) to the bit
+    s = graph_spectrum(_named_graph(graph), tol)
+    perm, got_order = s.symmetry
+    assert got_order == order
+    u = limiting_distribution(s)
+    assert np.array_equal(u[perm][:, perm].view(np.uint64), u.view(np.uint64))
+    assert np.array_equal(u.view(np.uint64), u.T.view(np.uint64))
+
+
+@pytest.mark.parametrize("tol", [DEGENERACY_TOL, 0.03, 0.3])
+@pytest.mark.parametrize("graph", ["C60", "F30", "F130"])
+def test_limiting_distribution_matches_the_projector_oracle(graph, tol):
+    # sum_j P_j o P_j from each cluster's own projector; C60 at every tol, and
+    # F30 and F130 at 0.3, hold a cluster with d^2 > N, which takes the
+    # projector route instead of the d^2 columns of Z
+    s = graph_spectrum(_named_graph(graph), tol)
+    oracle = sum(p * p for p in cluster_projectors(s))
+    assert np.abs(limiting_distribution(s) - oracle).max() <= 1e-14
+    if tol == 0.3:
+        assert max(len(c) for c in s.clusters) ** 2 > s.n
 
 
 def test_limiting_distribution_is_basis_independent(c60_spectrum, c60_sym_spectrum):

@@ -10,7 +10,8 @@ count may move the last digits of a matrix product. The list covers every
 subcommand, both formats and both limiting layouts, --vectors, C60, F30,
 F130, a --graph file, the C60 graph file, F1000 (the bound with both a
 node and the position observable, and the position observable's
-energy-basis matrix), the F40 and F2000 graph files, --tol 1e-3, all
+energy-basis matrix), the F40 and F2000 graph files, --tol 1e-3, the
+limiting CSV at --tol 0.3 (clusters of more than sqrt(N) levels), all
 three gibbs modes (--beta 1000 too), a bound at epsilon 1e-18, a
 5,000-point bound grid, a bound to tau 1e5, a Haar baseline seeded near
 2**128, symmetry, and thirteen commands that must fail.
@@ -89,6 +90,8 @@ def commands() -> list:
     add("limiting-f130-tol-matrix", "limiting", *SOURCES["f130"], *tol, "--format", "csv",
         "--layout", "matrix", ext="csv")
     add("limiting-f130-tol", "limiting", *SOURCES["f130"], *tol)
+    add("limiting-f130-coarse", "limiting", *SOURCES["f130"], "--tol", "0.3", "--format", "csv",
+        ext="csv")  # two clusters with d^2 > N: u's projector route
     add("bound-f130-tol", "bound", *SOURCES["f130"], "--start", "1", *tol)
     add("eth-f130-tol", "eth", *SOURCES["f130"], "--observable", "position", *tol)
     add("gibbs-family-tol", "gibbs", "--family", "30,60", *tol)
