@@ -5,13 +5,13 @@ left to downstream tooling and each output is the table behind one. The
 JSON header echoes the exact flag set plus the graph checksum so a run
 can be reproduced from its own output. CSV files carry the same metadata
 as '#' comment lines. Commands only compute; main adds the metadata and
-writes each file, JSON through one streaming emitter and CSV as one filled
-'%' template per row; u formats each distinct value once. Timing is only
-in JSON (timing_seconds); CSV and graph files are byte-identical across
-reruns of the same command with the same number of BLAS threads. Another
-count moves the last digits of u and may pick another basis inside a
-degenerate cluster, which changes the per-vector outputs outright
-(spectrum --vectors, the eth CSV and JSON).
+writes each file: JSON through json.dumps, with the numeric arrays streamed
+into its text, and CSV as one filled '%' template per row; u formats each
+distinct value once. Timing is only in JSON (timing_seconds); CSV and
+graph files are byte-identical across reruns of the same command with the
+same number of BLAS threads. Another count moves the last digits of u and
+may pick another basis inside a degenerate cluster, which changes the
+per-vector outputs outright (spectrum --vectors, the eth CSV and JSON).
 Every graph is solved through graph_spectrum, whose basis_tag names the
 basis: C5 sectors for a tube, the mirror sectors for C60 (also behind
 symmetry), the dense solve for a graph with neither symmetry.
@@ -31,13 +31,13 @@ import sys
 import time
 from dataclasses import asdict
 from functools import cache
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__
 from .dynamics import limiting_distribution
-from .equilibration import TAU_COUNT, TAU_MAX, TAU_MIN, _check_point_count, equilibration_report
+from .equilibration import GL_NODES, LHS_MAX_NODES, TAU_COUNT, TAU_MAX, TAU_MIN
+from .equilibration import _check_point_count, equilibration_report
 from .eth import (
     SYMMETRY_THRESHOLDS,
     _mirror_residual,
@@ -59,7 +59,7 @@ from .graphs import (
     save_graph,
 )
 from .spectral import DEGENERACY_TOL, _is_automorphism, graph_spectrum
-from .thermo import gibbs_vs_limiting, pentagon_gibbs
+from .thermo import _boltzmann, gibbs_vs_limiting, pentagon_gibbs
 
 # argparse bookkeeping that is not part of the reproducible configuration
 _NOT_CONFIG = {"func", "command", "parser"}
@@ -90,80 +90,51 @@ def _meta(args, checksum) -> dict:
     }
 
 
-# json's spelling of the non-finite floats, keyed by their repr
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(v: float) -> str:
-    text = float.__repr__(v)
-    return _NON_FINITE.get(text, text)
-
-
-def _scalar_text(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return _float_text(float(v))
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is None:
-        return "null"
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return int.__repr__(int(v))
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
 def _json_text(a: np.ndarray):
-    """The function json uses for each number of the numeric array a."""
+    """The function that gives json's text of each number of the numeric array a."""
     if a.dtype.kind != "f":
         return int.__repr__
-    return float.__repr__ if np.isfinite(a).all() else _float_text
+    return float.__repr__ if np.isfinite(a).all() else json.dumps
 
 
-def _json_chunks(obj, nl="\n"):
-    """The text of obj, in pieces, as json.dump(obj, indent=2,
+def _json_chunks(doc, nl="\n"):
+    """The text of doc, in pieces, as json.dump(doc, indent=2,
     sort_keys=True) writes it once arrays and numpy scalars are plain
-    Python; nl is the line break and indent of the line obj starts on.
+    Python; nl is the line break and indent of the line doc starts on.
 
-    A numeric array is written one 1-D row at a time, each joined in C
-    from float.__repr__ (the repr json uses), so no N^2 list is formed; a
-    float matrix formats each distinct value once (_distinct_rows). Dict
-    keys are strings.
+    json.dumps writes doc with each dict value, non-empty numeric vector
+    and non-empty float matrix of a dict doc replaced by null; each is then
+    written in its place. A dict is written by a recursive call, a vector
+    as one join in C of json's reprs, a float matrix one row at a time
+    through _distinct_rows, so no N^2 list is formed. At indent 2 only the
+    dict's own keys start a line with nl + '  "', and json escapes line
+    breaks inside strings, so each place occurs once.
     """
-    inner = nl + "  "
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 1 and obj.dtype.kind in "fiu" and len(obj):
-            yield "[" + inner + ("," + inner).join(map(_json_text(obj), obj.tolist())) + nl + "]"
-            return
-        if obj.ndim == 2 and obj.dtype.kind == "f" and obj.size:
-            sep, row_inner = "[", inner + "  "
-            for row in _distinct_rows(obj, _json_text(obj)):
-                yield sep + inner + "[" + row_inner + ("," + row_inner).join(row) + inner + "]"
-                sep = ","
-            yield nl + "]"
-            return
-        obj = list(obj) if obj.ndim > 1 else obj.tolist()
-    if isinstance(obj, dict):
-        items = [(encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items())]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
-        items = [("", v) for v in obj]
-        brackets = "[]"
-    else:
-        yield _scalar_text(obj)
-        return
-    if not items:
-        yield brackets
-        return
-    sep = brackets[0]
-    for key, value in items:
-        if isinstance(value, (dict, list, tuple, np.ndarray)):
-            yield sep + inner + key
+    inner, spliced = nl + "  ", {}
+    if isinstance(doc, dict):  # dicts, non-empty numeric vectors and float matrices
+        spliced = {k: v for k, v in doc.items() if isinstance(v, dict) or isinstance(v, np.ndarray)
+                   and v.size > 0 and v.dtype.kind in {1: "fiu", 2: "f"}.get(v.ndim, "")}
+        doc = {k: None if k in spliced else v for k, v in doc.items()}
+    text = json.dumps(doc, indent=2, sort_keys=True, default=lambda v: v.tolist())
+    text = text.replace("\n", nl)
+    heads = {key: f"{inner}{json.dumps(key)}: " for key in spliced}
+    places = sorted((text.index(head + "null") + len(head), key) for key, head in heads.items())
+    done, item, cell = 0, inner + "  ", inner + "    "  # the indents of a value's items
+    for at, key in places:
+        yield text[done:at]
+        done, value = at + len("null"), spliced[key]
+        if isinstance(value, dict):
             yield from _json_chunks(value, inner)
+        elif value.ndim == 1:
+            items = map(_json_text(value), value.tolist())
+            yield "[" + item + ("," + item).join(items) + inner + "]"
         else:
-            yield sep + inner + key + _scalar_text(value)
-        sep = ","
-    yield nl + brackets[1]
+            sep = "["
+            for row in _distinct_rows(value, _json_text(value)):
+                yield sep + item + "[" + cell + ("," + cell).join(row) + item + "]"
+                sep = ","
+            yield inner + "]"
+    yield text[done:]
 
 
 def _meta_comment_lines(meta) -> list:
@@ -252,6 +223,13 @@ def _parse_family(spec: str):
     if not sizes:
         raise ValueError(f"empty family spec {spec!r}")
     return sizes
+
+
+def _check_count(count: int, flag: str) -> None:
+    """Refuse a count above the --tau-count cap from the count alone."""
+    cap = LHS_MAX_NODES // GL_NODES
+    if count > cap:
+        raise ValueError(f"{flag} must be at most {cap}, got {count}")
 
 
 def _linear_grid(lo: float, hi: float, count: int, name: str) -> np.ndarray:
@@ -343,20 +321,14 @@ def _cmd_bound(args):
         n_eps_override=args.n_eps_override,
         degeneracy_tol=args.tol,
     )
-    payload = {
-        "start": rep.start,
-        "observable": obs_spec,
-        "d_eff": rep.d_eff,
-        "n_lambda": rep.n_lambda,
-        "log2_n_lambda": math.log2(rep.n_lambda),
-        "n_eps": rep.n_eps,
-        "n_eps_override": rep.n_eps_override,
-        "epsilon": rep.epsilon,
-        "operator_norm_sq": rep.operator_norm_sq,
-        "rhs_asymptote": rep.rhs_asymptote,
-        "bound_holds": bool(np.all(rep.lhs <= rep.rhs)),
-        "table": {"tau": rep.tau_grid, "lhs": rep.lhs, "rhs": rep.rhs},
-    }
+    payload = asdict(rep)
+    payload.update(
+        observable=obs_spec,
+        log2_n_lambda=math.log2(rep.n_lambda),
+        rhs_asymptote=rep.rhs_asymptote,
+        bound_holds=bool(np.all(rep.lhs <= rep.rhs)),
+        table={"tau": payload.pop("tau_grid"), **{k: payload.pop(k) for k in ("lhs", "rhs")}},
+    )
     rows = zip(rep.tau_grid.tolist(), rep.lhs.tolist(), rep.rhs.tolist())
     return g, payload, (["tau,lhs,rhs"], "%r,%r,%r\n", rows)
 
@@ -371,15 +343,11 @@ def _cmd_gibbs(args):
         )
         return None, asdict(pg), table
 
+    _check_count(args.beta_count, "--beta-count")
     betas = _linear_grid(args.beta_min, args.beta_max, args.beta_count, "beta").tolist()
     if args.beta_sweep:
-        states = [pentagon_gibbs(beta) for beta in betas]
-        columns = {
-            "beta": betas,
-            "z": [pg.z for pg in states],
-            "p_j": [float(pg.node_probs[1]) for pg in states],
-            "p_0": [float(pg.node_probs[0]) for pg in states],
-        }
+        z, p_j, p_0 = zip(*[(z, float(p[1]), float(p[0])) for _, p, z in map(_boltzmann, betas)])
+        columns = {"beta": betas, "z": z, "p_j": p_j, "p_0": p_0}
         table = ([",".join(columns)], "%r,%r,%r,%r\n", zip(*columns.values()))
         return None, {"table": columns}, table
 
@@ -403,6 +371,7 @@ def _cmd_gibbs(args):
 def _cmd_eth(args):
     if args.haar_samples < 0:
         raise ValueError(f"--haar-samples must be >= 0, got {args.haar_samples}")
+    _check_count(args.haar_samples, "--haar-samples")
     g = _resolve_graph(args)
     o = _parse_observable(args.observable, g.n_nodes)  # before the eigh
     haar = {}
@@ -416,21 +385,16 @@ def _cmd_eth(args):
         tag = f"# O in the energy eigenbasis, basis {s.basis_tag}"
         return g, None, _matrix_table(observable_in_energy_basis(s, o), tag)
 
-    rep = eth_report(s, o)
-    payload = {
-        "observable": args.observable,
-        "basis": rep.basis_tag,
-        "diag_mean": rep.diag_mean,
-        "diag_std": rep.diag_std,
-        "offdiag_rms": rep.offdiag_rms,
-        "diagonal": rep.diagonal,
-        "cluster_averaged_diagonal": rep.cluster_averaged_diagonal,
-        "node_table": [
+    payload = asdict(eth_report(s, o))
+    payload.update(
+        observable=args.observable,
+        basis=payload.pop("basis_tag"),
+        node_table=[
             {"x": x, "diag_mean": m, "diag_std": sd}
             for x, m, sd in zip(range(1, s.n + 1), *(a.tolist() for a in projector_eth_stats(s)))
         ],
         **haar,
-    }
+    )
     if args.entropies:
         ents = node_entropies(s)
         payload["node_entropies"] = ents

@@ -1,7 +1,8 @@
 """Walk evolution, limiting rows and time averages from a start node x.
 
 Every per-start quantity is read from the start-node matrix B, whose
-column j is P_j|x> (_start_projections). Evolution is spectral: amplitudes
+column j is P_j|x> (_start_projections); one row of B, the <y|P_j|x>, is
+summed from rows x and y of V alone. Evolution is spectral: amplitudes
 are rotated by e^{-i lam_k t} in the eigenbasis. Time averages use the
 exact closed form, with cross terms grouped by degeneracy-cluster pair so
 exactly degenerate levels dephase into the limiting distribution.
@@ -81,7 +82,7 @@ def cumulative_time_average(s: Spectrum, start: int, end: int, tau_grid) -> np.n
     taus = _check_tau_grid(tau_grid)
 
     # s_j = <end|P_j|start> = sum_{k in C_j} <end|lam_k><lam_k|start>, row end of B
-    sums = _start_projections(s, start)[end - 1]
+    sums = s.cluster_sums(s.eigenvectors[end - 1] * s.eigenvectors[start - 1])
     stationary = float(np.sum(sums**2))
     j, l = np.triu_indices(s.n_distinct, 1)
     coeff = 2.0 * sums[j] * sums[l]

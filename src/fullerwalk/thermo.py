@@ -142,7 +142,7 @@ def gibbs_vs_limiting(family, beta_grid, degeneracy_tol: float = DEGENERACY_TOL)
 
     For each tube size N in `family` (integers from {30, 40, ..., 130})
     builds F_N, reads the limiting return probability u(N, N) of the last
-    node from its limiting row (no N x N u is formed), and flags
+    node from row N of the eigenvectors alone, sum_j (P_j)_NN^2, and flags
     gibbs_matchable when some beta gives |u(N,N) - p(j)| < 1e-3.
     """
     betas = np.asarray(beta_grid, dtype=float)
@@ -156,8 +156,8 @@ def gibbs_vs_limiting(family, beta_grid, degeneracy_tol: float = DEGENERACY_TOL)
         tubes.append(build_tube_fullerene(n))
     rows = []
     for g in tubes:
-        n = g.n_nodes
-        u_nn = float(limiting_row(graph_spectrum(g, degeneracy_tol), n)[n - 1])
+        n, s = g.n_nodes, graph_spectrum(g, degeneracy_tol)
+        u_nn = float(np.square(s.cluster_sums(s.eigenvectors[n - 1] ** 2)).sum())
         rows.append(
             GibbsComparisonRow(
                 n=n,

@@ -173,6 +173,10 @@ DOCS = st.recursive(
         "s": (float("nan"), float("inf"), -float("inf"), np.float64(-0.0)),
     }
 )
+@example(doc={"": np.array([[0]])})  # an int matrix is left to json
+@example(doc={"a": '\n  "u": null', "u": np.array([[0.5, 2.0], [1.0, -0.0]])})
+@example(doc={"d": {"n": None, "u": np.array([[0.5]]), "v": np.arange(3)}, "n": None})
+@example(doc={"e": {}, "f": 1.5})
 def test_json_emitter_writes_what_json_dump_writes(doc):
     assert "".join(_json_chunks(doc)) == json.dumps(plain(doc), indent=2, sort_keys=True)
 
@@ -606,6 +610,32 @@ def test_bound_refuses_a_grid_too_large_for_memory_on_its_count_alone(tmp_path, 
     assert not out.exists()
 
 
+class _Reached(Exception):
+    """Raised in place of the first costly step of a run."""
+
+
+@pytest.mark.parametrize("argv, first_step", [
+    (["gibbs", "--beta-sweep", "--beta-count"], "_linear_grid"),
+    (["gibbs", "--family", "30", "--beta-count"], "_linear_grid"),
+    (["eth", "--tube", "1000", "--observable", "position", "--haar-samples"], "_resolve_graph"),
+])
+def test_a_count_over_the_tau_count_cap_is_refused_on_the_count_alone(
+    tmp_path, capsys, monkeypatch, argv, first_step
+):
+    # --beta-count and --haar-samples share the cap of 2^20 points of --tau-count
+    def reached(*args):
+        raise _Reached
+
+    monkeypatch.setattr(f"fullerwalk.cli.{first_step}", reached)
+    out = tmp_path / "out.json"
+    with pytest.raises(_Reached):  # the cap itself is accepted
+        run(*argv, "1048576", "-o", str(out))
+    assert run(*argv, "1048577", "-o", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"fullerwalk: error: {argv[-1]} must be at most 1048576, got 1048577\n"
+    assert not out.exists()
+
+
 def test_bound_imports_neither_numpy_polynomial_nor_ma(tmp_path):
     # each costs about 5-10 ms of import in a cold process, as much as the
     # whole C60 lhs
@@ -913,7 +943,8 @@ MODES = {
 READ = {int: st.integers(2, 4), float: st.floats(0.5, 4.0)}
 BOUNDARY = {
     float: st.sampled_from(["5e-324", "1e-308", "0.5", "1e308", "inf", "nan", "-1", "0"]),
-    int: st.sampled_from(["-1", "0", "1", "3", "30", "35"]),  # small: every count is work
+    # small, since every count is work, or just over the count cap
+    int: st.sampled_from(["-1", "0", "1", "3", "30", "35", "1048577"]),
 }
 # valid values of the text flags, {graph} standing for a small graph file
 TEXT_VALUES = {

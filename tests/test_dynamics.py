@@ -219,12 +219,21 @@ def test_per_start_analyses_form_no_limiting_matrix(monkeypatch, f30, f30_spectr
     def refuse(s):
         raise AssertionError("a per-start analysis formed the N x N limiting matrix")
 
+    def counted(s, start):
+        built.append(start)
+        return build(s, start)
+
+    built, build = [], dynamics._start_projections
+    monkeypatch.setattr(dynamics, "_start_projections", counted)
     for module in (dynamics, equilibration, thermo):
         if hasattr(module, "limiting_distribution"):
             monkeypatch.setattr(module, "limiting_distribution", refuse)
+    # one entry of u, or one row of B, is read from rows of V alone
     rows = gibbs_vs_limiting([30, 130], np.linspace(0.0, 1.0, 5))
     assert [r.n for r in rows] == [30, 130]
-    row1, row2 = initial_state_dependence(f30)
-    assert row1.shape == row2.shape == (5,)
     assert effective_dimension(f30_spectrum, 1) > 1.0
     assert cumulative_time_average(f30_spectrum, 1, 30, [1.0, 10.0]).shape == (2,)
+    assert built == []
+    row1, row2 = initial_state_dependence(f30)
+    assert row1.shape == row2.shape == (5,)
+    assert built == [1, 2]

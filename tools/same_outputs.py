@@ -13,7 +13,7 @@ node and the position observable, and the position observable's
 energy-basis matrix), the F40 and F2000 graph files, --tol 1e-3, the
 limiting CSV at --tol 0.3 (clusters of more than sqrt(N) levels), all
 three gibbs modes (--beta 1000 too), a bound at epsilon 1e-18, a
-5,000-point bound grid, a bound to tau 1e5, a Haar baseline seeded near
+5,000-point bound grid in both formats, a bound to tau 1e5, a Haar baseline seeded near
 2**128, symmetry, and thirteen commands that must fail.
 
 CSV and graph files must be byte-identical. JSON files must be
@@ -117,8 +117,9 @@ def commands() -> list:
     add("gibbs-beta0", "gibbs", "--beta", "0")
     add("gibbs-beta1000", "gibbs", "--beta", "1000")
     add("bound-c60-tiny-eps", "bound", "--c60", "--start", "1", "--epsilon", "1e-18")
-    add("bound-c60-dense", "bound", "--c60", "--start", "1", "--tau-max", "10",
-        "--tau-count", "5000", "--format", "csv", ext="csv")
+    dense = ("bound", "--c60", "--start", "1", "--tau-max", "10", "--tau-count", "5000")
+    add("bound-c60-dense", *dense)  # the largest nested arrays in a JSON
+    add("bound-c60-dense", *dense, "--format", "csv", ext="csv")
     add("bound-f130-long", "bound", *SOURCES["f130"], "--start", "1", "--tau-max", "1e5")
     add("gibbs-sweep-short", "gibbs", "--beta-sweep", "--beta-min", "1", "--beta-max", "5",
         "--beta-count", "9", "--format", "csv", ext="csv")
