@@ -33,7 +33,6 @@ from .dynamics import (
     cumulative_time_average,
     evolve,
     limiting_distribution,
-    limiting_row,
     node_probability,
 )
 from .equilibration import (

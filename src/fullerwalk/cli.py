@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import limiting_distribution
-from .equilibration import GL_NODES, LHS_MAX_NODES, TAU_COUNT, TAU_MAX, TAU_MIN
+from .equilibration import MAX_GRID_POINTS, TAU_COUNT, TAU_MAX, TAU_MIN
 from .equilibration import _check_point_count, equilibration_report
 from .eth import (
     SYMMETRY_THRESHOLDS,
@@ -227,9 +227,8 @@ def _parse_family(spec: str):
 
 def _check_count(count: int, flag: str) -> None:
     """Refuse a count above the --tau-count cap from the count alone."""
-    cap = LHS_MAX_NODES // GL_NODES
-    if count > cap:
-        raise ValueError(f"{flag} must be at most {cap}, got {count}")
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"{flag} must be at most {MAX_GRID_POINTS}, got {count}")
 
 
 def _linear_grid(lo: float, hi: float, count: int, name: str) -> np.ndarray:
@@ -344,11 +343,11 @@ def _cmd_gibbs(args):
         return None, asdict(pg), table
 
     _check_count(args.beta_count, "--beta-count")
-    betas = _linear_grid(args.beta_min, args.beta_max, args.beta_count, "beta").tolist()
+    betas = _linear_grid(args.beta_min, args.beta_max, args.beta_count, "beta")
     if args.beta_sweep:
-        z, p_j, p_0 = zip(*[(z, float(p[1]), float(p[0])) for _, p, z in map(_boltzmann, betas)])
-        columns = {"beta": betas, "z": z, "p_j": p_j, "p_0": p_0}
-        table = ([",".join(columns)], "%r,%r,%r,%r\n", zip(*columns.values()))
+        weights, p_j, z = _boltzmann(betas)
+        columns = {"beta": betas, "z": z, "p_j": p_j, "p_0": weights[:, 0]}
+        table = ([",".join(columns)], "%r,%r,%r,%r\n", zip(*(c.tolist() for c in columns.values())))
         return None, {"table": columns}, table
 
     sizes = _parse_family(args.family)

@@ -1,4 +1,4 @@
-"""Walk evolution, limiting rows and time averages from a start node x.
+"""Walk evolution, the limiting distribution and time averages from a start node x.
 
 Every per-start quantity is read from the start-node matrix B, whose
 column j is P_j|x> (_start_projections); one row of B, the <y|P_j|x>, is
@@ -22,15 +22,7 @@ TIME_AVERAGE_BLOCK = 2**16
 def _start_projections(s: Spectrum, start: int) -> np.ndarray:
     """B, N x N_lambda, whose column j is P_j|x> = sum_{m in j} v_m v_m[x]."""
     _check_label(start, s.n, "start")
-    v = s.eigenvectors
-    return s.cluster_sums(v * v[start - 1], axis=1)
-
-
-def limiting_row(s: Spectrum, x: int) -> np.ndarray:
-    """Row x of the limiting distribution, u(x, y) = sum_j (P_j)_yx^2 for
-    every end node y: the squared entries of B summed across its clusters."""
-    _check_label(x, s.n, "x")
-    return np.square(_start_projections(s, x)).sum(axis=1)
+    return s.cluster_sums(s.eigenvectors * s.eigenvectors[start - 1])
 
 
 def _check_tau_grid(tau_grid) -> np.ndarray:
@@ -100,7 +92,7 @@ def cumulative_time_average(s: Spectrum, start: int, end: int, tau_grid) -> np.n
 def limiting_distribution(s: Spectrum) -> np.ndarray:
     """u[x-1, y-1] = sum_j |<y|P_j|x>|^2, the long-time average probability
     of finding the walker at node y after starting at x, as a read-only
-    N x N array; a per-start analysis reads one row with limiting_row.
+    N x N array; a per-start analysis reads its entries from rows of V.
     Every row sums to 1 exactly with orthonormal eigenvectors.
 
     Only the row of one node r per orbit of the spectrum's symmetry perm is

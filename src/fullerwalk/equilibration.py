@@ -33,6 +33,8 @@ BLOCK_ELEMENTS = 2**14
 # hits it below tau 4.3e6, C60 near 4.7e6 (lhs 7-8 s for a node, 11 s for
 # position), and no grid of more than 2^20 points is accepted
 LHS_MAX_NODES = 2**25
+# the most points a grid may have: each costs one partial panel of GL_NODES nodes
+MAX_GRID_POINTS = LHS_MAX_NODES // GL_NODES
 # the default horizon grid, shared with the bound command's defaults
 TAU_MIN, TAU_MAX, TAU_COUNT = 0.1, 1000.0, 60
 
@@ -119,13 +121,11 @@ def _deviation_signal(s: Spectrum, start: int, o) -> np.ndarray:
 
 
 def _check_point_count(count: int) -> None:
-    """Refuse a grid of more points than LHS_MAX_NODES has panels: each costs
-    one partial panel of GL_NODES nodes, whatever the spectrum."""
-    cap = LHS_MAX_NODES // GL_NODES
-    if count > cap:
+    """Refuse a grid of more than MAX_GRID_POINTS points, whatever the spectrum."""
+    if count > MAX_GRID_POINTS:
         raise ValueError(
-            f"lhs quadrature too long: {GL_NODES * count:.3g} nodes or more, above the "
-            f"budget of {LHS_MAX_NODES} nodes; the grid has {count} points, over the {cap} allowed"
+            f"lhs quadrature too long: {GL_NODES * count:.3g} nodes or more, above the budget of "
+            f"{LHS_MAX_NODES} nodes; the grid has {count} points, over the {MAX_GRID_POINTS} allowed"
         )
 
 
@@ -145,7 +145,7 @@ def _panel_lattice(taus: np.ndarray, levels: np.ndarray, rank: int):
         raise ValueError(
             f"lhs quadrature too long: {count} nodes over {len(levels)} levels at signal "
             f"rank {rank}, above the budget of {LHS_MAX_NODES} nodes; this spectrum allows "
-            f"tau up to about {(LHS_MAX_NODES // GL_NODES - len(taus) + 1) * h:.3g}"
+            f"tau up to about {(MAX_GRID_POINTS - len(taus) + 1) * h:.3g}"
         )
     return h, m.astype(int)
 

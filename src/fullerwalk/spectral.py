@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,10 +80,10 @@ class Spectrum:
         """Cluster number of each eigen-index (column of eigenvectors)."""
         return np.repeat(np.arange(self.n_distinct), [len(c) for c in self.clusters])
 
-    def cluster_sums(self, x, axis: int = -1) -> np.ndarray:
-        """Segment sums of x over each cluster's eigen-indices along axis."""
+    def cluster_sums(self, x) -> np.ndarray:
+        """Segment sums of x over each cluster's eigen-indices along its last axis."""
         starts = [c[0] for c in self.clusters]
-        return np.add.reduceat(np.asarray(x, dtype=float), starts, axis=axis)
+        return np.add.reduceat(np.asarray(x, dtype=float), starts, axis=-1)
 
     def cluster_means(self, x: np.ndarray) -> np.ndarray:
         """Mean of the length-N array x over each cluster, each by numpy's
@@ -221,11 +222,6 @@ def _sectored_eigh(g: Graph, perm: np.ndarray, order: int):
     return values[by_value], v
 
 
-# ((graph, type(tol), tol), spectrum) of the last solve: analyses of one
-# graph run back to back, and one slot pins only one N x N basis
-_last = None
-
-
 def graph_spectrum(g: Graph, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
     """The Spectrum of adjacency(g), solved in the sectors of the symmetry
     _symmetry finds on g, tagged with it and carrying it, keeping the last
@@ -236,16 +232,16 @@ def graph_spectrum(g: Graph, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum
     a solve. Both values are immutable and the solve is deterministic, so
     a hit returns what a solve would; a call that raises keeps the slot.
     """
-    global _last
     _check_positive(degeneracy_tol, "tol")  # before the solve
-    key = (g, type(degeneracy_tol), degeneracy_tol)
-    if _last is not None and _last[0] == key:
-        return _last[1]
+    return _solve(g, degeneracy_tol)
+
+
+# analyses of one graph run back to back, and one slot pins only one N x N basis
+@lru_cache(maxsize=1, typed=True)
+def _solve(g: Graph, degeneracy_tol: float) -> Spectrum:
     perm, order, tag = _symmetry(g)
     perm.flags.writeable = False
-    s = _spectrum(*_sectored_eigh(g, perm, order), degeneracy_tol, tag, (perm, order))
-    _last = (key, s)
-    return s
+    return _spectrum(*_sectored_eigh(g, perm, order), degeneracy_tol, tag, (perm, order))
 
 
 def gap_count(s: Spectrum, epsilon: float) -> int:
@@ -254,12 +250,15 @@ def gap_count(s: Spectrum, epsilon: float) -> int:
     Forms all positive differences between representative eigenvalues of
     distinct clusters and slides a half-open window [x, x+epsilon) over the
     sorted gap multiset; the maximum is attained with the window anchored
-    at some gap, so only those anchors are scanned.
+    at some gap, so only those anchors are scanned. Gaps closer than tie =
+    64 eps max|lam| (4.3e-14 on a cubic graph) are ties at both window edges,
+    so the count does not turn on the last bits of the levels: anchored at
+    g, the window holds each h with g - tie < h < max(g + epsilon, g + 2 tie) - tie.
     """
     _check_positive(epsilon, "epsilon")
     levels = s.cluster_values()
     diffs = np.subtract.outer(levels, levels)
     gaps = np.sort(diffs[diffs > 0])
-    # first gap outside [g, g + eps); g itself is inside even where g + eps rounds to g
-    ends = np.maximum(np.searchsorted(gaps, gaps + epsilon), np.searchsorted(gaps, gaps, "right"))
-    return int((ends - np.arange(len(gaps))).max(initial=0))
+    tie = 64 * np.finfo(float).eps * np.abs(levels).max(initial=0.0)
+    ends = np.searchsorted(gaps, np.maximum(gaps + epsilon - tie, gaps + tie))
+    return int((ends - np.searchsorted(gaps, gaps - tie, "right")).max(initial=0))

@@ -17,7 +17,6 @@ import numpy as np
 
 from .graphs import Graph, adjacency, build_tube_fullerene
 from .spectral import DEGENERACY_TOL, graph_spectrum
-from .dynamics import limiting_row
 
 PENTAGON_CYCLE_EDGES = frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)})
 
@@ -76,29 +75,30 @@ class PentagonGibbs:
     node_probs: np.ndarray
 
 
-def _boltzmann(beta: float):
-    """The normalized weights exp(-beta*lam)/Z over the six levels (0 for
-    the no-walker state, then cos(2 pi j/5) for j=0..4), the node
-    probabilities (p0, then p(j) for the five pentagon nodes) and Z, via
-    log-sum-exp so large beta cannot overflow."""
-    if not (beta >= 0 and np.isfinite(beta)):
-        raise ValueError(f"beta must be finite and non-negative, got {beta}")
-    exponents = np.concatenate([[0.0], -beta * _PENTAGON_LEVELS])
-    shift = exponents.max()
+def _boltzmann(betas):
+    """For each beta of the 1-d grid betas: the normalized weights
+    exp(-beta*lam)/Z over the six levels (0 for the no-walker state, then
+    cos(2 pi j/5) for j=0..4), the pentagon node probability p(j) and Z,
+    as (n, 6), (n,) and (n,) arrays, by one log-sum-exp per row so large
+    beta cannot overflow."""
+    betas = np.asarray(betas)
+    if not np.all(ok := (betas >= 0) & np.isfinite(betas)):
+        raise ValueError(f"beta must be finite and non-negative, got {betas[~ok][0]}")
+    exponents = np.zeros((len(betas), 6))
+    exponents[:, 1:] = np.multiply.outer(betas, -_PENTAGON_LEVELS)
+    shift = exponents.max(axis=1, keepdims=True)
     # a gap past -1.8e308 weighs exp(-inf) = 0, as it should; Z may overflow to inf
     with np.errstate(over="ignore"):
         unnorm = np.exp(exponents - shift)
-        total = unnorm.sum()
-        z = float(np.exp(shift + np.log(total)))
+        total = unnorm.sum(axis=1, keepdims=True)
+        z = np.exp(shift + np.log(total))[:, 0]
     weights = unnorm / total
-    probs = np.full(6, weights[1:].sum() / 5.0)
-    probs[0] = weights[0]
-    return weights, probs, z
+    return weights, weights[:, 1:].sum(axis=1) / 5.0, z
 
 
 def gibbs_partition_function(beta: float) -> float:
     """Z = tr exp(-beta H_S) over the six levels, via log-sum-exp."""
-    return _boltzmann(beta)[2]
+    return float(_boltzmann([beta])[2][0])
 
 
 def gibbs_node_probability(beta: float) -> float:
@@ -108,7 +108,7 @@ def gibbs_node_probability(beta: float) -> float:
     exactly 1/5 (Fourier modes), so p(j) does not depend on j. Moves
     monotonically from 1/6 at beta=0 toward 1/5 as beta grows.
     """
-    return float(_boltzmann(beta)[1][1])
+    return float(_boltzmann([beta])[1][0])
 
 
 def pentagon_gibbs(beta: float) -> PentagonGibbs:
@@ -118,12 +118,13 @@ def pentagon_gibbs(beta: float) -> PentagonGibbs:
     circulant sum_j w_j cos(2 pi j (a - b)/5) / 5, w_j the Boltzmann
     weight of Fourier mode j. Finite and exactly symmetric at every beta.
     """
-    weights, probs, z = _boltzmann(beta)
+    weights, p_j, z = (a[0] for a in _boltzmann([beta]))
     d = np.subtract.outer(np.arange(5), np.arange(5))  # a - b
     state = np.zeros((6, 6))
     state[0, 0] = weights[0]
     state[1:, 1:] = np.cos(2.0 * np.pi / 5.0 * d[..., None] * np.arange(5)) @ weights[1:] / 5.0
-    return PentagonGibbs(beta=float(beta), z=z, state=state, node_probs=probs)
+    probs = np.r_[weights[0], np.full(5, p_j)]
+    return PentagonGibbs(beta=float(beta), z=float(z), state=state, node_probs=probs)
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def gibbs_vs_limiting(family, beta_grid, degeneracy_tol: float = DEGENERACY_TOL)
     betas = np.asarray(beta_grid, dtype=float)
     if betas.ndim != 1 or len(betas) == 0:
         raise ValueError("beta_grid must be a non-empty 1-d sequence")
-    ps = np.array([gibbs_node_probability(b) for b in betas])
+    ps = _boltzmann(betas)[1]
     tubes = []  # every size checked and built before the first eigh
     for n in family:
         if not (isinstance(n, (int, np.integer)) and 30 <= n <= 130):
@@ -178,4 +179,5 @@ def initial_state_dependence(g: Graph, degeneracy_tol: float = DEGENERACY_TOL):
     no single thermal state reproduces both starting conditions.
     """
     s = graph_spectrum(g, degeneracy_tol)
-    return limiting_row(s, 1)[:5], limiting_row(s, 2)[:5]
+    v = s.eigenvectors
+    return tuple(np.square(s.cluster_sums(v[:5] * v[x - 1])).sum(axis=1) for x in (1, 2))

@@ -47,6 +47,6 @@ def eigh_calls(monkeypatch):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(spectral, "_last", None)
+    spectral._solve.cache_clear()
     monkeypatch.setattr(spectral, "_sectored_eigh", counted)
     return calls

@@ -214,13 +214,17 @@ def eigenpair_time_average(a, start, end, taus):
 
 def brute_force_gap_count(levels, epsilon):
     """Largest number of positive level differences inside one half-open
-    window [x, x + epsilon), by a two-pointer scan anchored at each gap."""
+    window [x, x + epsilon), by a two-pointer scan anchored at each gap g.
+    A difference d = h - g within 1e-9 of 0 or of epsilon is read as an
+    exact tie, so the window at g holds each h with -1e-9 < d < epsilon -
+    1e-9, or |d| < 1e-9."""
+    tie = 1e-9
     gaps = sorted(a - b for a in levels for b in levels if a > b)
-    best = 0
-    hi = 0
-    for lo in range(len(gaps)):
-        hi = max(hi, lo)
-        while hi < len(gaps) and gaps[hi] - gaps[lo] < epsilon:
+    best = lo = hi = 0
+    for g in gaps:
+        while gaps[lo] - g <= -tie:
+            lo += 1
+        while hi < len(gaps) and (gaps[hi] - g < epsilon - tie or abs(gaps[hi] - g) < tie):
             hi += 1
         best = max(best, hi - lo)
     return best

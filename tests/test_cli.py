@@ -738,6 +738,19 @@ def test_gibbs_sweep_csv_monotone(tmp_path):
     assert all(b >= a for a, b in zip(ps, ps[1:]))
 
 
+def test_gibbs_sweep_takes_the_beta_grid_in_one_call(tmp_path, monkeypatch):
+    grids = []
+
+    def counted(betas):
+        grids.append(len(betas))
+        return boltzmann(betas)
+
+    boltzmann = cli._boltzmann
+    monkeypatch.setattr(cli, "_boltzmann", counted)
+    assert run("gibbs", "--beta-sweep", "--beta-count", "301", "-o", str(tmp_path / "s.json")) == 0
+    assert grids == [301]
+
+
 def test_gibbs_sweep_p0_is_the_boltzmann_weight_at_large_beta(tmp_path):
     # p_0 = 1 / (1 + sum_j exp(-beta cos(2 pi j / 5))), evaluated at 40
     # digits from the closed forms cos(2 pi/5) = (sqrt5 - 1)/4 and

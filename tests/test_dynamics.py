@@ -17,7 +17,6 @@ from fullerwalk import (
     graph_spectrum,
     initial_state_dependence,
     limiting_distribution,
-    limiting_row,
     node_probability,
     thermo,
 )
@@ -193,26 +192,25 @@ def test_limiting_matrix_is_frozen(c60_spectrum):
         u[0, 0] = 1.0
 
 
-def test_limiting_accessors_reject_labels_outside_1_to_n(c60_spectrum):
-    # 0 and -1 must not wrap round to node 60, nor 61 or 2.0 escape as an IndexError
-    u = limiting_distribution(c60_spectrum)
-    for x in (60, np.int64(2)):
-        assert np.abs(limiting_row(c60_spectrum, x) - u[x - 1]).max() < 1e-15
-    for bad in (0, -1, 61, 2.0):
-        with pytest.raises(ValueError, match=f"x must be in 1..60, got {bad}"):
-            limiting_row(c60_spectrum, bad)
-
-
 @pytest.mark.parametrize("tol", [DEGENERACY_TOL, 0.03, 0.3])
 @pytest.mark.parametrize("graph", ["c60", "f30", "f130"])
 def test_start_node_values_agree_with_the_full_limiting_matrix(graph, tol):
-    # limiting_row and effective_dimension read B = [P_j|x>]; the full u is Z Z^T
+    # effective_dimension reads (P_j)_xx from row x of V; the full u is Z Z^T
     g = build_c60_blocked() if graph == "c60" else build_tube_fullerene(int(graph[1:]))
     s = eigendecompose(adjacency(g), tol)
     u = limiting_distribution(s)
     for x in (1, 7, s.n):
         assert abs(effective_dimension(s, x) * u[x - 1, x - 1] - 1.0) < 2e-15
-        assert np.abs(limiting_row(s, x) - u[x - 1]).max() < 1e-15
+
+
+@pytest.mark.parametrize("graph", ["c60", "f30", "f130"])
+def test_initial_state_dependence_reads_rows_of_the_limiting_matrix(graph):
+    # u(x, y) for x = 1, 2 and y = 1..5, summed from rows 1..5 and x of V alone
+    g = build_c60_blocked() if graph == "c60" else build_tube_fullerene(int(graph[1:]))
+    u = limiting_distribution(graph_spectrum(g))
+    for x, row in enumerate(initial_state_dependence(g), start=1):
+        assert row.shape == (5,)
+        assert np.abs(row - u[x - 1, :5]).max() < 1e-15
 
 
 def test_per_start_analyses_form_no_limiting_matrix(monkeypatch, f30, f30_spectrum):
@@ -236,4 +234,4 @@ def test_per_start_analyses_form_no_limiting_matrix(monkeypatch, f30, f30_spectr
     assert built == []
     row1, row2 = initial_state_dependence(f30)
     assert row1.shape == row2.shape == (5,)
-    assert built == [1, 2]
+    assert built == []

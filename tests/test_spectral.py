@@ -186,12 +186,12 @@ def test_only_a_reversal_without_a_fixed_node_is_sectored(solves):
     assert solves == [1, 2]
 
 
-def test_a_loaded_tube_gets_the_same_sectored_basis(tmp_path, solves, monkeypatch):
+def test_a_loaded_tube_gets_the_same_sectored_basis(tmp_path, solves):
     # the blocks are summed in sorted edge order, whatever order the set holds
     g = build_tube_fullerene(130)
     built = graph_spectrum(g)
     save_graph(g, tmp_path / "f130.txt")
-    monkeypatch.setattr(spectral, "_last", None)
+    spectral._solve.cache_clear()
     loaded = graph_spectrum(load_graph(tmp_path / "f130.txt"))
     assert solves == [5, 5] and loaded is not built
     assert np.array_equal(loaded.eigenvectors, built.eigenvectors)
@@ -245,22 +245,34 @@ def test_gap_count_matches_brute_force_scan(name):
 
 
 def test_c60_gap_count_at_unit_window(c60_spectrum):
-    # 15 distinct levels give 105 positive pairwise gaps; with the dense
-    # solve's rounding the densest unit window holds 33 of them
-    assert gap_count(c60_spectrum, 1.0) == 33
+    # 15 distinct levels give 105 positive pairwise gaps; the densest unit
+    # window holds 32 of them, whatever the last bits the dense solve gives
+    assert gap_count(c60_spectrum, 1.0) == 32
 
 
 def test_c60_unit_window_count_is_exact_in_the_mirror_sectors(c60):
-    # 42 pairs of C60 gaps differ by exactly 1, so the count at epsilon = 1
-    # turns on the last bit of the levels. Reading differences within 1e-9
-    # of 0 or 1 as exact ties, the half-open window holds 32, the count in
-    # 40-digit arithmetic too; the dense solve's 33 takes in one tie
+    # 42 pairs of C60 gaps differ by exactly 1, so a count that read the
+    # last bit of the levels would turn on it. Reading differences within
+    # 1e-9 of 0 or 1 as exact ties, the half-open window holds 32, the count
+    # in 40-digit arithmetic too
     s = graph_spectrum(c60)
     levels = s.cluster_values()
     gaps = np.sort(np.subtract.outer(levels, levels)[np.tril_indices(15, -1)])
     d = np.subtract.outer(gaps, gaps)  # d[h, g] = gap h - gap g
     assert int(((d > -1e-9) & (d < 1.0 - 1e-9)).sum(axis=0).max()) == 32
     assert gap_count(s, 1.0) == 32
+
+
+@pytest.mark.parametrize("name", ["c60", "f30", "f40", "f60", "f130"])
+def test_both_solvers_give_the_same_gap_count(name):
+    # the two solves round the levels differently; ties absorb that at both window edges
+    g = build_c60_blocked() if name == "c60" else build_tube_fullerene(int(name[1:]))
+    dense, sectored = eigendecompose(adjacency(g)), graph_spectrum(g)
+    assert dense.n_distinct == sectored.n_distinct
+    for epsilon in (0.5, 1.0, 2.0, 1e-18):
+        assert gap_count(dense, epsilon) == gap_count(sectored, epsilon)
+    if name == "c60":
+        assert gap_count(dense, 1.0) == gap_count(sectored, 1.0) == 32
 
 
 def test_spectrum_arrays_are_frozen(c60_spectrum):
@@ -281,7 +293,7 @@ def test_degeneracy_tol_is_carried(c60):
 @pytest.fixture
 def solves(monkeypatch):
     """Empty the graph_spectrum slot and record the order of each solve it
-    makes (spectral._sectored_eigh); the slot is restored after the test."""
+    makes (spectral._sectored_eigh)."""
     calls = []
     solve = spectral._sectored_eigh
 
@@ -289,17 +301,17 @@ def solves(monkeypatch):
         calls.append(order)
         return solve(g, perm, order)
 
-    monkeypatch.setattr(spectral, "_last", None)
+    spectral._solve.cache_clear()
     monkeypatch.setattr(spectral, "_sectored_eigh", counted)
     return calls
 
 
-def test_graph_spectrum_hits_on_an_equal_graph(solves, monkeypatch):
+def test_graph_spectrum_hits_on_an_equal_graph(solves):
     s = graph_spectrum(build_tube_fullerene(30))
     assert graph_spectrum(build_tube_fullerene(30)) is s
     assert graph_spectrum(build_tube_fullerene(30), degeneracy_tol=DEGENERACY_TOL) is s
     assert len(solves) == 1
-    monkeypatch.setattr(spectral, "_last", None)
+    spectral._solve.cache_clear()
     direct = graph_spectrum(build_tube_fullerene(30))
     assert len(solves) == 2 and direct is not s
     assert np.array_equal(s.eigenvalues, direct.eigenvalues)
@@ -339,14 +351,23 @@ def test_graph_spectrum_keeps_one_graph(c60, solves):
     assert len(solves) == 3
 
 
-def test_graph_spectrum_failure_leaves_the_slot(c60, solves):
+def test_graph_spectrum_failure_leaves_the_slot(c60, solves, monkeypatch):
     s = graph_spectrum(c60)
-    kept = spectral._last
+    kept = spectral._solve.cache_info()
     with pytest.raises(ValueError, match="tol"):
         graph_spectrum(c60, float("nan"))
-    assert spectral._last is kept
+    assert spectral._solve.cache_info() == kept
     assert graph_spectrum(c60) is s
     assert len(solves) == 1  # the bad tolerance is refused before the solve
+
+    def no_memory(*args):
+        raise MemoryError("solve refused")
+
+    monkeypatch.setattr(spectral, "_sectored_eigh", no_memory)
+    with pytest.raises(MemoryError):
+        graph_spectrum(build_tube_fullerene(30))  # a miss whose solve raises
+    assert spectral._solve.cache_info().currsize == 1
+    assert graph_spectrum(c60) is s
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])

@@ -15,6 +15,7 @@ from fullerwalk import (
     initial_state_dependence,
     limiting_distribution,
     pentagon_gibbs,
+    thermo,
 )
 from oracles import pentagon_gibbs_expm
 
@@ -130,6 +131,42 @@ def test_gibbs_beta_validation():
         gibbs_node_probability(-1.0)
     with pytest.raises(ValueError):
         gibbs_partition_function(np.inf)
+
+
+def test_boltzmann_over_a_grid_is_bitwise_one_beta_at_a_time():
+    rng = np.random.default_rng(11)
+    draw = np.exp(rng.uniform(np.log(1e-300), np.log(1.7e308), 2000))  # log-uniform
+    betas = np.concatenate([[0.0, 5e-324, 1e308, 1.7e308], draw])
+    weights, p_j, z = thermo._boltzmann(betas)
+    assert weights.shape == (len(betas), 6) and p_j.shape == z.shape == (len(betas),)
+    assert np.isinf(z[3])  # Z overflows; the weights stay finite
+    for i, beta in enumerate(betas.tolist()):
+        for grid, one in zip((weights, p_j, z), thermo._boltzmann([beta])):
+            assert grid[i].tobytes() == one[0].tobytes(), beta
+
+
+@pytest.mark.parametrize(
+    "betas, named",
+    [([0.5, 1.0, -2.0, float("nan")], "-2.0"), ([0.5, float("nan"), -1.0], "nan"),
+     ([float("inf")], "inf"), ([0.0, -5e-324], "-5e-324")],
+)
+def test_boltzmann_names_the_first_bad_beta_of_a_grid(betas, named):
+    message = re.escape(f"beta must be finite and non-negative, got {named}")
+    with pytest.raises(ValueError, match=message):
+        thermo._boltzmann(np.array(betas))
+
+
+def test_gibbs_vs_limiting_takes_the_beta_grid_in_one_call(monkeypatch):
+    grids = []
+
+    def counted(betas):
+        grids.append(len(betas))
+        return boltzmann(betas)
+
+    boltzmann = thermo._boltzmann
+    monkeypatch.setattr(thermo, "_boltzmann", counted)
+    gibbs_vs_limiting([30, 40], np.linspace(0.0, 200.0, 201))
+    assert grids == [201]
 
 
 def test_gibbs_vs_limiting_row_contents(f30):

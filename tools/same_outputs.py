@@ -12,9 +12,10 @@ F130, a --graph file, the C60 graph file, F1000 (the bound with both a
 node and the position observable, and the position observable's
 energy-basis matrix), the F40 and F2000 graph files, --tol 1e-3, the
 limiting CSV at --tol 0.3 (clusters of more than sqrt(N) levels), all
-three gibbs modes (--beta 1000 too), a bound at epsilon 1e-18, a
-5,000-point bound grid in both formats, a bound to tau 1e5, a Haar baseline seeded near
-2**128, symmetry, and thirteen commands that must fail.
+three gibbs modes (--beta 1000 too), a 100,000-point beta sweep in both
+formats, a bound at epsilon 1e-18, a 5,000-point bound grid in both
+formats, a bound to tau 1e5, a Haar baseline seeded near 2**128,
+symmetry, and thirteen commands that must fail.
 
 CSV and graph files must be byte-identical. JSON files must be
 byte-identical apart from the digits of meta.timing_seconds. Exit codes
@@ -114,6 +115,8 @@ def commands() -> list:
         add("gibbs-beta", "gibbs", "--beta", "0.7", "--format", fmt, ext=ext)
         add("gibbs-sweep", "gibbs", "--beta-sweep", "--format", fmt, ext=ext)
         add("gibbs-family", "gibbs", "--family", "30..130", "--format", fmt, ext=ext)
+        add("gibbs-sweep-large", "gibbs", "--beta-sweep", "--beta-count", "100000",
+            "--format", fmt, ext=ext)  # a long column on the JSON writer's vector path
     add("gibbs-beta0", "gibbs", "--beta", "0")
     add("gibbs-beta1000", "gibbs", "--beta", "1000")
     add("bound-c60-tiny-eps", "bound", "--c60", "--start", "1", "--epsilon", "1e-18")
