@@ -1,11 +1,10 @@
 """Walk evolution, the limiting distribution and time averages from a start node x.
 
-Every per-start quantity is read from the start-node matrix B, whose
-column j is P_j|x> (_start_projections); one row of B, the <y|P_j|x>, is
-summed from rows x and y of V alone. Evolution is spectral: amplitudes
-are rotated by e^{-i lam_k t} in the eigenbasis. Time averages use the
-exact closed form, with cross terms grouped by degeneracy-cluster pair so
-exactly degenerate levels dephase into the limiting distribution.
+A per-start quantity reads the <y|P_j|x> it needs as segment sums over
+rows x and y of V, cluster_sums(V[y] * V[x]). Evolution is spectral:
+amplitudes are rotated by e^{-i lam_k t} in the eigenbasis. Time averages
+use the exact closed form, with cross terms grouped by degeneracy-cluster
+pair so exactly degenerate levels dephase into the limiting distribution.
 """
 
 from __future__ import annotations
@@ -17,12 +16,6 @@ from .spectral import Spectrum, _powers
 
 # (tau, pair) values evaluated at once by cumulative_time_average
 TIME_AVERAGE_BLOCK = 2**16
-
-
-def _start_projections(s: Spectrum, start: int) -> np.ndarray:
-    """B, N x N_lambda, whose column j is P_j|x> = sum_{m in j} v_m v_m[x]."""
-    _check_label(start, s.n, "start")
-    return s.cluster_sums(s.eigenvectors * s.eigenvectors[start - 1])
 
 
 def _check_tau_grid(tau_grid) -> np.ndarray:
@@ -73,7 +66,7 @@ def cumulative_time_average(s: Spectrum, start: int, end: int, tau_grid) -> np.n
     _check_label(end, s.n, "end")
     taus = _check_tau_grid(tau_grid)
 
-    # s_j = <end|P_j|start> = sum_{k in C_j} <end|lam_k><lam_k|start>, row end of B
+    # s_j = <end|P_j|start> = sum_{k in C_j} <end|lam_k><lam_k|start>
     sums = s.cluster_sums(s.eigenvectors[end - 1] * s.eigenvectors[start - 1])
     stationary = float(np.sum(sums**2))
     j, l = np.triu_indices(s.n_distinct, 1)

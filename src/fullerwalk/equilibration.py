@@ -1,7 +1,8 @@
 """Equilibration analysis: effective dimension, dephased state, and the bound.
 
 The walk starts on a node x, rho0 = |x><x|, so every quantity here is read
-from dynamics' start-node matrix B, whose column j is P_j|x>. An observable
+from the <y|P_j|x>, summed from rows x and y of V for the y it needs: x for
+d_eff, the observable's support for the lhs, all N for omega. An observable
 is diagonal on the nodes, O = diag(o), and is passed as o. The analytic bound
 on the time-averaged deviation <|tr(O rho(t)) - tr(O omega)|^2>_tau is
 compared against a quadrature of the left-hand side; omega is exact.
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _check_tau_grid, _start_projections
+from .dynamics import _check_tau_grid
 from .eth import _check_observable
 from .graphs import Graph, _check_label
 from .spectral import DEGENERACY_TOL, Spectrum, _check_positive, gap_count, graph_spectrum
@@ -56,15 +57,16 @@ def _gauss_legendre(n: int):
 def effective_dimension(s: Spectrum, start: int) -> float:
     """Inverse participation of the start node over the energy eigenspaces,
     d_eff = 1 / sum_j (P_j)_xx^2 = 1 / u(x, x), independent of the basis
-    inside each cluster. (P_j)_xx is row x of B, summed from row x of V alone."""
+    inside each cluster. (P_j)_xx is summed from row x of V alone."""
     _check_label(start, s.n, "start")
     return float(1.0 / np.square(s.cluster_sums(s.eigenvectors[start - 1] ** 2)).sum())
 
 
 def time_averaged_state(s: Spectrum, start: int) -> np.ndarray:
-    """omega = sum_j P_j |x><x| P_j = B B^T, the exact infinite-time average
-    of rho(t) from the start node x."""
-    b = _start_projections(s, start)
+    """omega = sum_j P_j |x><x| P_j = B B^T, B_yj = <y|P_j|x> over every node y:
+    the exact infinite-time average of rho(t) from the start node x."""
+    _check_label(start, s.n, "start")
+    b = s.cluster_sums(s.eigenvectors * s.eigenvectors[start - 1])
     return b @ b.T
 
 
@@ -111,15 +113,6 @@ def operator_norm_sq(o) -> float:
     return float(np.max(np.abs(_check_observable(o, len(o))))) ** 2
 
 
-def _deviation_signal(s: Spectrum, start: int, o) -> np.ndarray:
-    """Per-cluster symmetric matrix W = B^T diag(o) B, with
-    tr(O rho(t)) - tr(O omega) = z^H W z - tr W for z_j = e^{-i lam_j t}:
-    W_jl = <x|P_j O P_l|x>. The off-diagonal entries carry the signal, the
-    diagonal (the dephased part) cancels against tr W because |z_j| = 1."""
-    b = _start_projections(s, start)
-    return b.T @ (o[:, None] * b)
-
-
 def _check_point_count(count: int) -> None:
     """Refuse a grid of more than MAX_GRID_POINTS points, whatever the spectrum."""
     if count > MAX_GRID_POINTS:
@@ -154,13 +147,14 @@ def empirical_lhs(s: Spectrum, start: int, o, tau_grid) -> np.ndarray:
     """Time average of |tr(O rho(t)) - tr(O omega)|^2 over [0, tau] for
     every tau in tau_grid, for O = diag(o) and rho0 = |start><start|.
 
-    The signal is f(t) = z^H W z - tr W with z_j = e^{-i lam_j t}. W is
-    factored once, W = Q diag(mu) Q^T, dropping eigenvalues at rounding
-    level, so f = sum_i mu_i |q_i^T z|^2 - sum_i mu_i: rank 1 for a node
-    observable, up to N_lambda for a general one. f^2 holds no frequency
-    above B = 2 (lam_max - lam_min), so 32-point Gauss-Legendre on a panel
-    of length at most h = 50/B integrates it to rounding, with no step size
-    or convergence test.
+    The signal is f(t) = z^H W z - tr W with z_j = e^{-i lam_j t} and
+    W_jl = <x|P_j O P_l|x> = sum_y o_y b_yj b_yl over the support S of o,
+    b_yj = <y|P_j|x> summed from rows x and y of V. W is factored once,
+    W = Q diag(mu) Q^T, dropping eigenvalues at rounding level, so
+    f = sum_i mu_i |q_i^T z|^2 - sum_i mu_i: rank 1 for a node observable,
+    up to N_lambda for a general one. f^2 holds no frequency above
+    B = 2 (lam_max - lam_min), so 32-point Gauss-Legendre on panels of at
+    most h = 50/B is exact to rounding, with no step size or convergence test.
 
     The panels lie on one lattice: whole panels [j h, (j + 1) h] up to the
     largest tau, summed cumulatively and read at m = floor(tau / h), plus a
@@ -183,11 +177,16 @@ def empirical_lhs(s: Spectrum, start: int, o, tau_grid) -> np.ndarray:
         vector, a non-finite, non-positive or non-ascending tau grid, or
         when the grid needs more than LHS_MAX_NODES quadrature nodes.
     """
+    _check_label(start, s.n, "start")
     taus = _check_tau_grid(tau_grid)
     o = _check_observable(o, s.n)
     # a middle entry of the sorted o: np.median would import numpy.ma
     o = o - np.sort(o)[len(o) // 2]
-    w = _deviation_signal(s, start, o)
+    rows = np.flatnonzero(o)
+    b = s.eigenvectors[rows]  # a copy, so the product is formed in place
+    b = s.cluster_sums(np.multiply(b, s.eigenvectors[start - 1], out=b))
+    w = b.T @ (o[rows, None] * b)
+    del b  # not held through the eigh and the quadrature: 43 MB for position on F3000
     # coefficients at rounding-noise scale mean a stationary signal (O
     # commuting with H, or o zero wherever the walk goes); quadrature of that
     # noise would report ~1e-30 garbage instead of the exact 0. ||rho0|| = 1,
@@ -205,7 +204,11 @@ def empirical_lhs(s: Spectrum, start: int, o, tau_grid) -> np.ndarray:
     x, weights = _gauss_legendre(GL_NODES)
     offset = np.multiply.outer(h * x, levels)
     ce, se = np.cos(offset), np.sin(offset)
-    # c, sn and f stay bound until the next block replaces them; freed at once,
+
+    def mean_square(c, sn):  # the rule's mean of f^2 per panel, from cos and sin at its nodes
+        f = ((c @ q) ** 2 + (sn @ q) ** 2) @ mu - mu.sum()
+        return (f.reshape(-1, GL_NODES) ** 2) @ weights
+    # c and sn stay bound until the next block replaces them; freed at once,
     # glibc trims the heap every block and page-faults it back (63k at tau 1e5)
     whole = np.empty(m[-1])
     for first in range(0, m[-1], block):
@@ -214,15 +217,13 @@ def empirical_lhs(s: Spectrum, start: int, o, tau_grid) -> np.ndarray:
         # cos and sin of every node phase by angle addition
         c = (cs * ce - ss * se).reshape(-1, n_lev)
         sn = (ss * ce + cs * se).reshape(-1, n_lev)
-        f = ((c @ q) ** 2 + (sn @ q) ** 2) @ mu - mu.sum()
-        whole[first:first + block] = (f.reshape(-1, GL_NODES) ** 2) @ weights
+        whole[first:first + block] = mean_square(c, sn)
     lo, part = h * m, np.empty(len(taus))
     for k in range(0, len(taus), block):
         d = taus[k:k + block] - lo[k:k + block]  # partial panel lengths
         phase = np.multiply.outer(lo[k:k + block, None] + d[:, None] * x, levels)
         c, sn = np.cos(phase).reshape(-1, n_lev), np.sin(phase).reshape(-1, n_lev)
-        f = ((c @ q) ** 2 + (sn @ q) ** 2) @ mu - mu.sum()
-        part[k:k + block] = d * ((f.reshape(-1, GL_NODES) ** 2) @ weights)
+        part[k:k + block] = d * mean_square(c, sn)
     return (np.concatenate(([0.0], np.cumsum(h * whole)))[m] + part) / taus
 
 

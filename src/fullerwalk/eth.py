@@ -25,6 +25,7 @@ from .graphs import _check_label
 from .spectral import Spectrum
 
 ENTROPY_FLOOR = 1e-15
+HAAR_MAX_DRAWS = 2**26  # N normals per Haar sample: 2^20 samples on C60, 67,108 on F1000
 
 # a symmetry residual passes strictly below its threshold
 SYMMETRY_THRESHOLDS = {
@@ -125,6 +126,10 @@ def haar_entropy_baseline(n: int, n_samples: int, seed: int = 0):
     the n_samples Haar-orthogonal states of seeds seed, seed+1, ..."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    if n * n_samples > HAAR_MAX_DRAWS:
+        raise ValueError(f"Haar baseline too long: N {n} x {n_samples} samples = {n * n_samples} "
+                         f"draws, above the budget of {HAAR_MAX_DRAWS}; N {n} allows at most "
+                         f"{HAAR_MAX_DRAWS // n} samples")
     ents = [_entropy_of(v**2) for v in _haar_states(n, (seed + i for i in range(n_samples)))]
     return float(np.mean(ents)), float(np.std(ents))
 

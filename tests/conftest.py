@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from fullerwalk import (
+    Spectrum,
     adjacency,
     build_c60_blocked,
     build_tube_fullerene,
@@ -50,3 +52,19 @@ def eigh_calls(monkeypatch):
     spectral._solve.cache_clear()
     monkeypatch.setattr(spectral, "_sectored_eigh", counted)
     return calls
+
+
+@pytest.fixture
+def n_row_sums(monkeypatch):
+    """The shape of every 2-D input with N rows that Spectrum.cluster_sums
+    sums, such as V * V[x-1], whose sums B hold <y|P_j|x> for every node y."""
+    shapes = []
+    sums = Spectrum.cluster_sums
+
+    def recorded(s, x):
+        if np.ndim(x) == 2 and len(x) == s.n:
+            shapes.append(np.shape(x))
+        return sums(s, x)
+
+    monkeypatch.setattr(Spectrum, "cluster_sums", recorded)
+    return shapes

@@ -307,6 +307,18 @@ def test_limiting_reports_the_mirror_residual_of_any_reversal_symmetric_graph(tm
     assert "mirror_residual" not in docs[2]
 
 
+def test_limiting_reports_the_mirror_residual_of_a_graph_solved_in_rotation_sectors(tmp_path):
+    # every label map preserves a graph with no edges: it solves in the C5
+    # sectors of the tube rotation, the first symmetry tried, and also has
+    # the reversal x -> N+1-x, which the spectrum's symmetry does not name
+    graph = tmp_path / "empty30.txt"
+    graph.write_text("30\n")
+    assert graph_spectrum(load_graph(graph)).basis_tag == "c5-sectors"
+    out = tmp_path / "u.json"
+    assert run("limiting", "--graph", str(graph), "-o", str(out)) == 0
+    assert read_json(out)["mirror_residual"] == 1.0  # u is the identity
+
+
 def test_limiting_csv_triples_and_matrix(tmp_path, request):
     tri = tmp_path / "u_tri.csv"
     assert run("limiting", "--tube", "30", "-o", str(tri), "--format", "csv") == 0
@@ -907,6 +919,24 @@ def test_eth_rejects_negative_haar_samples(tmp_path, capsys):
     )
     assert rc == 2
     assert "--haar-samples must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eth_refuses_a_haar_baseline_over_its_draw_budget_before_the_solve(
+    tmp_path, capsys, monkeypatch, eigh_calls
+):
+    def draw(n, seeds):
+        raise AssertionError("a Haar state was drawn")
+
+    monkeypatch.setattr("fullerwalk.eth._haar_states", draw)
+    out = tmp_path / "e.json"
+    argv = ["eth", "--tube", "1000", "--observable", "position", "--haar-samples", "67109"]
+    assert run(*argv, "-o", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "fullerwalk: error: Haar baseline too long: N 1000 x 67109 samples = 67109000 draws, "
+        "above the budget of 67108864; N 1000 allows at most 67108 samples\n"
+    )
+    assert eigh_calls == []
     assert not out.exists()
 
 

@@ -19,6 +19,7 @@ from fullerwalk import (
     limiting_distribution,
     node_probability,
     thermo,
+    time_averaged_state,
 )
 from oracles import SMALL_GRAPHS, brute_force_limiting, cluster_projectors, expm_evolution
 
@@ -213,16 +214,12 @@ def test_initial_state_dependence_reads_rows_of_the_limiting_matrix(graph):
         assert np.abs(row - u[x - 1, :5]).max() < 1e-15
 
 
-def test_per_start_analyses_form_no_limiting_matrix(monkeypatch, f30, f30_spectrum):
+def test_per_start_analyses_form_no_limiting_matrix(
+    monkeypatch, f30, f30_spectrum, n_row_sums
+):
     def refuse(s):
         raise AssertionError("a per-start analysis formed the N x N limiting matrix")
 
-    def counted(s, start):
-        built.append(start)
-        return build(s, start)
-
-    built, build = [], dynamics._start_projections
-    monkeypatch.setattr(dynamics, "_start_projections", counted)
     for module in (dynamics, equilibration, thermo):
         if hasattr(module, "limiting_distribution"):
             monkeypatch.setattr(module, "limiting_distribution", refuse)
@@ -231,7 +228,8 @@ def test_per_start_analyses_form_no_limiting_matrix(monkeypatch, f30, f30_spectr
     assert [r.n for r in rows] == [30, 130]
     assert effective_dimension(f30_spectrum, 1) > 1.0
     assert cumulative_time_average(f30_spectrum, 1, 30, [1.0, 10.0]).shape == (2,)
-    assert built == []
     row1, row2 = initial_state_dependence(f30)
     assert row1.shape == row2.shape == (5,)
-    assert built == []
+    assert n_row_sums == []
+    time_averaged_state(f30_spectrum, 1)  # omega = B B^T does sum every row
+    assert n_row_sums == [(30, 30)]

@@ -24,7 +24,6 @@ from fullerwalk.equilibration import (
     GL_NODES,
     GL_PHASE_SPAN,
     LHS_MAX_NODES,
-    _deviation_signal,
     _gauss_legendre,
     _panel_lattice,
 )
@@ -74,7 +73,6 @@ def test_start_node_functions_reject_a_bad_label(c60_spectrum, start):
     for call in (
         lambda: effective_dimension(c60_spectrum, start),
         lambda: time_averaged_state(c60_spectrum, start),
-        lambda: _deviation_signal(c60_spectrum, start, _node(60, 1)),
         lambda: empirical_lhs(c60_spectrum, start, _node(60, 1), [1.0]),
     ):
         with pytest.raises(ValueError, match=match):
@@ -201,10 +199,12 @@ def test_empirical_lhs_vanishes_for_an_observable_the_start_cannot_reach():
 
 @pytest.mark.parametrize("tau", [1.0, 10.0, 100.0, 1000.0])
 def test_empirical_lhs_matches_closed_form_oracle(c60, c60_spectrum, tau):
-    o = _node(60, 1)  # also the diagonal of rho0
-    (got,) = empirical_lhs(c60_spectrum, 1, o, [tau])
-    want = closed_form_lhs(adjacency(c60), np.diag(o), np.diag(o), tau)
-    assert abs(got - want) < 1e-12 * abs(want)
+    # observing the start node (S = {x}) and node 9 from node 2 (S = {y != x})
+    for start, node in ((1, 1), (2, 9)):
+        (got,) = empirical_lhs(c60_spectrum, start, _node(60, node), [tau])
+        want = closed_form_lhs(adjacency(c60), np.diag(_node(60, start)),
+                               np.diag(_node(60, node)), tau)
+        assert abs(got - want) < 1e-12 * abs(want)
 
 
 def test_empirical_lhs_c60_long_horizons_match_closed_form_oracle(c60, c60_spectrum):
@@ -236,13 +236,14 @@ def test_gauss_legendre_rule_matches_a_50_digit_reference():
 @pytest.mark.parametrize("graph", ["c60", "f30"])
 @pytest.mark.parametrize("x", [1, 15])
 def test_deviation_signal_rank(graph, x, request):
-    # a node observable from a node start gives W = a a^T with
-    # a_j = (P_j)_xx; the position observable gives a full-rank W
+    # a node observable from its own start gives W = a a^T with
+    # a_j = (P_j)_xx, rank 1; the position observable less its median has
+    # rank N_lambda, but from F30's node 15 its W has one eigenvalue of 6e-18
     s = request.getfixturevalue(f"{graph}_spectrum")
-    w_node = _deviation_signal(s, x, _node(s.n, x))
-    w_pos = _deviation_signal(s, x, position_observable(s.n))
-    assert np.linalg.matrix_rank(w_node, hermitian=True) == 1
-    assert np.linalg.matrix_rank(w_pos, hermitian=True) == s.n_distinct
+    position_rank = {"c60": 15, "f30": 18 if x == 1 else 17}[graph]
+    for o, rank in ((_node(s.n, x), 1), (position_observable(s.n), position_rank)):
+        with pytest.raises(ValueError, match=rf" at signal rank {rank}, "):
+            empirical_lhs(s, x, o, [1e300])
 
 
 @pytest.mark.parametrize("tau", [1e8, 1e300])
@@ -379,22 +380,14 @@ def test_report_start_validation(f30):
         equilibration_report(f30, 31, _node(30, 1))
 
 
-def test_a_report_builds_the_start_node_matrix_once(c60, monkeypatch):
-    # d_eff reads row x of B from row x of V; only the lhs forms all of B
-    from fullerwalk import dynamics, equilibration
-
-    built = []
-
-    def counted(s, start):
-        built.append(start)
-        return build(s, start)
-
-    build = dynamics._start_projections
-    for module in (dynamics, equilibration):
-        monkeypatch.setattr(module, "_start_projections", counted)
+def test_a_node_observable_report_sums_no_start_node_matrix(c60, c60_sym_spectrum, n_row_sums):
+    # d_eff reads row x of V, the lhs the one row of the observable's support
     rep = equilibration_report(c60, 7, _node(60, 7), tau_grid=[1.0, 10.0])
-    assert built == [7]
     assert abs(rep.d_eff - 3600.0 / 284.0) < 1e-9
+    assert rep.lhs[0] > 0.0
+    assert n_row_sums == []
+    time_averaged_state(c60_sym_spectrum, 7)  # omega does sum every row
+    assert n_row_sums == [(60, 60)]
 
 
 def test_report_rejects_a_bad_start_before_the_solve(eigh_calls):

@@ -188,6 +188,23 @@ def test_haar_baseline_is_reproducible_and_in_range():
     assert m3 != m1
 
 
+class _Drawn(Exception):
+    """Raised in place of the first Haar draw."""
+
+
+def test_haar_baseline_refuses_n_times_samples_over_the_budget_before_drawing(monkeypatch):
+    def draw(n, seeds):
+        raise _Drawn
+
+    monkeypatch.setattr(eth, "_haar_states", draw)
+    # 60 x 2^20 < 2^26: every count the CLI's 2^20 cap lets through stays accepted on C60
+    for n, count in ((60, 2**20), (1000, 67108)):
+        with pytest.raises(_Drawn):
+            haar_entropy_baseline(n, count)
+    with pytest.raises(ValueError, match="N 1000 allows at most 67108 samples"):
+        haar_entropy_baseline(1000, 67109)
+
+
 def test_haar_baseline_validation():
     with pytest.raises(ValueError):
         haar_entropy_baseline(60, 0)

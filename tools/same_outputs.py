@@ -8,9 +8,10 @@ checkout's src/ (the working tree, uncommitted edits included). Each
 command runs in its own process at one BLAS thread, since another thread
 count may move the last digits of a matrix product. The list covers every
 subcommand, both formats and both limiting layouts, --vectors, C60, F30,
-F130, a --graph file, the C60 graph file, F1000 (the bound with both a
-node and the position observable, and the position observable's
-energy-basis matrix), the F40 and F2000 graph files, --tol 1e-3, the
+F130, a --graph file, the C60 graph file, F1000 (the bound with the
+start node, with node 500, a one-node support away from the start, and
+with the position observable, and the position observable's energy-basis
+matrix), the F40 and F2000 graph files, --tol 1e-3, the
 limiting CSV at --tol 0.3 (clusters of more than sqrt(N) levels), all
 three gibbs modes (--beta 1000 too), a 100,000-point beta sweep in both
 formats, a bound at epsilon 1e-18, a 5,000-point bound grid in both
@@ -105,6 +106,8 @@ def commands() -> list:
     add("bound-f1000", "bound", "--tube", "1000", "--start", "1")
     add("bound-f1000-position", "bound", "--tube", "1000", "--start", "1",
         "--observable", "position")
+    add("bound-f1000-node500", "bound", "--tube", "1000", "--start", "1",
+        "--observable", "node:500")
     add("eth-f1000-node1", "eth", "--tube", "1000", "--observable", "node:1", "--entropies")
     add("eth-f1000-position", "eth", "--tube", "1000", "--observable", "position",
         "--format", "csv", ext="csv")
