@@ -6,14 +6,15 @@ JSON header echoes the exact flag set plus the graph checksum so a run
 can be reproduced from its own output. CSV files carry the same metadata
 as '#' comment lines. Commands only compute; main adds the metadata and
 writes each file: JSON through json.dumps, with the numeric arrays streamed
-into its text, and CSV as one filled '%' template per row; u formats each
-distinct value once. Timing is only in JSON (timing_seconds); CSV and
+into its text, and CSV as bytes, one filled '%' template per row; u formats
+each distinct value once, and its CSV reads only one row per orbit of the
+symmetry it was solved in. Timing is only in JSON (timing_seconds); CSV and
 graph files are byte-identical across reruns of the same command with the
 same number of BLAS threads. Another count moves the last digits of u and
 may pick another basis inside a degenerate cluster, which changes the
 per-vector outputs outright (spectrum --vectors, the eth CSV and JSON).
 Every graph is solved through graph_spectrum, whose basis_tag names the
-basis: C5 sectors for a tube, the mirror sectors for C60 (also behind
+basis: C10 sectors for a tube, the mirror sectors for C60 (also behind
 symmetry), the dense solve for a graph with neither symmetry.
 
 Exit codes: 0 success, 2 usage or validation error, an allocation
@@ -31,6 +32,7 @@ import sys
 import time
 from dataclasses import asdict
 from functools import cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -58,7 +60,7 @@ from .graphs import (
     load_graph,
     save_graph,
 )
-from .spectral import DEGENERACY_TOL, _is_automorphism, graph_spectrum
+from .spectral import DEGENERACY_TOL, _is_automorphism, _powers, graph_spectrum
 from .thermo import _boltzmann, gibbs_vs_limiting, pentagon_gibbs
 
 # argparse bookkeeping that is not part of the reproducible configuration
@@ -130,7 +132,7 @@ def _json_chunks(doc, nl="\n"):
             yield "[" + item + ("," + item).join(items) + inner + "]"
         else:
             sep = "["
-            for row in _distinct_rows(value, _json_text(value)):
+            for row in _distinct_rows(value, _json_text(value), np.arange(len(value))[None]):
                 yield sep + item + "[" + cell + ("," + cell).join(row) + item + "]"
                 sep = ","
             yield inner + "]"
@@ -147,32 +149,40 @@ def _meta_comment_lines(meta) -> list:
 
 
 def _write_csv(path, header, template, rows) -> None:
-    """Header lines, then one `template % row` per row.
+    """Header lines, then one `template % row` per row, all as bytes.
 
     Rows are filled one at a time, so a matrix table holds N Python values
-    and the limiting table one text per distinct value, never N^2. '%.17g'
-    is the routine behind format(v, '.17g'), so each value reads exactly
-    as that gives it, and '%r' of a Python float is its repr.
+    and the limiting table one text per distinct value of its orbit rows,
+    never N^2. Bytes '%.17g' is the routine behind format(v, '.17g'), so
+    each value reads exactly as that gives it, and b'%r' of a Python float
+    is its repr.
     """
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
         for row in rows:
             fh.write(template % row)
 
 
 def _matrix_table(m, *lines):
     """CSV table of a full N x N matrix, one row per line, 17 significant digits."""
-    template = ",".join(["%.17g"] * m.shape[1]) + "\n"
+    template = b",".join([b"%.17g"] * m.shape[1]) + b"\n"
     return list(lines), template, (tuple(r.tolist()) for r in m)
 
 
-def _distinct_rows(m, text):
+def _distinct_rows(m, text, cycle):
     """Each row of the non-empty float matrix m as a tuple of text(v) for its
-    entries, calling text once per distinct bit pattern (-0.0 keeps its own)
-    and taking one row of indices at a time to Python, never an N^2 list.
-    The indices come from one argsort and take the smallest unsigned type,
-    about 17 bytes per entry at the peak against np.unique's 49."""
-    bits = np.ascontiguousarray(m, dtype=float).view(np.uint64).ravel()
+    entries, m invariant to the bit under the node map whose powers table
+    is cycle (cycle[p, x] = perm^p(x)). Only the row of the smallest node r
+    of each orbit is read, with text called once per distinct bit pattern
+    (-0.0 keeps its own); row perm^p(r) is row r read at cycle[-p], one
+    itemgetter call. Row r's texts are held from r to its orbit's last
+    node, so the trivial table (each row its own orbit) holds one row at a
+    time, never an N^2 list. The indices come from one argsort and take the
+    smallest unsigned type, about 25 bytes per entry read at the peak."""
+    rep, last = cycle.min(axis=0), cycle.max(axis=0)  # each node's orbit's smallest and largest
+    n, power = len(rep), -cycle.argmin(axis=0) % len(cycle)  # x = perm^power(rep)
+    reps = np.flatnonzero(rep == np.arange(n))
+    bits = np.ascontiguousarray(m[reps], dtype=float).view(np.uint64).ravel()
     order = np.argsort(bits)
     keys = bits[order]
     first = np.concatenate(([True], keys[1:] != keys[:-1]))
@@ -182,9 +192,13 @@ def _distinct_rows(m, text):
     ids -= 1
     inv = np.empty_like(ids)
     inv[order] = ids
-    del order, ids, first
-    for row in inv.reshape(m.shape):
-        yield tuple(texts[row].tolist())
+    del order, ids, first, bits
+    lift = [tuple, *(itemgetter(*c.tolist()) for c in cycle[:0:-1])]  # lift[p] reads at cycle[-p]
+    held, rows = {}, iter(inv.reshape(len(reps), -1))
+    for x, r, p, end in zip(range(n), rep.tolist(), power.tolist(), last.tolist()):
+        if x == r:
+            held[r] = tuple(texts[next(rows)].tolist())
+        yield lift[p](held.pop(r) if x == end else held[r])
 
 
 def _resolve_graph(args):
@@ -225,12 +239,6 @@ def _parse_family(spec: str):
     return sizes
 
 
-def _check_count(count: int, flag: str) -> None:
-    """Refuse a count above the --tau-count cap from the count alone."""
-    if count > MAX_GRID_POINTS:
-        raise ValueError(f"{flag} must be at most {MAX_GRID_POINTS}, got {count}")
-
-
 def _linear_grid(lo: float, hi: float, count: int, name: str) -> np.ndarray:
     if not (math.isfinite(lo) and math.isfinite(hi - lo)):  # numpy would overflow on hi - lo
         raise ValueError(f"{name} grid endpoints and their span must be finite")
@@ -252,9 +260,9 @@ def _log_grid(lo: float, hi: float, count: int, name: str) -> np.ndarray:
 # table, *csv_files): the graph the meta checksum names, or None; the JSON
 # payload, or None where the output has no JSON form; the CSV table, or
 # None where it has no CSV form; then one (path, table) pair per further
-# CSV file. A table is (its lines after the meta header, a '%' template of
-# one row, an iterator over the rows). With neither a payload nor a table
-# the output is the graph file.
+# CSV file. A table is (its lines after the meta header, a bytes '%'
+# template of one row, an iterator over the rows). With neither a payload
+# nor a table the output is the graph file.
 
 
 def _cmd_gen(args):
@@ -276,7 +284,7 @@ def _cmd_spectrum(args):
     }
     table = (
         ["# k is 1-based, clusters 0-based, both ascending", "k,eigenvalue,cluster"],
-        "%d,%.17g,%d\n",
+        b"%d,%.17g,%d\n",
         zip(range(1, s.n + 1), s.eigenvalues.tolist(), cluster_index.tolist()),
     )
     comment = "# rows are vertices 1..N, columns eigenvectors in ascending order"
@@ -295,12 +303,12 @@ def _cmd_limiting(args):
     }
     if _is_automorphism(g, np.arange(g.n_nodes)[::-1]):  # x -> N+1-x is a symmetry
         payload["mirror_residual"] = _mirror_residual(u, 1)
-    texts = _distinct_rows(u, "%.17g".__mod__)
+    texts = _distinct_rows(u, b"%.17g".__mod__, _powers(*s.symmetry))
     if args.layout == "matrix":
-        return g, payload, ([], ",".join(["%s"] * g.n_nodes) + "\n", texts)
-    line = "".join(f"\0,{y},%s\n" for y in range(1, g.n_nodes + 1))  # x goes in at \0
-    rows = ((line.replace("\0", str(x)) % t,) for x, t in enumerate(texts, start=1))
-    return g, payload, (["x,y,u"], "%s", rows)
+        return g, payload, ([], b",".join([b"%s"] * g.n_nodes) + b"\n", texts)
+    line = b"".join(b"\0,%d,%%s\n" % y for y in range(1, g.n_nodes + 1))  # x goes in at \0
+    rows = ((line.replace(b"\0", b"%d" % x) % t,) for x, t in enumerate(texts, start=1))
+    return g, payload, (["x,y,u"], b"%s", rows)
 
 
 def _cmd_bound(args):
@@ -329,7 +337,7 @@ def _cmd_bound(args):
         table={"tau": payload.pop("tau_grid"), **{k: payload.pop(k) for k in ("lhs", "rhs")}},
     )
     rows = zip(rep.tau_grid.tolist(), rep.lhs.tolist(), rep.rhs.tolist())
-    return g, payload, (["tau,lhs,rhs"], "%r,%r,%r\n", rows)
+    return g, payload, (["tau,lhs,rhs"], b"%r,%r,%r\n", rows)
 
 
 def _cmd_gibbs(args):
@@ -337,17 +345,18 @@ def _cmd_gibbs(args):
         pg = pentagon_gibbs(args.beta)
         table = (
             ["# node 0 is the no-walker state b0", "node,probability"],
-            "%d,%r\n",
+            b"%d,%r\n",
             enumerate(pg.node_probs.tolist()),
         )
         return None, asdict(pg), table
 
-    _check_count(args.beta_count, "--beta-count")
+    if args.beta_count > MAX_GRID_POINTS:  # the --tau-count cap, from the count alone
+        raise ValueError(f"--beta-count must be at most {MAX_GRID_POINTS}, got {args.beta_count}")
     betas = _linear_grid(args.beta_min, args.beta_max, args.beta_count, "beta")
     if args.beta_sweep:
         weights, p_j, z = _boltzmann(betas)
         columns = {"beta": betas, "z": z, "p_j": p_j, "p_0": weights[:, 0]}
-        table = ([",".join(columns)], "%r,%r,%r,%r\n", zip(*(c.tolist() for c in columns.values())))
+        table = ([",".join(columns)], b"%r,%r,%r,%r\n", zip(*(c.tolist() for c in columns.values())))
         return None, {"table": columns}, table
 
     sizes = _parse_family(args.family)
@@ -358,9 +367,9 @@ def _cmd_gibbs(args):
     }
     table = (
         ["N,u_NN,p_beta_min,p_beta_max,gibbs_matchable"],
-        "%d,%r,%r,%r,%s\n",
+        b"%d,%r,%r,%r,%s\n",
         [
-            (r.n, r.u_nn, r.p_beta_min, r.p_beta_max, "true" if r.gibbs_matchable else "false")
+            (r.n, r.u_nn, r.p_beta_min, r.p_beta_max, b"true" if r.gibbs_matchable else b"false")
             for r in rows
         ],
     )
@@ -370,7 +379,6 @@ def _cmd_gibbs(args):
 def _cmd_eth(args):
     if args.haar_samples < 0:
         raise ValueError(f"--haar-samples must be >= 0, got {args.haar_samples}")
-    _check_count(args.haar_samples, "--haar-samples")
     g = _resolve_graph(args)
     o = _parse_observable(args.observable, g.n_nodes)  # before the eigh
     haar = {}

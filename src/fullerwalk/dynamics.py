@@ -89,9 +89,9 @@ def limiting_distribution(s: Spectrum) -> np.ndarray:
     Every row sums to 1 exactly with orthonormal eigenvectors.
 
     Only the row of one node r per orbit of the spectrum's symmetry perm is
-    formed: a cluster with d^2 > N adds P_j[r]^2 with P_j[r] = V_c[r] V_c^T,
-    the others add Z[r] Z^T, with one column v_k o v_l of Z per same-cluster
-    pair, N columns at a time. P_j commutes with perm, so the other rows are
+    formed, N/10 rows on a tube and N/2 on C60: a cluster with d^2 > N adds
+    P_j[r]^2 with P_j[r] = V_c[r] V_c^T, the others add Z[r] Z^T, with one
+    column v_k o v_l of Z per same-cluster pair, N columns at a time. P_j commutes with perm, so the other rows are
     u(perm^m r, y) = u(r, perm^-m y). Last, u becomes (u + u^T)/2, which is
     symmetric to the bit (float addition commutes) and stays invariant under
     perm to the bit, so equal entries share their bits and their text.

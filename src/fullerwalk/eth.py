@@ -25,7 +25,8 @@ from .graphs import _check_label
 from .spectral import Spectrum
 
 ENTROPY_FLOOR = 1e-15
-HAAR_MAX_DRAWS = 2**26  # N normals per Haar sample: 2^20 samples on C60, 67,108 on F1000
+HAAR_MAX_DRAWS = 2**26  # N normals per Haar sample: 67,108 samples on F1000
+HAAR_MAX_SAMPLES = 2**20  # the cap where the draws allow more: on N < 64, C60 among them
 
 # a symmetry residual passes strictly below its threshold
 SYMMETRY_THRESHOLDS = {
@@ -123,13 +124,13 @@ def _entropy_of(p: np.ndarray) -> float:
 
 def haar_entropy_baseline(n: int, n_samples: int, seed: int = 0):
     """Mean and population std of the coordinate-distribution entropy over
-    the n_samples Haar-orthogonal states of seeds seed, seed+1, ..."""
+    the n_samples Haar-orthogonal states of seeds seed, seed+1, ..., at most
+    min(HAAR_MAX_SAMPLES, HAAR_MAX_DRAWS // n) of them, refused before a draw."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    if n * n_samples > HAAR_MAX_DRAWS:
-        raise ValueError(f"Haar baseline too long: N {n} x {n_samples} samples = {n * n_samples} "
-                         f"draws, above the budget of {HAAR_MAX_DRAWS}; N {n} allows at most "
-                         f"{HAAR_MAX_DRAWS // n} samples")
+    if n_samples > (limit := min(HAAR_MAX_SAMPLES, HAAR_MAX_DRAWS // max(n, 1))):
+        raise ValueError(f"Haar baseline too long: N {n} allows at most {limit} samples, "
+                         f"got {n_samples}")
     ents = [_entropy_of(v**2) for v in _haar_states(n, (seed + i for i in range(n_samples)))]
     return float(np.mean(ents)), float(np.std(ents))
 

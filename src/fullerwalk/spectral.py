@@ -9,12 +9,13 @@ formed.
 
 A graph's spectrum (graph_spectrum) is solved in the sectors of a cyclic
 label symmetry read off N and verified on the edge list: the tube
-builder's C5 rotation gives five sectors of N/5 ("c5-sectors"), the
-reversal x -> N+1-x of an even N two of N/2 ("symmetry-adapted"; C60's
-blocked labels take this route, and its mirror relation
-|<x|lam_k>| = |<N+1-x|lam_k>| then holds exactly by construction), and a
-graph with neither gets one dense solve ("plain"). eigendecompose solves
-any symmetric matrix densely.
+builder's C10, its C5 rotation after the cap-to-cap swap, gives ten
+sectors of N/10 ("c10-sectors"), in each of which every level is simple;
+the reversal x -> N+1-x of an even N gives two of N/2
+("symmetry-adapted"; C60's blocked labels take this route, and its mirror
+relation |<x|lam_k>| = |<N+1-x|lam_k>| then holds exactly by
+construction), and a graph with neither gets one dense solve ("plain").
+eigendecompose solves any symmetric matrix densely.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class Spectrum:
         eigenvalues within a cluster agree to degeneracy_tol
     degeneracy_tol : float
     basis_tag : str
-        "plain" for the dense solver's basis, "c5-sectors" for real lifts
-        of the tube rotation's sectors, "symmetry-adapted" for the
+        "plain" for the dense solver's basis, "c10-sectors" for real lifts
+        of the sectors of the tube's C10, "symmetry-adapted" for the
         reversal's two sectors, in which |<x|lam_k>| = |<N+1-x|lam_k>|
         exactly (C60). Per-vector quantities inside degenerate clusters
         depend on this choice; projectors do not.
@@ -161,13 +162,24 @@ def _tube_rotation(n: int) -> np.ndarray:
     return np.array([first + (o + step) % size for first, size, step in layers for o in range(size)])
 
 
+def _tube_swap(n: int) -> np.ndarray:
+    """build_tube_fullerene's cap-to-cap swap as a 0-based node map (n a
+    multiple of 10): with R = n/10 - 1 rings, the pentagon's offset o goes to
+    the far cap's (o + 3R) mod 5 and the far cap back by the inverse, ring k
+    (1-based) to ring R + 1 - k with o -> (o + 6R - 11 - 2(k - 1)) mod 10.
+    An involution that commutes with _tube_rotation and fixes no node."""
+    r, o5, o10 = n // 10 - 1, np.arange(5), np.arange(10)
+    rings = [5 + 10 * (r - k) + (o10 + 6 * r - 11 - 2 * (k - 1)) % 10 for k in range(1, r + 1)]
+    return np.concatenate([n - 5 + (o5 + 3 * r) % 5, *rings, (o5 - 3 * r) % 5])
+
+
 def _symmetry(g: Graph):
     """(perm, order, basis tag) of the first label map read off N that maps
-    the edges of g onto themselves: the tube's C5 rotation, then for even N
-    the reversal; else the identity."""
+    the edges of g onto themselves: the tube's C10, the C5 rotation after
+    the cap swap, then for even N the reversal; else the identity."""
     n = g.n_nodes
-    if n % 10 == 0 and _is_automorphism(g, rot := _tube_rotation(n)):
-        return rot, 5, "c5-sectors"
+    if n % 10 == 0 and _is_automorphism(g, c10 := _tube_rotation(n)[_tube_swap(n)]):
+        return c10, 10, "c10-sectors"
     if n % 2 == 0 and _is_automorphism(g, rev := np.arange(n)[::-1]):  # x -> N+1-x
         return rev, 2, "symmetry-adapted"
     return np.arange(n), 1, "plain"
@@ -192,8 +204,9 @@ def _sectored_eigh(g: Graph, perm: np.ndarray, order: int):
     their orbits, and its eigenvector c lifts to c[orb x] omega^{k pw(x)} /
     sqrt(order). Sectors k = 0 and order/2 are real; sector order - k is the
     conjugate of k, so a complex level lifts to sqrt 2 Re and sqrt 2 Im.
-    Lifts go straight into their columns of the ascending (stable) order. At
-    order 1 the one block is adjacency(g): np.linalg.eigh's result, bit for bit.
+    Lifts go straight into their columns of the ascending (stable) order. A
+    tube's C10 gives blocks of N/10; at order 1 the one block is
+    adjacency(g): np.linalg.eigh's result, bit for bit.
     """
     n, m = g.n_nodes, g.n_nodes // order
     cycle = _powers(perm, order)
@@ -201,7 +214,7 @@ def _sectored_eigh(g: Graph, perm: np.ndarray, order: int):
     orb = np.unique(cycle.min(axis=0), return_inverse=True)[1]
     e = np.array(sorted(g.edges), dtype=int).reshape(-1, 2) - 1  # sorted: one summation order
     x, y = np.concatenate([e, e[:, ::-1]]).T
-    sectors = []
+    v, sectors = np.empty((n, n)), []  # the largest array first, so a refusal comes at once
     for k in range(order // 2 + 1):
         phase = np.exp(2j * np.pi * k * np.arange(order) / order)
         copies = 1 if 2 * k % order == 0 else 2
@@ -213,7 +226,7 @@ def _sectored_eigh(g: Graph, perm: np.ndarray, order: int):
     by_value = np.argsort(values, kind="stable")
     column = np.empty(n, dtype=int)
     column[by_value] = np.arange(n)
-    v, start = np.empty((n, n)), 0
+    start = 0
     for w, c, phase, copies in sectors:
         lift = c[orb] * phase[pw][:, None] / np.sqrt(order / copies)
         cols, start = column[start:start + copies * m], start + copies * m

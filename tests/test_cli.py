@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -34,7 +35,14 @@ from fullerwalk import (
     save_graph,
 )
 from fullerwalk import cli
-from fullerwalk.cli import _READ_ONLY_WITH, _distinct_rows, _json_chunks, build_parser, main
+from fullerwalk.cli import (
+    _READ_ONLY_WITH,
+    _distinct_rows,
+    _json_chunks,
+    build_parser,
+    main,
+)
+from fullerwalk.spectral import _powers
 from oracles import node_projector_widths
 
 REFERENCE_ROW1 = [0.079, 0.024, 0.021, 0.021, 0.024]
@@ -308,15 +316,16 @@ def test_limiting_reports_the_mirror_residual_of_any_reversal_symmetric_graph(tm
 
 
 def test_limiting_reports_the_mirror_residual_of_a_graph_solved_in_rotation_sectors(tmp_path):
-    # every label map preserves a graph with no edges: it solves in the C5
-    # sectors of the tube rotation, the first symmetry tried, and also has
-    # the reversal x -> N+1-x, which the spectrum's symmetry does not name
+    # every label map preserves a graph with no edges: it solves in the C10
+    # sectors of the tube rotation and cap swap, the first symmetry tried, and
+    # also has the reversal x -> N+1-x, which the spectrum's symmetry does not name
     graph = tmp_path / "empty30.txt"
     graph.write_text("30\n")
-    assert graph_spectrum(load_graph(graph)).basis_tag == "c5-sectors"
+    assert graph_spectrum(load_graph(graph)).basis_tag == "c10-sectors"
     out = tmp_path / "u.json"
     assert run("limiting", "--graph", str(graph), "-o", str(out)) == 0
-    assert read_json(out)["mirror_residual"] == 1.0  # u is the identity
+    # u is the identity up to the rounding of the lifts (the C5 lifts happened to give it exactly)
+    assert read_json(out)["mirror_residual"] == pytest.approx(1.0, rel=0, abs=1e-15)
 
 
 def test_limiting_csv_triples_and_matrix(tmp_path, request):
@@ -365,9 +374,68 @@ def test_distinct_rows_formats_each_bit_pattern_once():
         calls.append(v)
         return repr(v)
 
-    assert list(_distinct_rows(m, text)) == [tuple(map(repr, row)) for row in m.tolist()]
+    trivial = np.arange(3)[None]  # each row its own orbit
+    assert list(_distinct_rows(m, text, trivial)) == [tuple(map(repr, row)) for row in m.tolist()]
     assert len(calls) == 5  # 0.1, -0.0, 0.0, 5e-324, inf
-    assert list(_distinct_rows(np.array([[2.5]]), repr)) == [("2.5",)]
+    assert list(_distinct_rows(np.array([[2.5]]), repr, trivial[:, :1])) == [("2.5",)]
+
+
+def test_distinct_rows_lifts_each_orbit_from_its_smallest_node():
+    # a 3-cycle on 0..2 and on 3..5; row perm^p(r) is row r read at cycle[-p]
+    cycle = _powers(np.array([1, 2, 0, 4, 5, 3]), 3)
+    m = np.empty((6, 6))
+    m[[0, 3]] = [[0.1, -0.0, 0.0, 5e-324, np.inf, 0.1], [2.5, 0.1, -0.0, 1e300, 0.0, 7.0]]
+    for p in (1, 2):
+        m[cycle[p, [0, 3]]] = m[[0, 3]][:, cycle[-p]]
+    assert np.array_equal(m[cycle[1]][:, cycle[1]], m)  # invariant under perm
+    calls = []
+
+    def text(v):
+        calls.append(v)
+        return repr(v)
+
+    assert list(_distinct_rows(m, text, cycle)) == [tuple(map(repr, row)) for row in m.tolist()]
+    assert len(calls) == 8  # 0.1, -0.0, 0.0, 5e-324, inf, 2.5, 1e300, 7.0 of rows 0 and 3
+
+    s = graph_spectrum(build_tube_fullerene(130))  # the limiting writer's own case
+    u, cycle = limiting_distribution(s), _powers(*s.symmetry)
+    calls.clear()
+    assert list(_distinct_rows(u, text, cycle)) == [tuple(map(repr, row)) for row in u.tolist()]
+    assert len(calls) == len(np.unique(u.view(np.uint64)))  # each row permutes an orbit row
+
+
+ONE_NODE_CHECKSUM = "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"
+
+
+@pytest.mark.parametrize("layout, fmt, body", [
+    ("triples", "csv", "x,y,u\n1,1,1\n"),
+    ("matrix", "csv", "1\n"),
+    ("triples", "json", None),
+], ids=["triples", "matrix", "json"])
+def test_a_one_node_graph_file_gets_the_limiting_bytes_of_the_per_row_writer(
+    tmp_path, monkeypatch, layout, fmt, body
+):
+    # the bytes the limiting writers gave before u was written from its orbit
+    # rows: a 1 x 1 table is one orbit, and the matrix layout's one lifted row
+    # is a tuple of one text
+    monkeypatch.chdir(tmp_path)
+    Path("g.txt").write_text("1\n")
+    out = f"u.{fmt}"
+    assert run("limiting", "--graph", "g.txt", "--format", fmt, "--layout", layout, "-o", out) == 0
+    meta = {"command": "limiting", "config": {
+        "c60": False, "format": fmt, "graph": "g.txt", "layout": layout, "output": out,
+        "tol": 1e-06, "tube": None}, "graph_checksum": ONE_NODE_CHECKSUM,
+        "tool": "fullerwalk", "version": fullerwalk.__version__}
+    text = Path(out).read_bytes().decode()
+    if fmt == "json":
+        text = re.sub(r'"timing_seconds": [^,\n]*', '"timing_seconds": 0', text)
+        doc = {"meta": dict(meta, timing_seconds=0), "mirror_residual": 0.0, "n_nodes": 1,
+               "row_sum_max_dev": 0.0, "u": [[1.0]]}
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return
+    assert text == (f"# tool: fullerwalk {fullerwalk.__version__}\n# command: limiting\n"
+                    f"# config: {json.dumps(meta['config'])}\n"
+                    f"# graph_checksum: {ONE_NODE_CHECKSUM}\n{body}")
 
 
 @pytest.mark.parametrize(
@@ -629,12 +697,11 @@ class _Reached(Exception):
 @pytest.mark.parametrize("argv, first_step", [
     (["gibbs", "--beta-sweep", "--beta-count"], "_linear_grid"),
     (["gibbs", "--family", "30", "--beta-count"], "_linear_grid"),
-    (["eth", "--tube", "1000", "--observable", "position", "--haar-samples"], "_resolve_graph"),
 ])
 def test_a_count_over_the_tau_count_cap_is_refused_on_the_count_alone(
     tmp_path, capsys, monkeypatch, argv, first_step
 ):
-    # --beta-count and --haar-samples share the cap of 2^20 points of --tau-count
+    # --beta-count shares the cap of 2^20 points of --tau-count
     def reached(*args):
         raise _Reached
 
@@ -925,17 +992,21 @@ def test_eth_rejects_negative_haar_samples(tmp_path, capsys):
 def test_eth_refuses_a_haar_baseline_over_its_draw_budget_before_the_solve(
     tmp_path, capsys, monkeypatch, eigh_calls
 ):
+    # one limit, min(2^20, 2^26 // N): the draw budget on F1000, the count cap on C60
     def draw(n, seeds):
-        raise AssertionError("a Haar state was drawn")
+        raise _Reached
 
     monkeypatch.setattr("fullerwalk.eth._haar_states", draw)
     out = tmp_path / "e.json"
-    argv = ["eth", "--tube", "1000", "--observable", "position", "--haar-samples", "67109"]
-    assert run(*argv, "-o", str(out)) == 2
-    assert capsys.readouterr().err == (
-        "fullerwalk: error: Haar baseline too long: N 1000 x 67109 samples = 67109000 draws, "
-        "above the budget of 67108864; N 1000 allows at most 67108 samples\n"
-    )
+    for src, n, limit in ((["--tube", "1000"], 1000, 67108), (["--c60"], 60, 2**20)):
+        argv = ["eth", *src, "--observable", "position", "--haar-samples"]
+        with pytest.raises(_Reached):  # the limit itself is accepted
+            run(*argv, str(limit), "-o", str(out))
+        assert run(*argv, str(limit + 1), "-o", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"fullerwalk: error: Haar baseline too long: N {n} allows at most {limit} samples, "
+            f"got {limit + 1}\n"
+        )
     assert eigh_calls == []
     assert not out.exists()
 

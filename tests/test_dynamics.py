@@ -100,7 +100,7 @@ def _named_graph(name):
 
 
 @pytest.mark.parametrize("tol", [DEGENERACY_TOL, 0.3])
-@pytest.mark.parametrize("graph, order", [("C60", 2), ("F30", 5), ("F130", 5)])
+@pytest.mark.parametrize("graph, order", [("C60", 2), ("F30", 10), ("F130", 10)])
 def test_limiting_distribution_is_invariant_under_the_solved_symmetry(graph, order, tol):
     # u is formed from one row per orbit and scattered, so u(px, py) = u(x, y) to the bit
     s = graph_spectrum(_named_graph(graph), tol)

@@ -197,12 +197,12 @@ def test_haar_baseline_refuses_n_times_samples_over_the_budget_before_drawing(mo
         raise _Drawn
 
     monkeypatch.setattr(eth, "_haar_states", draw)
-    # 60 x 2^20 < 2^26: every count the CLI's 2^20 cap lets through stays accepted on C60
-    for n, count in ((60, 2**20), (1000, 67108)):
+    # min(2^20, 2^26 // N) samples: the count cap on C60, the draw budget on F1000
+    for n, limit in ((60, 2**20), (1000, 67108)):
         with pytest.raises(_Drawn):
-            haar_entropy_baseline(n, count)
-    with pytest.raises(ValueError, match="N 1000 allows at most 67108 samples"):
-        haar_entropy_baseline(1000, 67109)
+            haar_entropy_baseline(n, limit)
+        with pytest.raises(ValueError, match=f"N {n} allows at most {limit} samples, got {limit + 1}$"):
+            haar_entropy_baseline(n, limit + 1)
 
 
 def test_haar_baseline_validation():

@@ -143,9 +143,9 @@ def test_symmetry_adapted_basis_mirror_exact(c60_sym_spectrum):
     assert np.abs(np.abs(v) - mirrored).max() == 0.0
 
 
-@pytest.mark.parametrize("name, tag", [("C60", "symmetry-adapted"), ("F30", "c5-sectors"),
-                                       ("F130", "c5-sectors"), ("F500", "c5-sectors"),
-                                       ("F1000", "c5-sectors")])
+@pytest.mark.parametrize("name, tag", [("C60", "symmetry-adapted"), ("F30", "c10-sectors"),
+                                       ("F130", "c10-sectors"), ("F500", "c10-sectors"),
+                                       ("F1000", "c10-sectors")])
 def test_sectored_spectrum_matches_the_dense_solve(name, tag, solves):
     g = build_c60_blocked() if name == "C60" else build_tube_fullerene(int(name[1:]))
     a = adjacency(g)
@@ -193,8 +193,48 @@ def test_a_loaded_tube_gets_the_same_sectored_basis(tmp_path, solves):
     save_graph(g, tmp_path / "f130.txt")
     spectral._solve.cache_clear()
     loaded = graph_spectrum(load_graph(tmp_path / "f130.txt"))
-    assert solves == [5, 5] and loaded is not built
+    assert solves == [10, 10] and loaded is not built
     assert np.array_equal(loaded.eigenvectors, built.eigenvectors)
+
+
+def test_the_tube_swap_is_a_free_involution_commuting_with_the_rotation():
+    # every tube F30..F3000, so both parities of the ring count N/10 - 1
+    for n in range(30, 3001, 10):
+        swap, rot = spectral._tube_swap(n), spectral._tube_rotation(n)
+        assert np.array_equal(swap[swap], np.arange(n))
+        assert np.array_equal(swap[rot], rot[swap])
+        assert not np.any(swap == np.arange(n))
+        assert spectral._is_automorphism(build_tube_fullerene(n), swap)
+
+
+def test_every_level_inside_a_c10_sector_is_simple(monkeypatch):
+    # each within-sector gap exceeds the solver's backward error (about
+    # eps ||A||, ||A|| = 3 on a cubic graph) a thousandfold, so by Weyl's
+    # inequality the exact levels of a sector are distinct; F1000's
+    # smallest gap is 1.3e-3
+    gaps, eigh = [], np.linalg.eigh
+
+    def recorded(h):
+        w, c = eigh(h)
+        gaps.append(np.diff(w).min())
+        return w, c
+
+    spectral._solve.cache_clear()
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    sizes = range(30, 1001, 10)
+    assert {graph_spectrum(build_tube_fullerene(n)).basis_tag for n in sizes} == {"c10-sectors"}
+    assert len(gaps) == 6 * len(sizes)  # sectors 0..5
+    assert min(gaps) > 1e3 * np.finfo(float).eps * 3
+
+
+@pytest.mark.parametrize("n", [30, 130, 500, 1000])
+def test_the_c10_solve_keeps_the_clusters_and_u_of_the_c5_solve(n):
+    g = build_tube_fullerene(n)
+    s, rot = graph_spectrum(g), spectral._tube_rotation(n)
+    c5 = spectral._spectrum(*spectral._sectored_eigh(g, rot, 5), DEGENERACY_TOL, "c5", (rot, 5))
+    assert s.symmetry[1] == 10 and s.clusters == c5.clusters
+    assert np.abs(s.eigenvalues - c5.eigenvalues).max() <= 3e-14
+    assert np.abs(limiting_distribution(s) - limiting_distribution(c5)).max() <= 1e-15
 
 
 def test_gap_count_small_hand_case():
