@@ -992,22 +992,34 @@ def test_eth_rejects_negative_haar_samples(tmp_path, capsys):
 def test_eth_refuses_a_haar_baseline_over_its_draw_budget_before_the_solve(
     tmp_path, capsys, monkeypatch, eigh_calls
 ):
-    # one limit, min(2^20, 2^26 // N): the draw budget on F1000, the count cap on C60
+    # one limit, min(2^20, 2^26 // N): the draw budget on F1000
+    _assert_haar_limit(tmp_path, capsys, monkeypatch, ["--tube", "1000"], 1000, 67108)
+    assert eigh_calls == []
+
+
+def test_eth_refuses_a_haar_count_over_the_count_cap_where_the_draws_allow_more(
+    tmp_path, capsys, monkeypatch, eigh_calls
+):
+    # the same limit and message where 2^20, the --tau-count cap, is the
+    # tighter term: every N < 64, C60 among them
+    _assert_haar_limit(tmp_path, capsys, monkeypatch, ["--c60"], 60, 2**20)
+    assert eigh_calls == []
+
+
+def _assert_haar_limit(tmp_path, capsys, monkeypatch, src, n, limit):
     def draw(n, seeds):
         raise _Reached
 
     monkeypatch.setattr("fullerwalk.eth._haar_states", draw)
     out = tmp_path / "e.json"
-    for src, n, limit in ((["--tube", "1000"], 1000, 67108), (["--c60"], 60, 2**20)):
-        argv = ["eth", *src, "--observable", "position", "--haar-samples"]
-        with pytest.raises(_Reached):  # the limit itself is accepted
-            run(*argv, str(limit), "-o", str(out))
-        assert run(*argv, str(limit + 1), "-o", str(out)) == 2
-        assert capsys.readouterr().err == (
-            f"fullerwalk: error: Haar baseline too long: N {n} allows at most {limit} samples, "
-            f"got {limit + 1}\n"
-        )
-    assert eigh_calls == []
+    argv = ["eth", *src, "--observable", "position", "--haar-samples"]
+    with pytest.raises(_Reached):  # the limit itself is accepted
+        run(*argv, str(limit), "-o", str(out))
+    assert run(*argv, str(limit + 1), "-o", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"fullerwalk: error: Haar baseline too long: N {n} allows at most {limit} samples, "
+        f"got {limit + 1}\n"
+    )
     assert not out.exists()
 
 
