@@ -7,12 +7,12 @@ can be reproduced from its own output. CSV files carry the same metadata
 as '#' comment lines. Commands only compute; main adds the metadata and
 writes each file: JSON through json.dumps, with the numeric arrays streamed
 into its text, and CSV as bytes, one filled '%' template per row; u formats
-each distinct value once, and its CSV reads only one row per orbit of the
-symmetry it was solved in. Timing is only in JSON (timing_seconds); CSV and
-graph files are byte-identical across reruns of the same command with the
-same number of BLAS threads. Another count moves the last digits of u and
-may pick another basis inside a degenerate cluster, which changes the
-per-vector outputs outright (spectrum --vectors, the eth CSV and JSON).
+each distinct value once, and its CSV and JSON read only one row per orbit
+of the symmetry it was solved in. Timing is only in JSON (timing_seconds);
+CSV and graph files are byte-identical across reruns of the same command
+with the same number of BLAS threads. Another count moves the last digits
+of u and may pick another basis inside a degenerate cluster, which changes
+the per-vector outputs outright (spectrum --vectors, the eth CSV and JSON).
 Every graph is solved through graph_spectrum, whose basis_tag names the
 basis: C10 sectors for a tube, the mirror sectors for C60 (also behind
 symmetry), the dense solve for a graph with neither symmetry.
@@ -99,23 +99,34 @@ def _json_text(a: np.ndarray):
     return float.__repr__ if np.isfinite(a).all() else json.dumps
 
 
+class _OrbitMatrix:
+    """A float matrix for _json_chunks, bitwise invariant under the node
+    map whose powers table is cycle, so only one row per orbit is read."""
+
+    def __init__(self, matrix: np.ndarray, cycle: np.ndarray):
+        self.matrix, self.cycle = matrix, cycle
+
+
 def _json_chunks(doc, nl="\n"):
     """The text of doc, in pieces, as json.dump(doc, indent=2,
     sort_keys=True) writes it once arrays and numpy scalars are plain
     Python; nl is the line break and indent of the line doc starts on.
 
-    json.dumps writes doc with each dict value, non-empty numeric vector
-    and non-empty float matrix of a dict doc replaced by null; each is then
-    written in its place. A dict is written by a recursive call, a vector
-    as one join in C of json's reprs, a float matrix one row at a time
-    through _distinct_rows, so no N^2 list is formed. At indent 2 only the
-    dict's own keys start a line with nl + '  "', and json escapes line
-    breaks inside strings, so each place occurs once.
+    json.dumps writes doc with each dict value, non-empty numeric vector,
+    non-empty float matrix and _OrbitMatrix of a dict doc replaced by null;
+    each is then written in its place. A dict is written by a recursive
+    call, a vector as one join in C of json's reprs, a float matrix one row
+    at a time through _distinct_rows, so no N^2 list is formed; an
+    _OrbitMatrix reads there only one row per orbit of its node map (u of
+    the limiting JSON, N/10 rows on a tube). At indent 2 only the dict's
+    own keys start a line with nl + '  "', and json escapes line breaks
+    inside strings, so each place occurs once.
     """
     inner, spliced = nl + "  ", {}
     if isinstance(doc, dict):  # dicts, non-empty numeric vectors and float matrices
-        spliced = {k: v for k, v in doc.items() if isinstance(v, dict) or isinstance(v, np.ndarray)
-                   and v.size > 0 and v.dtype.kind in {1: "fiu", 2: "f"}.get(v.ndim, "")}
+        spliced = {k: v for k, v in doc.items() if isinstance(v, (dict, _OrbitMatrix))
+                   or isinstance(v, np.ndarray) and v.size > 0
+                   and v.dtype.kind in {1: "fiu", 2: "f"}.get(v.ndim, "")}
         doc = {k: None if k in spliced else v for k, v in doc.items()}
     text = json.dumps(doc, indent=2, sort_keys=True, default=lambda v: v.tolist())
     text = text.replace("\n", nl)
@@ -127,12 +138,15 @@ def _json_chunks(doc, nl="\n"):
         done, value = at + len("null"), spliced[key]
         if isinstance(value, dict):
             yield from _json_chunks(value, inner)
-        elif value.ndim == 1:
+        elif isinstance(value, np.ndarray) and value.ndim == 1:
             items = map(_json_text(value), value.tolist())
             yield "[" + item + ("," + item).join(items) + inner + "]"
         else:
+            if not isinstance(value, _OrbitMatrix):
+                value = _OrbitMatrix(value, np.arange(len(value))[None])  # each row its own orbit
+            m, cycle = value.matrix, value.cycle
             sep = "["
-            for row in _distinct_rows(value, _json_text(value), np.arange(len(value))[None]):
+            for row in _distinct_rows(m, _json_text(m), cycle):
                 yield sep + item + "[" + cell + ("," + cell).join(row) + item + "]"
                 sep = ","
             yield inner + "]"
@@ -296,14 +310,15 @@ def _cmd_limiting(args):
     g = _resolve_graph(args)
     s = graph_spectrum(g, args.tol)
     u = limiting_distribution(s)
+    cycle = _powers(*s.symmetry)
     payload = {
         "n_nodes": g.n_nodes,
-        "u": u,
+        "u": _OrbitMatrix(u, cycle),
         "row_sum_max_dev": float(np.abs(u.sum(axis=1) - 1.0).max()),
     }
     if _is_automorphism(g, np.arange(g.n_nodes)[::-1]):  # x -> N+1-x is a symmetry
         payload["mirror_residual"] = _mirror_residual(u, 1)
-    texts = _distinct_rows(u, b"%.17g".__mod__, _powers(*s.symmetry))
+    texts = _distinct_rows(u, b"%.17g".__mod__, cycle)
     if args.layout == "matrix":
         return g, payload, ([], b",".join([b"%s"] * g.n_nodes) + b"\n", texts)
     line = b"".join(b"\0,%d,%%s\n" % y for y in range(1, g.n_nodes + 1))  # x goes in at \0

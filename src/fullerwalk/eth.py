@@ -16,6 +16,7 @@ observable_in_energy_basis forms the N x N matrix V^T diag(o) V.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -27,6 +28,7 @@ from .spectral import Spectrum
 ENTROPY_FLOOR = 1e-15
 HAAR_MAX_DRAWS = 2**26  # N normals per Haar sample: 67,108 samples on F1000
 HAAR_MAX_SAMPLES = 2**20  # the cap where the draws allow more: on N < 64, C60 among them
+ENTROPY_BLOCK = 2**16  # values per block of rows scored at once by _row_entropies
 
 # a symmetry residual passes strictly below its threshold
 SYMMETRY_THRESHOLDS = {
@@ -88,8 +90,10 @@ def projector_eth_stats(s: Spectrum):
 
 def node_entropies(s: Spectrum) -> np.ndarray:
     """Measurement entropy of every node: entry x-1 is -sum_k p_k ln p_k with
-    p_k = |<lam_k|x>|^2, terms below 1e-15 dropped; each lies in [0, ln N]."""
-    return np.array([_entropy_of(p) for p in s.eigenvectors**2])
+    p_k = |<lam_k|x>|^2, terms below 1e-15 dropped; each lies in [0, ln N].
+    Rows of V are scored ENTROPY_BLOCK values at a time."""
+    v, rows = s.eigenvectors, max(1, ENTROPY_BLOCK // s.n)
+    return np.concatenate([_row_entropies(v[lo:lo + rows] ** 2) for lo in range(0, s.n, rows)])
 
 
 def _haar_states(n: int, seeds):
@@ -105,10 +109,11 @@ def _haar_states(n: int, seeds):
         key = int(seed)
         if not 0 <= key < 2**128:
             raise ValueError(f"seed {key} must lie in [0, 2**128)")
-        state["state"]["key"] = np.array([key & (2**64 - 1), key >> 64], dtype=np.uint64)
+        state["state"]["key"] = [key & (2**64 - 1), key >> 64]
         bg.state = state
         v = rng.standard_normal(n)
-        yield v / np.linalg.norm(v)
+        v /= np.sqrt(v.dot(v))  # np.linalg.norm's own arithmetic on a 1-D float array
+        yield v
 
 
 def haar_orthogonal_state(n: int, seed: int) -> np.ndarray:
@@ -117,22 +122,45 @@ def haar_orthogonal_state(n: int, seed: int) -> np.ndarray:
     return next(_haar_states(n, [seed]))
 
 
-def _entropy_of(p: np.ndarray) -> float:
-    mask = p > ENTROPY_FLOOR
-    return float(-(p[mask] * np.log(p[mask])).sum())
+def _row_entropies(p: np.ndarray) -> np.ndarray:
+    """-sum p ln p over the terms of each row of the 2-D array p with p above
+    ENTROPY_FLOOR, with the bits of summing that row's kept terms as one 1-D
+    array. One pass per count m of kept terms: the rows keeping m terms are
+    gathered into a (rows x m) array of their kept terms, whose row sums run
+    in numpy's pairwise order over m values, as the 1-D sums would."""
+    keep = p > ENTROPY_FLOOR
+    terms = np.where(keep, p, 1.0)
+    np.log(terms, out=terms)
+    terms *= p
+    counts = keep.sum(axis=1)
+    ents = np.empty(len(p))
+    for m in np.flatnonzero(np.bincount(counts)).tolist():  # np.unique would import numpy.ma
+        rows = np.flatnonzero(counts == m)
+        ents[rows] = -terms[rows][keep[rows]].reshape(len(rows), m).sum(axis=1)
+    return ents
 
 
 def haar_entropy_baseline(n: int, n_samples: int, seed: int = 0):
     """Mean and population std of the coordinate-distribution entropy over
     the n_samples Haar-orthogonal states of seeds seed, seed+1, ..., at most
-    min(HAAR_MAX_SAMPLES, HAAR_MAX_DRAWS // n) of them, refused before a draw."""
+    min(HAAR_MAX_SAMPLES, HAAR_MAX_DRAWS // n) of them, refused before a draw.
+
+    The states are scored in blocks of at most ENTROPY_BLOCK values
+    (_row_entropies), so the memory beyond the n_samples entropies is one
+    block, however many samples are drawn."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if n_samples > (limit := min(HAAR_MAX_SAMPLES, HAAR_MAX_DRAWS // max(n, 1))):
         raise ValueError(f"Haar baseline too long: N {n} allows at most {limit} samples, "
                          f"got {n_samples}")
-    ents = [_entropy_of(v**2) for v in _haar_states(n, (seed + i for i in range(n_samples)))]
-    return float(np.mean(ents)), float(np.std(ents))
+    states = _haar_states(n, (seed + i for i in range(n_samples)))
+    rows = max(1, ENTROPY_BLOCK // max(n, 1))
+    ents = np.empty(n_samples)
+    for start in range(0, n_samples, rows):
+        block = np.array([*islice(states, rows)])
+        block *= block
+        ents[start:start + len(block)] = _row_entropies(block)
+    return float(ents.mean()), float(ents.std())
 
 
 @dataclass(frozen=True)

@@ -87,10 +87,19 @@ class Spectrum:
         return np.add.reduceat(np.asarray(x, dtype=float), starts, axis=-1)
 
     def cluster_means(self, x: np.ndarray) -> np.ndarray:
-        """Mean of the length-N array x over each cluster, each by numpy's
-        own reduction so reported means keep their bits (reduceat's
-        sequential order differs in the last bit)."""
-        return np.array([x[list(c)].mean() for c in self.clusters])
+        """Mean of the length-N float array x over each cluster, with the
+        bits of numpy's own x[list(c)].mean() (reduceat's order differs in
+        the last bit). The clusters of each size m are gathered as the rows
+        of one (clusters x m) array; a mean along its contiguous last axis
+        sums each row as the 1-D mean of that row does."""
+        x = np.asarray(x)
+        starts = np.array([c[0] for c in self.clusters])
+        sizes = np.diff(starts, append=self.n)
+        means = np.empty(len(starts))
+        for m in np.flatnonzero(np.bincount(sizes)).tolist():
+            rows = np.flatnonzero(sizes == m)
+            means[rows] = x[starts[rows, None] + np.arange(m)].mean(axis=1)
+        return means
 
     def cluster_values(self) -> np.ndarray:
         """Representative (mean) eigenvalue of each cluster."""

@@ -182,6 +182,14 @@ def node_projector_widths(a, tol=1e-6):
     )
 
 
+def entropy_of(p, floor=1e-15):
+    """-sum p ln p over the entries of the 1-D p above floor, summed as one
+    array of the kept terms: the per-row definition that the library's
+    blocked entropies must match bit for bit."""
+    kept = p[p > floor]
+    return float(-(kept * np.log(kept)).sum())
+
+
 def haar_rotate_within_clusters(v, clusters, rng):
     """Copy of the eigenvector columns v with each cluster's block turned
     by its own Haar-random orthogonal matrix (QR of a Gaussian matrix with

@@ -171,6 +171,14 @@ DOCS = st.recursive(
 )
 
 
+NAN, INF = float("nan"), float("inf")
+TABLE = [  # rows like eth's node_table, with every kind of value json spells its own way
+    {"b": True, "i": -3, "f": NAN, "g": -0.0, "p": 5e-324},
+    {"b": False, "i": 2**70, "f": INF, "g": 1e300, "p": 0.1},
+    {"b": True, "i": 0, "f": -INF, "g": 0.0, "p": -5e-324},
+]
+
+
 @settings(max_examples=200, deadline=None)
 @given(doc=DOCS)
 @example(
@@ -185,6 +193,7 @@ DOCS = st.recursive(
 @example(doc={"a": '\n  "u": null', "u": np.array([[0.5, 2.0], [1.0, -0.0]])})
 @example(doc={"d": {"n": None, "u": np.array([[0.5]]), "v": np.arange(3)}, "n": None})
 @example(doc={"e": {}, "f": 1.5})
+@example(doc={"t": TABLE, "d": {"t": TABLE[::-1]}})
 def test_json_emitter_writes_what_json_dump_writes(doc):
     assert "".join(_json_chunks(doc)) == json.dumps(plain(doc), indent=2, sort_keys=True)
 
@@ -402,6 +411,21 @@ def test_distinct_rows_lifts_each_orbit_from_its_smallest_node():
     calls.clear()
     assert list(_distinct_rows(u, text, cycle)) == [tuple(map(repr, row)) for row in u.tolist()]
     assert len(calls) == len(np.unique(u.view(np.uint64)))  # each row permutes an orbit row
+
+
+def test_the_limiting_json_reads_one_row_of_u_per_orbit(tmp_path, monkeypatch):
+    reads, read_rows = [], cli._distinct_rows
+
+    def spy(m, text, cycle):  # a generator: counts only the rows a writer reads
+        reads.append(int((cycle.min(axis=0) == np.arange(cycle.shape[1])).sum()))
+        yield from read_rows(m, text, cycle)
+
+    monkeypatch.setattr(cli, "_distinct_rows", spy)
+    out = tmp_path / "u.json"
+    assert run("limiting", "--tube", "130", "-o", str(out)) == 0
+    assert reads == [13]  # the C10 orbits of F130
+    u = limiting_distribution(graph_spectrum(build_tube_fullerene(130)))
+    assert json.loads(out.read_text())["u"] == u.tolist()
 
 
 ONE_NODE_CHECKSUM = "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"

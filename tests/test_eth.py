@@ -12,6 +12,7 @@ from fullerwalk import (
     eth_report,
     eth_symmetry_check,
     graph_from_edges,
+    graph_spectrum,
     haar_entropy_baseline,
     haar_orthogonal_state,
     node_entropies,
@@ -20,7 +21,7 @@ from fullerwalk import (
     projector_eth_stats,
 )
 from fullerwalk import eth
-from oracles import haar_rotate_within_clusters, jacobi_eigh, node_projector_widths
+from oracles import entropy_of, haar_rotate_within_clusters, jacobi_eigh, node_projector_widths
 
 
 def _node(n, x):
@@ -229,6 +230,40 @@ def test_haar_baseline_is_the_mean_over_haar_states(n, seed):
         ents.append(float(-(p * np.log(p)).sum()))
     ents = np.array(ents)
     assert haar_entropy_baseline(n, 4, seed) == (float(ents.mean()), float(ents.std()))
+
+
+@pytest.mark.parametrize("n", [1, 60, 130])
+def test_haar_baseline_is_bitwise_the_per_sample_loop_on_both_sides_of_a_block(n):
+    rows = max(1, eth.ENTROPY_BLOCK // n)  # samples per block
+    ents = np.array([entropy_of(haar_orthogonal_state(n, 11 + i) ** 2)
+                     for i in range(rows + 1)])
+    for count in (rows, rows + 1):
+        expected = (float(ents[:count].mean()), float(ents[:count].std()))
+        assert haar_entropy_baseline(n, count, seed=11) == expected
+
+
+@pytest.mark.parametrize("graph", ["C60", "F130", "F1000"])
+def test_node_entropies_are_bitwise_the_entropy_of_each_row_of_w(graph):
+    """The tubes' sector lifts hold exact zeros, so rows keep different counts."""
+    g = build_c60_blocked() if graph == "C60" else build_tube_fullerene(int(graph[1:]))
+    s = graph_spectrum(g)
+    expected = np.array([entropy_of(p) for p in s.eigenvectors**2])
+    assert node_entropies(s).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_row_entropies_are_bitwise_the_entropy_of_each_row():
+    floor, rng = eth.ENTROPY_FLOOR, np.random.default_rng(5)
+    p = rng.random((6, 9))
+    p[0, 3] = floor  # at the floor: dropped
+    p[1, [0, 8]] = [np.nextafter(floor, 1.0), np.nextafter(floor, 0.0)]
+    p[2, :] = 0.0
+    p[3, 4] = 5e-324
+    p[4, 0] = 1.0
+    q = rng.random((40, 300))  # past numpy's 128-value pairwise blocks, counts 200-260
+    q[q < 0.2] = 0.0
+    for rows in (p, q, np.ones((2, 1))):
+        expected = np.array([entropy_of(row) for row in rows])
+        assert eth._row_entropies(rows).view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 def test_symmetry_check_passes_on_the_adapted_basis(c60_sym_spectrum):

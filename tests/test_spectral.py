@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fullerwalk import (
     DEGENERACY_TOL,
@@ -431,3 +433,39 @@ def test_graph_spectrum_arrays_are_read_only(c60, solves):
         with pytest.raises(ValueError):
             s.eigenvectors[0, 0] = 99.0
     assert len(solves) == 1
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, 1e300, -1e300, 1e-300]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_cluster_means_keep_the_bits_of_numpys_own_mean(sizes, data):
+    """The summation order the per-size pass relies on: a row mean along the
+    contiguous last axis sums as the 1-D mean of that row."""
+    n = sum(sizes)
+    values = st.floats(allow_nan=False, width=64) | st.sampled_from(EDGE_VALUES)
+    x = np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+    bounds = np.cumsum([0, *sizes]).tolist()
+    clusters = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    s = Spectrum(x, np.eye(n), clusters, DEGENERACY_TOL)
+    with np.errstate(all="ignore"):  # inf - inf and overflow, on both sides alike
+        expected = np.array([x[list(c)].mean() for c in clusters])
+        means = s.cluster_means(x)
+    assert means.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_cluster_means_keep_the_bits_of_numpys_own_mean_on_long_clusters():
+    """Past 8 values numpy splits the sum pairwise, past 128 recursively and
+    past 8192 by buffer: the row means must follow it there too."""
+    sizes = [129, 3, 1000, 129, 9000, 1]
+    bounds = np.cumsum([0, *sizes]).tolist()
+    clusters = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(bounds[-1]) * 10.0 ** rng.integers(-8, 8, bounds[-1])
+    means = Spectrum(x, np.eye(1), clusters, DEGENERACY_TOL).cluster_means(x)
+    expected = np.array([x[list(c)].mean() for c in clusters])
+    assert means.view(np.uint64).tolist() == expected.view(np.uint64).tolist()

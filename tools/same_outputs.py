@@ -8,15 +8,16 @@ checkout's src/ (the working tree, uncommitted edits included). Each
 command runs in its own process at one BLAS thread, since another thread
 count may move the last digits of a matrix product. The list covers every
 subcommand, both formats and both limiting layouts, --vectors, C60, F30,
-F130, a --graph file, the C60 graph file, F1000 (the bound with the
-start node, with node 500, a one-node support away from the start, and
-with the position observable, and the position observable's energy-basis
-matrix), the F40 and F2000 graph files, --tol 1e-3, the
-limiting CSV at --tol 0.3 (clusters of more than sqrt(N) levels), all
-three gibbs modes (--beta 1000 too), a 100,000-point beta sweep in both
-formats, a bound at epsilon 1e-18, a 5,000-point bound grid in both
-formats, a bound to tau 1e5, a Haar baseline seeded near 2**128,
-symmetry, and thirteen commands that must fail.
+F130, a --graph file, the C60 graph file, F1000 (spectrum, limiting in
+both formats, the bound with the start node, with node 500, a one-node
+support away from the start, and with the position observable, and the
+position observable's energy-basis matrix), a 1,100-sample Haar baseline
+on F130 (more than one block of Haar states), the F40 and F2000 graph
+files, --tol 1e-3, the limiting CSV at --tol 0.3 (clusters of more than
+sqrt(N) levels), all three gibbs modes (--beta 1000 too), a 100,000-point
+beta sweep in both formats, a bound at epsilon 1e-18, a 5,000-point bound
+grid in both formats, a bound to tau 1e5, a Haar baseline seeded near
+2**128, symmetry, and thirteen commands that must fail.
 
 CSV and graph files must be byte-identical. JSON files must be
 byte-identical apart from the digits of meta.timing_seconds. Exit codes
@@ -114,6 +115,8 @@ def commands() -> list:
     add("eth-c60-haar", "eth", "--c60", "--observable", "node:2", "--entropies",
         "--haar-samples", "25", "--seed", "3")
     add("eth-f130-node130", "eth", *SOURCES["f130"], "--observable", "node:130")
+    add("eth-f130-haar", "eth", *SOURCES["f130"], "--observable", "node:3", "--entropies",
+        "--haar-samples", "1100", "--seed", "9")  # 143,000 values: three blocks of Haar states
     for fmt, ext in (("json", "json"), ("csv", "csv")):
         add("gibbs-beta", "gibbs", "--beta", "0.7", "--format", fmt, ext=ext)
         add("gibbs-sweep", "gibbs", "--beta-sweep", "--format", fmt, ext=ext)
