@@ -5,10 +5,11 @@ left to downstream tooling and each output is the table behind one. The
 JSON header echoes the exact flag set plus the graph checksum so a run
 can be reproduced from its own output. CSV files carry the same metadata
 as '#' comment lines. Commands only compute; main adds the metadata and
-writes each file: JSON through json.dumps, with the numeric arrays streamed
-into its text, and CSV as bytes, one filled '%' template per row; u formats
-each distinct value once, and its CSV and JSON read only one row per orbit
-of the symmetry it was solved in. Timing is only in JSON (timing_seconds);
+writes each file: JSON through json.dumps, with numeric vectors and u's
+text rows streamed into its text, and CSV as bytes, one filled '%'
+template per row; u formats each distinct value once, and its CSV and
+JSON read only one row per orbit of the spectrum's orbits table, the
+symmetry it was solved in. Timing is only in JSON (timing_seconds);
 CSV and graph files are byte-identical across reruns of the same command
 with the same number of BLAS threads. Another count moves the last digits
 of u and may pick another basis inside a degenerate cluster, which changes
@@ -30,6 +31,7 @@ import json
 import math
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import asdict
 from functools import cache
 from operator import itemgetter
@@ -60,7 +62,7 @@ from .graphs import (
     load_graph,
     save_graph,
 )
-from .spectral import DEGENERACY_TOL, _is_automorphism, _powers, graph_spectrum
+from .spectral import DEGENERACY_TOL, _is_automorphism, _orbit_layout, graph_spectrum
 from .thermo import _boltzmann, gibbs_vs_limiting, pentagon_gibbs
 
 # argparse bookkeeping that is not part of the reproducible configuration
@@ -99,34 +101,25 @@ def _json_text(a: np.ndarray):
     return float.__repr__ if np.isfinite(a).all() else json.dumps
 
 
-class _OrbitMatrix:
-    """A float matrix for _json_chunks, bitwise invariant under the node
-    map whose powers table is cycle, so only one row per orbit is read."""
-
-    def __init__(self, matrix: np.ndarray, cycle: np.ndarray):
-        self.matrix, self.cycle = matrix, cycle
-
-
 def _json_chunks(doc, nl="\n"):
     """The text of doc, in pieces, as json.dump(doc, indent=2,
     sort_keys=True) writes it once arrays and numpy scalars are plain
-    Python; nl is the line break and indent of the line doc starts on.
+    Python and each iterator of text rows is the matrix its texts spell;
+    nl is the line break and indent of the line doc starts on.
 
-    json.dumps writes doc with each dict value, non-empty numeric vector,
-    non-empty float matrix and _OrbitMatrix of a dict doc replaced by null;
-    each is then written in its place. A dict is written by a recursive
-    call, a vector as one join in C of json's reprs, a float matrix one row
-    at a time through _distinct_rows, so no N^2 list is formed; an
-    _OrbitMatrix reads there only one row per orbit of its node map (u of
-    the limiting JSON, N/10 rows on a tube). At indent 2 only the dict's
-    own keys start a line with nl + '  "', and json escapes line breaks
-    inside strings, so each place occurs once.
+    json.dumps writes doc with each dict value, non-empty numeric vector
+    and non-empty row iterator of a dict doc replaced by null; each is then
+    written in its place. A dict is written by a recursive call, a vector
+    as one join in C of json's reprs, an iterator one row of texts at a
+    time, so u of the limiting JSON (_distinct_rows) never forms an N^2
+    list. At indent 2 only the dict's own keys start a line with nl + '  "',
+    and json escapes line breaks inside strings, so each place occurs once.
     """
     inner, spliced = nl + "  ", {}
-    if isinstance(doc, dict):  # dicts, non-empty numeric vectors and float matrices
-        spliced = {k: v for k, v in doc.items() if isinstance(v, (dict, _OrbitMatrix))
-                   or isinstance(v, np.ndarray) and v.size > 0
-                   and v.dtype.kind in {1: "fiu", 2: "f"}.get(v.ndim, "")}
+    if isinstance(doc, dict):  # dicts, non-empty numeric vectors and row iterators
+        spliced = {k: v for k, v in doc.items() if isinstance(v, (dict, Iterator))
+                   or isinstance(v, np.ndarray) and v.ndim == 1 and v.size > 0
+                   and v.dtype.kind in "fiu"}
         doc = {k: None if k in spliced else v for k, v in doc.items()}
     text = json.dumps(doc, indent=2, sort_keys=True, default=lambda v: v.tolist())
     text = text.replace("\n", nl)
@@ -138,15 +131,12 @@ def _json_chunks(doc, nl="\n"):
         done, value = at + len("null"), spliced[key]
         if isinstance(value, dict):
             yield from _json_chunks(value, inner)
-        elif isinstance(value, np.ndarray) and value.ndim == 1:
+        elif isinstance(value, np.ndarray):
             items = map(_json_text(value), value.tolist())
             yield "[" + item + ("," + item).join(items) + inner + "]"
         else:
-            if not isinstance(value, _OrbitMatrix):
-                value = _OrbitMatrix(value, np.arange(len(value))[None])  # each row its own orbit
-            m, cycle = value.matrix, value.cycle
             sep = "["
-            for row in _distinct_rows(m, _json_text(m), cycle):
+            for row in value:
                 yield sep + item + "[" + cell + ("," + cell).join(row) + item + "]"
                 sep = ","
             yield inner + "]"
@@ -191,28 +181,20 @@ def _distinct_rows(m, text, cycle):
     (-0.0 keeps its own); row perm^p(r) is row r read at cycle[-p], one
     itemgetter call. Row r's texts are held from r to its orbit's last
     node, so the trivial table (each row its own orbit) holds one row at a
-    time, never an N^2 list. The indices come from one argsort and take the
-    smallest unsigned type, about 25 bytes per entry read at the peak."""
-    rep, last = cycle.min(axis=0), cycle.max(axis=0)  # each node's orbit's smallest and largest
-    n, power = len(rep), -cycle.argmin(axis=0) % len(cycle)  # x = perm^power(rep)
-    reps = np.flatnonzero(rep == np.arange(n))
-    bits = np.ascontiguousarray(m[reps], dtype=float).view(np.uint64).ravel()
-    order = np.argsort(bits)
-    keys = bits[order]
-    first = np.concatenate(([True], keys[1:] != keys[:-1]))
-    texts = np.array([*map(text, keys[first].view(float).tolist())], dtype=object)
-    del keys
-    ids = np.cumsum(first, dtype=np.min_scalar_type(bits.size))
-    ids -= 1
-    inv = np.empty_like(ids)
-    inv[order] = ids
-    del order, ids, first, bits
+    time, never an N^2 list. The index of each entry's text comes from one
+    np.unique, about 50 bytes per entry read at the peak."""
+    reps, orbit, power = _orbit_layout(cycle)
+    bits = np.ascontiguousarray(m[reps], dtype=float).view(np.uint64)
+    keys, inv = np.unique(bits, return_inverse=True)  # unlike np.unique(bits), no numpy.ma import
+    texts = np.array([*map(text, keys.view(float).tolist())], dtype=object)
+    del keys, bits
     lift = [tuple, *(itemgetter(*c.tolist()) for c in cycle[:0:-1])]  # lift[p] reads at cycle[-p]
     held, rows = {}, iter(inv.reshape(len(reps), -1))
-    for x, r, p, end in zip(range(n), rep.tolist(), power.tolist(), last.tolist()):
-        if x == r:
-            held[r] = tuple(texts[next(rows)].tolist())
-        yield lift[p](held.pop(r) if x == end else held[r])
+    for x, o, p, last in zip(range(len(orbit)), orbit.tolist(), power.tolist(),
+                             cycle.max(axis=0).tolist()):
+        if p == 0:
+            held[o] = tuple(texts[next(rows)].tolist())
+        yield lift[p](held.pop(o) if x == last else held[o])
 
 
 def _resolve_graph(args):
@@ -310,15 +292,14 @@ def _cmd_limiting(args):
     g = _resolve_graph(args)
     s = graph_spectrum(g, args.tol)
     u = limiting_distribution(s)
-    cycle = _powers(*s.symmetry)
     payload = {
         "n_nodes": g.n_nodes,
-        "u": _OrbitMatrix(u, cycle),
+        "u": _distinct_rows(u, _json_text(u), s.orbits),
         "row_sum_max_dev": float(np.abs(u.sum(axis=1) - 1.0).max()),
     }
     if _is_automorphism(g, np.arange(g.n_nodes)[::-1]):  # x -> N+1-x is a symmetry
         payload["mirror_residual"] = _mirror_residual(u, 1)
-    texts = _distinct_rows(u, b"%.17g".__mod__, cycle)
+    texts = _distinct_rows(u, b"%.17g".__mod__, s.orbits)
     if args.layout == "matrix":
         return g, payload, ([], b",".join([b"%s"] * g.n_nodes) + b"\n", texts)
     line = b"".join(b"\0,%d,%%s\n" % y for y in range(1, g.n_nodes + 1))  # x goes in at \0

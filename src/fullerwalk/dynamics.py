@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import _check_label
-from .spectral import Spectrum, _powers
+from .spectral import Spectrum, _orbit_layout
 
 # (tau, pair) values evaluated at once by cumulative_time_average
 TIME_AVERAGE_BLOCK = 2**16
@@ -88,17 +88,18 @@ def limiting_distribution(s: Spectrum) -> np.ndarray:
     N x N array; a per-start analysis reads its entries from rows of V.
     Every row sums to 1 exactly with orthonormal eigenvectors.
 
-    Only the row of one node r per orbit of the spectrum's symmetry perm is
-    formed, N/10 rows on a tube and N/2 on C60: a cluster with d^2 > N adds
-    P_j[r]^2 with P_j[r] = V_c[r] V_c^T, the others add Z[r] Z^T, with one
-    column v_k o v_l of Z per same-cluster pair, N columns at a time. P_j commutes with perm, so the other rows are
-    u(perm^m r, y) = u(r, perm^-m y). Last, u becomes (u + u^T)/2, which is
-    symmetric to the bit (float addition commutes) and stays invariant under
-    perm to the bit, so equal entries share their bits and their text.
+    Only the row of the smallest node r of each orbit of the node map perm
+    whose powers table is s.orbits is formed, N/10 rows on a tube and N/2
+    on C60: a cluster with d^2 > N adds P_j[r]^2 with P_j[r] = V_c[r]
+    V_c^T, the others add Z[r] Z^T, with one column v_k o v_l of Z per
+    same-cluster pair, N columns at a time. P_j commutes with perm, so the
+    other rows are u(perm^m r, y) = u(r, perm^-m y). Last, u becomes
+    (u + u^T)/2, which is symmetric to the bit (float addition commutes) and
+    stays invariant under perm to the bit, so equal entries share their bits
+    and their text.
     """
-    n, v, idx = s.n, s.eigenvectors, s.cluster_index
-    cycle = _powers(*(s.symmetry or (np.arange(n), 1)))  # cycle[m, x] = perm^m(x)
-    reps = np.flatnonzero(cycle.min(axis=0) == np.arange(n))
+    n, v, idx, cycle = s.n, s.eigenvectors, s.cluster_index, s.orbits  # cycle[m, x] = perm^m(x)
+    reps = _orbit_layout(cycle)[0]
     ur = np.zeros((len(reps), n))
     for c in s.clusters:
         if len(c) ** 2 > n:

@@ -52,9 +52,10 @@ class Spectrum:
         reversal's two sectors, in which |<x|lam_k>| = |<N+1-x|lam_k>|
         exactly (C60). Per-vector quantities inside degenerate clusters
         depend on this choice; projectors do not.
-    symmetry : (perm, order), or None for the identity
-        The verified label symmetry solved in: a 0-based node map whose
-        orbits all have `order` nodes, so it commutes with every P_j.
+    orbits : (order, N) read-only int table, row p mapping node x to perm^p(x)
+        The powers of the verified 0-based label map perm solved in, whose
+        orbits all have `order` nodes, so it commutes with every P_j. Left
+        out, it is the identity's one row.
     """
 
     eigenvalues: np.ndarray
@@ -62,11 +63,13 @@ class Spectrum:
     clusters: tuple
     degeneracy_tol: float
     basis_tag: str = "plain"
-    symmetry: tuple | None = None
+    orbits: np.ndarray = None
 
     def __post_init__(self):
         if [k for c in self.clusters for k in c] != list(range(len(self.eigenvalues))):
             raise ValueError("clusters must be contiguous runs covering 0..N-1 in order")
+        if self.orbits is None:
+            object.__setattr__(self, "orbits", _powers(np.arange(self.n), 1))
 
     @property
     def n(self) -> int:
@@ -126,11 +129,11 @@ def cluster_eigenvalues(values, tol: float) -> tuple:
     return tuple(tuple(c.tolist()) for c in np.split(np.arange(len(values)), splits))
 
 
-def _spectrum(w, v, degeneracy_tol: float, basis_tag: str, symmetry=None) -> Spectrum:
+def _spectrum(w, v, degeneracy_tol: float, basis_tag: str, orbits=None) -> Spectrum:
     """Read-only Spectrum of ascending eigenvalues w and eigenvector columns v."""
     w.flags.writeable = v.flags.writeable = False
     clusters = cluster_eigenvalues(w, degeneracy_tol)
-    return Spectrum(w, v, clusters, degeneracy_tol, basis_tag, symmetry)
+    return Spectrum(w, v, clusters, degeneracy_tol, basis_tag, orbits)
 
 
 def eigendecompose(a, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
@@ -183,44 +186,54 @@ def _tube_swap(n: int) -> np.ndarray:
 
 
 def _symmetry(g: Graph):
-    """(perm, order, basis tag) of the first label map read off N that maps
+    """(powers table, basis tag) of the first label map read off N that maps
     the edges of g onto themselves: the tube's C10, the C5 rotation after
     the cap swap, then for even N the reversal; else the identity."""
     n = g.n_nodes
     if n % 10 == 0 and _is_automorphism(g, c10 := _tube_rotation(n)[_tube_swap(n)]):
-        return c10, 10, "c10-sectors"
+        return _powers(c10, 10), "c10-sectors"
     if n % 2 == 0 and _is_automorphism(g, rev := np.arange(n)[::-1]):  # x -> N+1-x
-        return rev, 2, "symmetry-adapted"
-    return np.arange(n), 1, "plain"
+        return _powers(rev, 2), "symmetry-adapted"
+    return _powers(np.arange(n), 1), "plain"
 
 
 def _powers(perm: np.ndarray, order: int) -> np.ndarray:
-    """(order, N) table whose row p maps each node x to perm^p(x)."""
+    """Read-only (order, N) table whose row p maps each node x to perm^p(x)."""
     cycle = np.array([np.arange(len(perm))] * order)
     for p in range(1, order):
         cycle[p] = perm[cycle[p - 1]]
+    cycle.flags.writeable = False
     return cycle
 
 
-def _sectored_eigh(g: Graph, perm: np.ndarray, order: int):
+def _orbit_layout(cycle: np.ndarray):
+    """(reps, orbit, power) of the powers table cycle of a node map perm
+    (cycle[p, x] = perm^p(x)) whose orbits all have len(cycle) nodes: the
+    smallest node of each orbit, ascending; the orbit number of each node;
+    and the p of each node x with x = perm^p(reps[orbit[x]])."""
+    reps, orbit = np.unique(cycle.min(axis=0), return_inverse=True)
+    return reps, orbit, -cycle.argmin(axis=0) % len(cycle)
+
+
+def _sectored_eigh(g: Graph, cycle: np.ndarray):
     """Ascending eigenvalues and orthonormal eigenvector columns of
     adjacency(g), one symmetry sector at a time.
 
-    perm is an automorphism of g whose orbits all have `order` nodes; x is
-    perm^pw(r) for r the smallest label of its orbit. With omega =
-    e^{2 pi i / order}, sector k is the Hermitian block that adds
-    omega^{k (pw(y) - pw(x))} / order for each directed edge x -> y between
-    their orbits, and its eigenvector c lifts to c[orb x] omega^{k pw(x)} /
-    sqrt(order). Sectors k = 0 and order/2 are real; sector order - k is the
-    conjugate of k, so a complex level lifts to sqrt 2 Re and sqrt 2 Im.
-    Lifts go straight into their columns of the ascending (stable) order. A
-    tube's C10 gives blocks of N/10; at order 1 the one block is
-    adjacency(g): np.linalg.eigh's result, bit for bit.
+    cycle is the powers table of an automorphism perm of g whose orbits all
+    have order = len(cycle) nodes; x is perm^pw(r) for r the smallest label
+    of its orbit orb (_orbit_layout). With omega = e^{2 pi i / order},
+    sector k is the Hermitian block that adds omega^{k (pw(y) - pw(x))} /
+    order for each directed edge x -> y between their orbits, and its
+    eigenvector c lifts to c[orb x] omega^{k pw(x)} / sqrt(order). Sectors
+    k = 0 and order/2 are real; sector order - k is the conjugate of k, so
+    a complex level lifts to sqrt 2 Re and sqrt 2 Im. Lifts go straight
+    into their columns of the ascending (stable) order. A tube's C10 gives
+    blocks of N/10; at order 1 the one block is adjacency(g):
+    np.linalg.eigh's result, bit for bit.
     """
+    order = len(cycle)
     n, m = g.n_nodes, g.n_nodes // order
-    cycle = _powers(perm, order)
-    pw = -cycle.argmin(axis=0) % order
-    orb = np.unique(cycle.min(axis=0), return_inverse=True)[1]
+    _, orb, pw = _orbit_layout(cycle)
     e = np.array(sorted(g.edges), dtype=int).reshape(-1, 2) - 1  # sorted: one summation order
     x, y = np.concatenate([e, e[:, ::-1]]).T
     v, sectors = np.empty((n, n)), []  # the largest array first, so a refusal comes at once
@@ -246,8 +259,8 @@ def _sectored_eigh(g: Graph, perm: np.ndarray, order: int):
 
 def graph_spectrum(g: Graph, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum:
     """The Spectrum of adjacency(g), solved in the sectors of the symmetry
-    _symmetry finds on g, tagged with it and carrying it, keeping the last
-    result.
+    _symmetry finds on g, tagged with it and carrying its powers table as
+    orbits, keeping the last result.
 
     A graph equal to the last one with an equal tolerance of the same type
     (the Spectrum carries it as passed) gets the same Spectrum back without
@@ -261,9 +274,8 @@ def graph_spectrum(g: Graph, degeneracy_tol: float = DEGENERACY_TOL) -> Spectrum
 # analyses of one graph run back to back, and one slot pins only one N x N basis
 @lru_cache(maxsize=1, typed=True)
 def _solve(g: Graph, degeneracy_tol: float) -> Spectrum:
-    perm, order, tag = _symmetry(g)
-    perm.flags.writeable = False
-    return _spectrum(*_sectored_eigh(g, perm, order), degeneracy_tol, tag, (perm, order))
+    cycle, tag = _symmetry(g)
+    return _spectrum(*_sectored_eigh(g, cycle), degeneracy_tol, tag, cycle)
 
 
 def gap_count(s: Spectrum, epsilon: float) -> int:

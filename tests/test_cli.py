@@ -194,8 +194,15 @@ TABLE = [  # rows like eth's node_table, with every kind of value json spells it
 @example(doc={"d": {"n": None, "u": np.array([[0.5]]), "v": np.arange(3)}, "n": None})
 @example(doc={"e": {}, "f": 1.5})
 @example(doc={"t": TABLE, "d": {"t": TABLE[::-1]}})
+@example(doc={"m": np.array([[NAN, INF, -INF], [-0.0, 5e-324, -5e-324]]), "v": np.zeros(2)})
 def test_json_emitter_writes_what_json_dump_writes(doc):
-    assert "".join(_json_chunks(doc)) == json.dumps(plain(doc), indent=2, sort_keys=True)
+    want = json.dumps(plain(doc), indent=2, sort_keys=True)
+    assert "".join(_json_chunks(doc)) == want
+    if isinstance(doc, dict):  # each non-empty float matrix as an iterator of its text rows
+        rows = {k: _distinct_rows(v, cli._json_text(v), np.arange(len(v))[None])
+                for k, v in doc.items() if isinstance(v, np.ndarray) and v.ndim == 2
+                and v.size > 0 and v.dtype.kind == "f"}
+        assert "".join(_json_chunks({**doc, **rows})) == want
 
 
 # each source with the fixture of its graph; the CLI solves through graph_spectrum
@@ -407,9 +414,9 @@ def test_distinct_rows_lifts_each_orbit_from_its_smallest_node():
     assert len(calls) == 8  # 0.1, -0.0, 0.0, 5e-324, inf, 2.5, 1e300, 7.0 of rows 0 and 3
 
     s = graph_spectrum(build_tube_fullerene(130))  # the limiting writer's own case
-    u, cycle = limiting_distribution(s), _powers(*s.symmetry)
+    u = limiting_distribution(s)
     calls.clear()
-    assert list(_distinct_rows(u, text, cycle)) == [tuple(map(repr, row)) for row in u.tolist()]
+    assert list(_distinct_rows(u, text, s.orbits)) == [tuple(map(repr, row)) for row in u.tolist()]
     assert len(calls) == len(np.unique(u.view(np.uint64)))  # each row permutes an orbit row
 
 

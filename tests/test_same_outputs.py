@@ -1,4 +1,5 @@
-"""tools/same_outputs.py says, per CSV column, what moved between two outputs."""
+"""tools/same_outputs.py says, per CSV column, what moved between two outputs,
+and counts the lines of src/."""
 
 import importlib.util
 from pathlib import Path
@@ -47,3 +48,11 @@ def test_csvs_that_do_not_pair_up_get_the_first_differing_line():
     assert same_outputs._what_moved("gibbs.csv", BASE, wider) == [
         "  line 4, column 5: no cell at base, '1' here (1 of 4 lines differ)"
     ]
+
+
+def test_src_lines_counts_the_python_files_below_a_directory(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "a.py").write_text("x = 1\ny = 2\n\n")
+    (tmp_path / "pkg" / "b.py").write_text("z = 3\nw = 4")  # no final line break
+    (tmp_path / "pkg" / "notes.txt").write_text("not code\n")
+    assert same_outputs.src_lines(tmp_path) == 4

@@ -73,6 +73,21 @@ def test_spectrum_rejects_non_contiguous_clusters():
         Spectrum(w, np.eye(3), ((0, 2), (1,)), DEGENERACY_TOL)
 
 
+def test_a_spectrum_built_without_orbits_gets_the_identity_table():
+    s = Spectrum(np.array([0.0, 1.0, 2.0]), np.eye(3), ((0,), (1,), (2,)), DEGENERACY_TOL)
+    assert s.orbits.shape == (1, 3) and s.orbits.tolist() == [[0, 1, 2]]
+    with pytest.raises(ValueError):
+        s.orbits[0, 0] = 1
+
+
+def test_the_orbit_layout_of_two_three_cycles():
+    # the table of test_distinct_rows_lifts_each_orbit_from_its_smallest_node
+    reps, orbit, power = spectral._orbit_layout(spectral._powers(np.array([1, 2, 0, 4, 5, 3]), 3))
+    assert reps.tolist() == [0, 3]
+    assert orbit.tolist() == [0, 0, 0, 1, 1, 1]
+    assert power.tolist() == [0, 1, 2, 0, 1, 2]  # x = perm^power(x)(reps[orbit(x)])
+
+
 def test_c60_degeneracy_pattern(c60_spectrum):
     s = c60_spectrum
     assert s.n_distinct == 15
@@ -232,9 +247,9 @@ def test_every_level_inside_a_c10_sector_is_simple(monkeypatch):
 @pytest.mark.parametrize("n", [30, 130, 500, 1000])
 def test_the_c10_solve_keeps_the_clusters_and_u_of_the_c5_solve(n):
     g = build_tube_fullerene(n)
-    s, rot = graph_spectrum(g), spectral._tube_rotation(n)
-    c5 = spectral._spectrum(*spectral._sectored_eigh(g, rot, 5), DEGENERACY_TOL, "c5", (rot, 5))
-    assert s.symmetry[1] == 10 and s.clusters == c5.clusters
+    s, rot = graph_spectrum(g), spectral._powers(spectral._tube_rotation(n), 5)
+    c5 = spectral._spectrum(*spectral._sectored_eigh(g, rot), DEGENERACY_TOL, "c5", rot)
+    assert len(s.orbits) == 10 and s.clusters == c5.clusters
     assert np.abs(s.eigenvalues - c5.eigenvalues).max() <= 3e-14
     assert np.abs(limiting_distribution(s) - limiting_distribution(c5)).max() <= 1e-15
 
@@ -339,9 +354,9 @@ def solves(monkeypatch):
     calls = []
     solve = spectral._sectored_eigh
 
-    def counted(g, perm, order):
-        calls.append(order)
-        return solve(g, perm, order)
+    def counted(g, cycle):
+        calls.append(len(cycle))
+        return solve(g, cycle)
 
     spectral._solve.cache_clear()
     monkeypatch.setattr(spectral, "_sectored_eigh", counted)
@@ -433,6 +448,17 @@ def test_graph_spectrum_arrays_are_read_only(c60, solves):
         with pytest.raises(ValueError):
             s.eigenvectors[0, 0] = 99.0
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("name, rows", [("F30", 10), ("C60", 2), ("P5", 1)])
+def test_graph_spectrum_carries_a_read_only_orbit_table(c60, name, rows):
+    path = graph_from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)])  # odd N: no symmetry tried
+    g = {"F30": build_tube_fullerene(30), "C60": c60, "P5": path}[name]
+    cycle = graph_spectrum(g).orbits
+    assert cycle.shape == (rows, g.n_nodes)
+    assert sorted(cycle[-1].tolist()) == list(range(g.n_nodes))
+    with pytest.raises(ValueError):
+        cycle[0, 0] = 1
 
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, 1e300, -1e300, 1e-300]

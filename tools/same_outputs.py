@@ -28,7 +28,8 @@ relative change |head - base| / |base| over that path's numbers; for CSV
 every column that moved, with how many rows differ and the largest
 relative change, and the columns that stayed byte-identical; for the
 other files, or CSVs whose lines do not pair up, the first differing line
-and column, and how many lines differ.
+and column, and how many lines differ. Last it prints the line count of
+the *.py files under src/ at REV and here.
 """
 
 from __future__ import annotations
@@ -303,6 +304,11 @@ def differences(base: Path, head: Path, skip=()) -> list:
     return lines
 
 
+def src_lines(src: Path) -> int:
+    """Lines of the *.py files under src, as wc -l counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in src.rglob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -336,12 +342,14 @@ def main(argv=None) -> int:
         ]
         report += differences(tmp / "out-base", tmp / "out-head", skip=moved)
         n_files = len(list((tmp / "out-head").iterdir()))
+        lines = src_lines(tmp / "base" / "src"), src_lines(ROOT / "src")
 
     for line in report:
         print(line)
     n_cmds = len(commands())
     verdict = f"{len(report)} differences" if report else "all identical"
     print(f"{n_cmds} commands, {n_files} output files against {args.base}: {verdict}")
+    print(f"src/: {lines[0]} lines at base, {lines[1]} here")
     return 1 if report else 0
 
 
