@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Iterator
@@ -199,10 +200,21 @@ def _distinct_rows(m, text, cycle):
 
 def _resolve_graph(args):
     if args.tube is not None:
+        if args.command != "gen":  # gen stays O(N); the others solve for an N x N V
+            _check_memory(args.tube)
         return build_tube_fullerene(args.tube)
     if args.c60:
         return build_c60_blocked()
     return load_graph(args.graph)
+
+
+def _check_memory(n: int) -> None:
+    """Refuse, before the graph is built, an N whose N x N float eigenvectors
+    alone take more than the machine's physical memory."""
+    need, have = 8 * n * n, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise MemoryError(f"Unable to allocate {need / 2**30:.3g} GiB for the ({n}, {n}) "
+                          f"eigenvectors, more than the {have / 2**30:.3g} GiB of memory")
 
 
 def _parse_observable(spec: str, n: int) -> np.ndarray:
@@ -254,8 +266,8 @@ def _log_grid(lo: float, hi: float, count: int, name: str) -> np.ndarray:
 
 # Each _cmd_* computes and writes nothing. It returns (graph, payload,
 # table, *csv_files): the graph the meta checksum names, or None; the JSON
-# payload, or None where the output has no JSON form; the CSV table, or
-# None where it has no CSV form; then one (path, table) pair per further
+# payload, or None where the run writes none; the CSV table, or None
+# where it has no CSV form; then one (path, table) pair per further
 # CSV file. A table is (its lines after the meta header, a bytes '%'
 # template of one row, an iterator over the rows). With neither a payload
 # nor a table the output is the graph file.
@@ -292,19 +304,21 @@ def _cmd_limiting(args):
     g = _resolve_graph(args)
     s = graph_spectrum(g, args.tol)
     u = limiting_distribution(s)
-    payload = {
-        "n_nodes": g.n_nodes,
-        "u": _distinct_rows(u, _json_text(u), s.orbits),
-        "row_sum_max_dev": float(np.abs(u.sum(axis=1) - 1.0).max()),
-    }
-    if _is_automorphism(g, np.arange(g.n_nodes)[::-1]):  # x -> N+1-x is a symmetry
-        payload["mirror_residual"] = _mirror_residual(u, 1)
+    if args.format == "json":
+        payload = {
+            "n_nodes": g.n_nodes,
+            "u": _distinct_rows(u, _json_text(u), s.orbits),
+            "row_sum_max_dev": float(np.abs(u.sum(axis=1) - 1.0).max()),
+        }
+        if _is_automorphism(g, np.arange(g.n_nodes)[::-1]):  # x -> N+1-x is a symmetry
+            payload["mirror_residual"] = _mirror_residual(u, 1)
+        return g, payload, None
     texts = _distinct_rows(u, b"%.17g".__mod__, s.orbits)
     if args.layout == "matrix":
-        return g, payload, ([], b",".join([b"%s"] * g.n_nodes) + b"\n", texts)
+        return g, None, ([], b",".join([b"%s"] * g.n_nodes) + b"\n", texts)
     line = b"".join(b"\0,%d,%%s\n" % y for y in range(1, g.n_nodes + 1))  # x goes in at \0
     rows = ((line.replace(b"\0", b"%d" % x) % t,) for x, t in enumerate(texts, start=1))
-    return g, payload, (["x,y,u"], b"%s", rows)
+    return g, None, (["x,y,u"], b"%s", rows)
 
 
 def _cmd_bound(args):

@@ -93,13 +93,14 @@ def limiting_distribution(s: Spectrum) -> np.ndarray:
     on C60: a cluster with d^2 > N adds P_j[r]^2 with P_j[r] = V_c[r]
     V_c^T, the others add Z[r] Z^T, with one column v_k o v_l of Z per
     same-cluster pair, N columns at a time. P_j commutes with perm, so the
-    other rows are u(perm^m r, y) = u(r, perm^-m y). Last, u becomes
-    (u + u^T)/2, which is symmetric to the bit (float addition commutes) and
-    stays invariant under perm to the bit, so equal entries share their bits
-    and their text.
+    other rows are u(perm^m r, y) = u(r, perm^-m y). The orbit rows are
+    made (u + u^T)/2 before this lift, u(y, r) being read as u(q, perm^-p r)
+    for y = perm^p q, q the smallest node of y's orbit; u is then symmetric
+    to the bit (float addition commutes) and invariant under perm to the
+    bit, so equal entries share their bits and their text.
     """
     n, v, idx, cycle = s.n, s.eigenvectors, s.cluster_index, s.orbits  # cycle[m, x] = perm^m(x)
-    reps = _orbit_layout(cycle)[0]
+    reps, orbit, power = _orbit_layout(cycle)
     ur = np.zeros((len(reps), n))
     for c in s.clusters:
         if len(c) ** 2 > n:
@@ -107,14 +108,16 @@ def limiting_distribution(s: Spectrum) -> np.ndarray:
     big = np.array([len(c) ** 2 > n for c in s.clusters], dtype=bool)[idx]
     k, l = np.nonzero((idx[:, None] == idx) & ~big)
     for lo in range(0, len(k), max(n, 1)):
-        z = v[:, k[lo : lo + n]]
-        z *= v[:, l[lo : lo + n]]
+        z = None  # frees the last chunk before the next is gathered
+        z, lz = v[:, k[lo : lo + n]], l[lo : lo + n]
+        for a in range(0, len(lz), 64):  # 64 columns at a time: no second N x N temporary
+            z[:, a : a + 64] *= v[:, lz[a : a + 64]]
         ur += z[reps] @ z.T
     z = None  # frees the last N x N chunk before u is formed
+    ur += ur[orbit, cycle[-power, reps[:, None]]]  # u(y, r) = ur[orbit y, perm^-p(y) r]
+    ur *= 0.5
     u = np.empty((n, n))
     for m, row in enumerate(cycle):
         u[row[reps]] = ur[:, cycle[-m]]  # perm^-m = perm^(order - m)
-    u = u + u.T
-    u *= 0.5
     u.flags.writeable = False
     return u

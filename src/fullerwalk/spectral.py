@@ -34,6 +34,8 @@ DEGENERACY_TOL = 1e-6
 # eigendecompose rejects input whose asymmetry exceeds this
 SYMMETRY_TOL = 1e-12
 
+LIFT_ROWS = 64  # rows of V that _sectored_eigh lifts from the sectors at a time
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -226,10 +228,10 @@ def _sectored_eigh(g: Graph, cycle: np.ndarray):
     order for each directed edge x -> y between their orbits, and its
     eigenvector c lifts to c[orb x] omega^{k pw(x)} / sqrt(order). Sectors
     k = 0 and order/2 are real; sector order - k is the conjugate of k, so
-    a complex level lifts to sqrt 2 Re and sqrt 2 Im. Lifts go straight
-    into their columns of the ascending (stable) order. A tube's C10 gives
-    blocks of N/10; at order 1 the one block is adjacency(g):
-    np.linalg.eigh's result, bit for bit.
+    a complex level lifts to its float view sqrt 2 (Re, Im). V is filled
+    LIFT_ROWS rows at a time, the sectors' lifts side by side taken into
+    ascending (stable) order. A tube's C10 gives blocks of N/10; at order 1
+    the one block is adjacency(g): np.linalg.eigh's result, bit for bit.
     """
     order = len(cycle)
     n, m = g.n_nodes, g.n_nodes // order
@@ -246,14 +248,11 @@ def _sectored_eigh(g: Graph, cycle: np.ndarray):
         sectors.append((*np.linalg.eigh(h), phase, copies))
     values = np.concatenate([np.repeat(w, copies) for w, _, _, copies in sectors])
     by_value = np.argsort(values, kind="stable")
-    column = np.empty(n, dtype=int)
-    column[by_value] = np.arange(n)
-    start = 0
-    for w, c, phase, copies in sectors:
-        lift = c[orb] * phase[pw][:, None] / np.sqrt(order / copies)
-        cols, start = column[start:start + copies * m], start + copies * m
-        for j, part in enumerate([lift] if copies == 1 else [lift.real, lift.imag]):
-            v[:, cols[j::copies]] = part
+    for lo in range(0, n, LIFT_ROWS):
+        r = slice(lo, lo + LIFT_ROWS)
+        block = np.concatenate([(c[orb[r]] * phase[pw[r]][:, None] / np.sqrt(order / copies))
+                                .view(float) for _, c, phase, copies in sectors], axis=1)
+        np.take(block, by_value, axis=1, out=v[r], mode="clip")  # "raise" buffers out
     return values[by_value], v
 
 

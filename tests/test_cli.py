@@ -344,6 +344,21 @@ def test_limiting_reports_the_mirror_residual_of_a_graph_solved_in_rotation_sect
     assert read_json(out)["mirror_residual"] == pytest.approx(1.0, rel=0, abs=1e-15)
 
 
+def test_the_limiting_csv_builds_no_json_payload(tmp_path, monkeypatch):
+    calls, residual = [], cli._mirror_residual
+
+    def counted(u, x):
+        calls.append(x)
+        return residual(u, x)
+
+    monkeypatch.setattr(cli, "_mirror_residual", counted)
+    assert run("limiting", "--c60", "--format", "csv", "-o", str(tmp_path / "u.csv")) == 0
+    assert calls == []
+    assert run("limiting", "--c60", "-o", str(tmp_path / "u.json")) == 0
+    assert calls == [1]
+    assert read_json(tmp_path / "u.json")["mirror_residual"] < 1e-9
+
+
 def test_limiting_csv_triples_and_matrix(tmp_path, request):
     tri = tmp_path / "u_tri.csv"
     assert run("limiting", "--tube", "30", "-o", str(tri), "--format", "csv") == 0
@@ -792,6 +807,42 @@ def test_out_of_memory_exits_2_without_traceback(tmp_path):
     # the 40000 x 40000 adjacency is refused at once, so nothing large is touched
     out = tmp_path / "u.json"
     proc = run_process("limiting", "--tube", "40000", "-o", str(out), cap=1 << 30)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("fullerwalk: out of memory: Unable to allocate")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [10**8, 10**20])
+def test_an_oversized_tube_is_refused_before_the_build(tmp_path, n):
+    # the O(N) builder alone would run out of memory, slowly
+    out = tmp_path / "s.json"
+    proc = run_process("spectrum", "--tube", str(n), "-o", str(out), cap=1 << 30, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("fullerwalk: out of memory: Unable to allocate")
+    assert f"for the ({n}, {n}) eigenvectors" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum"], ["limiting", "--format", "csv"], ["bound", "--start", "1"],
+    ["eth", "--observable", "position"],
+], ids=lambda argv: argv[0])
+def test_every_solving_command_refuses_an_oversized_tube(tmp_path, monkeypatch, capsys, argv):
+    def refuse(n):
+        raise AssertionError("the tube was built")
+
+    monkeypatch.setattr(cli, "build_tube_fullerene", refuse)
+    assert run(*argv, "--tube", str(10**8), "-o", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith("fullerwalk: out of memory: Unable to allocate")
+
+
+def test_a_tube_that_fits_in_memory_but_not_the_cap_is_refused_at_the_solve(tmp_path):
+    # V of F20000 is 3 GiB: passed by the physical-memory check on most machines,
+    # then refused by numpy under a 1 GiB cap
+    out = tmp_path / "s.json"
+    proc = run_process("spectrum", "--tube", "20000", "-o", str(out), cap=1 << 30)
     assert proc.returncode == 2
     assert proc.stderr.startswith("fullerwalk: out of memory: Unable to allocate")
     assert "Traceback" not in proc.stderr

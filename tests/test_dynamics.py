@@ -18,6 +18,7 @@ from fullerwalk import (
     initial_state_dependence,
     limiting_distribution,
     node_probability,
+    spectral,
     thermo,
     time_averaged_state,
 )
@@ -122,6 +123,40 @@ def test_limiting_distribution_matches_the_projector_oracle(graph, tol):
     assert np.abs(limiting_distribution(s) - oracle).max() <= 1e-14
     if tol == 0.3:
         assert max(len(c) for c in s.clusters) ** 2 > s.n
+
+
+def _whole_u_limiting(s):
+    """limiting_distribution in its former form: whole N-column products
+    z = v[:, k] * v[:, l], the orbit rows lifted into u, then (u + u^T)/2."""
+    n, v, idx, cycle = s.n, s.eigenvectors, s.cluster_index, s.orbits
+    reps = spectral._orbit_layout(cycle)[0]
+    ur = np.zeros((len(reps), n))
+    for c in s.clusters:
+        if len(c) ** 2 > n:
+            ur += np.square(v[reps, c[0] : c[-1] + 1] @ v[:, c[0] : c[-1] + 1].T)
+    big = np.array([len(c) ** 2 > n for c in s.clusters], dtype=bool)[idx]
+    k, l = np.nonzero((idx[:, None] == idx) & ~big)
+    for lo in range(0, len(k), max(n, 1)):
+        z = v[:, k[lo : lo + n]]
+        z *= v[:, l[lo : lo + n]]
+        ur += z[reps] @ z.T
+    u = np.empty((n, n))
+    for m, row in enumerate(cycle):
+        u[row[reps]] = ur[:, cycle[-m]]
+    return (u + u.T) * 0.5
+
+
+@pytest.mark.parametrize("n, tol", [
+    (60, DEGENERACY_TOL),
+    (130, 0.3),  # two clusters with d^2 > N: the projector route
+    (1000, DEGENERACY_TOL),
+])
+def test_limiting_distribution_keeps_the_bits_of_the_whole_u_form(n, tol):
+    g = build_c60_blocked() if n == 60 else build_tube_fullerene(n)
+    s = graph_spectrum(g, tol)
+    if tol == 0.3:
+        assert sum(len(c) ** 2 > n for c in s.clusters) == 2
+    assert limiting_distribution(s).tobytes() == _whole_u_limiting(s).tobytes()
 
 
 def test_limiting_distribution_is_basis_independent(c60_spectrum, c60_sym_spectrum):

@@ -214,6 +214,64 @@ def test_a_loaded_tube_gets_the_same_sectored_basis(tmp_path, solves):
     assert np.array_equal(loaded.eigenvectors, built.eigenvectors)
 
 
+def _column_scatter_eigh(g, cycle):
+    """_sectored_eigh with its former lift: each sector's whole N x N/order
+    lift scattered into V's columns of the ascending order, its real and
+    imaginary parts apart."""
+    order = len(cycle)
+    n, m = g.n_nodes, g.n_nodes // order
+    _, orb, pw = spectral._orbit_layout(cycle)
+    e = np.array(sorted(g.edges), dtype=int).reshape(-1, 2) - 1
+    x, y = np.concatenate([e, e[:, ::-1]]).T
+    v, sectors = np.empty((n, n)), []
+    for k in range(order // 2 + 1):
+        phase = np.exp(2j * np.pi * k * np.arange(order) / order)
+        copies = 1 if 2 * k % order == 0 else 2
+        phase = phase.real if copies == 1 else phase
+        h = np.zeros((m, m), phase.dtype)
+        np.add.at(h, (orb[x], orb[y]), phase[(pw[y] - pw[x]) % order] / order)
+        sectors.append((*np.linalg.eigh(h), phase, copies))
+    values = np.concatenate([np.repeat(w, copies) for w, _, _, copies in sectors])
+    by_value = np.argsort(values, kind="stable")
+    column = np.empty(n, dtype=int)
+    column[by_value] = np.arange(n)
+    start = 0
+    for w, c, phase, copies in sectors:
+        lift = c[orb] * phase[pw][:, None] / np.sqrt(order / copies)
+        cols, start = column[start:start + copies * m], start + copies * m
+        for j, part in enumerate([lift] if copies == 1 else [lift.real, lift.imag]):
+            v[:, cols[j::copies]] = part
+    return values[by_value], v
+
+
+def _relabelled_f130(tmp_path):
+    """F130 under a fixed random relabelling, read back from its file."""
+    g = build_tube_fullerene(130)
+    label = np.random.default_rng(5).permutation(130) + 1
+    save_graph(graph_from_edges(130, [(label[a - 1], label[b - 1]) for a, b in g.edges]),
+               tmp_path / "f130.txt")
+    return load_graph(tmp_path / "f130.txt")
+
+
+@pytest.mark.parametrize("name, tag", [
+    ("C60", "symmetry-adapted"), ("F30", "c10-sectors"),
+    ("F130", "c10-sectors"),  # 64 + 64 + 2 rows: a partial last block
+    ("F1000", "c10-sectors"), ("relabelled F130", "plain"),
+])
+def test_the_row_block_lift_keeps_the_bits_of_the_column_scatter(c60, tmp_path, name, tag):
+    graphs = {"C60": lambda: c60, "F30": lambda: build_tube_fullerene(30),
+              "F130": lambda: build_tube_fullerene(130),
+              "F1000": lambda: build_tube_fullerene(1000),
+              "relabelled F130": lambda: _relabelled_f130(tmp_path)}
+    g = graphs[name]()
+    cycle, found = spectral._symmetry(g)
+    assert found == tag
+    w, v = spectral._sectored_eigh(g, cycle)
+    w0, v0 = _column_scatter_eigh(g, cycle)
+    assert w.tobytes() == w0.tobytes()
+    assert v.shape == v0.shape and v.tobytes() == v0.tobytes()
+
+
 def test_the_tube_swap_is_a_free_involution_commuting_with_the_rotation():
     # every tube F30..F3000, so both parities of the ring count N/10 - 1
     for n in range(30, 3001, 10):

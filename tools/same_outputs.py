@@ -8,16 +8,17 @@ checkout's src/ (the working tree, uncommitted edits included). Each
 command runs in its own process at one BLAS thread, since another thread
 count may move the last digits of a matrix product. The list covers every
 subcommand, both formats and both limiting layouts, --vectors, C60, F30,
-F130, a --graph file, the C60 graph file, F1000 (spectrum, limiting in
-both formats, the bound with the start node, with node 500, a one-node
-support away from the start, and with the position observable, and the
-position observable's energy-basis matrix), a 1,100-sample Haar baseline
-on F130 (more than one block of Haar states), the F40 and F2000 graph
-files, --tol 1e-3, the limiting CSV at --tol 0.3 (clusters of more than
-sqrt(N) levels), all three gibbs modes (--beta 1000 too), a 100,000-point
-beta sweep in both formats, a bound at epsilon 1e-18, a 5,000-point bound
-grid in both formats, a bound to tau 1e5, a Haar baseline seeded near
-2**128, symmetry, and thirteen commands that must fail.
+F130, a --graph file, the C60 graph file, F1000 (spectrum, also with
+--vectors, limiting in both formats, the bound with the start node, with
+node 500, a one-node support away from the start, and with the position
+observable, and the position observable's energy-basis matrix), a
+1,100-sample Haar baseline on F130 (more than one block of Haar states),
+the F40 and F2000 graph files, --tol 1e-3, the limiting CSV at --tol 0.3
+(clusters of more than sqrt(N) levels), all three gibbs modes (--beta 1000
+too), a 100,000-point beta sweep in both formats, a bound at epsilon
+1e-18, a 5,000-point bound grid in both formats, a bound to tau 1e5, a
+Haar baseline seeded near 2**128, symmetry, and thirteen commands that
+must fail.
 
 CSV and graph files must be byte-identical. JSON files must be
 byte-identical apart from the digits of meta.timing_seconds. Exit codes
@@ -84,8 +85,8 @@ def commands() -> list:
             "--format", "csv", ext="csv")
         add(f"bound-{tag}", "bound", *src, "--start", "1")
         add(f"bound-{tag}", "bound", *src, "--start", "1", "--format", "csv", ext="csv")
-    for name in ("c60-vectors", "f130-vectors"):
-        src = SOURCES[name.split("-")[0]]
+    for tag, src in [("c60", SOURCES["c60"]), ("f130", SOURCES["f130"]), big]:
+        name = f"{tag}-vectors"  # F1000's V: 15 full blocks of lifted rows and a partial one
         cmds.append((name, ["spectrum", *src, "--vectors", f"{name}.vec.csv",
                             "-o", f"{name}.json"]))
     tol = ["--tol", "1e-3"]
