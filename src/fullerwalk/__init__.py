@@ -33,6 +33,7 @@ from .dynamics import (
     cumulative_time_average,
     evolve,
     limiting_distribution,
+    limiting_orbit_rows,
     node_probability,
 )
 from .equilibration import (

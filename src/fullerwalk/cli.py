@@ -5,11 +5,12 @@ left to downstream tooling and each output is the table behind one. The
 JSON header echoes the exact flag set plus the graph checksum so a run
 can be reproduced from its own output. CSV files carry the same metadata
 as '#' comment lines. Commands only compute; main adds the metadata and
-writes each file: JSON through json.dumps, with numeric vectors and u's
-text rows streamed into its text, and CSV as bytes, one filled '%'
-template per row; u formats each distinct value once, and its CSV and
-JSON read only one row per orbit of the spectrum's orbits table, the
-symmetry it was solved in. Timing is only in JSON (timing_seconds);
+writes each file: JSON by its structure, numeric vectors and u's text
+rows streamed, and CSV as bytes, one filled '%' template per row. u's
+writers read its orbit rows, one per orbit of the spectrum's orbits
+table (the symmetry it was solved in), and format each distinct value
+once; only the JSON lifts the N x N u, for its row sums and mirror
+residual. Timing is only in JSON (timing_seconds);
 CSV and graph files are byte-identical across reruns of the same command
 with the same number of BLAS threads. Another count moves the last digits
 of u and may pick another basis inside a degenerate cluster, which changes
@@ -35,12 +36,11 @@ import time
 from collections.abc import Iterator
 from dataclasses import asdict
 from functools import cache
-from operator import itemgetter
 
 import numpy as np
 
 from . import __version__
-from .dynamics import limiting_distribution
+from .dynamics import _lift, limiting_orbit_rows
 from .equilibration import MAX_GRID_POINTS, TAU_COUNT, TAU_MAX, TAU_MIN
 from .equilibration import _check_point_count, equilibration_report
 from .eth import (
@@ -65,6 +65,9 @@ from .graphs import (
 )
 from .spectral import DEGENERACY_TOL, _is_automorphism, _orbit_layout, graph_spectrum
 from .thermo import _boltzmann, gibbs_vs_limiting, pentagon_gibbs
+
+# gen's peak bytes per node, build and write (tracemalloc: 512 on F10000, 554 on F100000)
+GEN_NODE_BYTES = 600
 
 # argparse bookkeeping that is not part of the reproducible configuration
 _NOT_CONFIG = {"func", "command", "parser"}
@@ -106,42 +109,28 @@ def _json_chunks(doc, nl="\n"):
     """The text of doc, in pieces, as json.dump(doc, indent=2,
     sort_keys=True) writes it once arrays and numpy scalars are plain
     Python and each iterator of text rows is the matrix its texts spell;
-    nl is the line break and indent of the line doc starts on.
-
-    json.dumps writes doc with each dict value, non-empty numeric vector
-    and non-empty row iterator of a dict doc replaced by null; each is then
-    written in its place. A dict is written by a recursive call, a vector
-    as one join in C of json's reprs, an iterator one row of texts at a
-    time, so u of the limiting JSON (_distinct_rows) never forms an N^2
-    list. At indent 2 only the dict's own keys start a line with nl + '  "',
-    and json escapes line breaks inside strings, so each place occurs once.
-    """
-    inner, spliced = nl + "  ", {}
-    if isinstance(doc, dict):  # dicts, non-empty numeric vectors and row iterators
-        spliced = {k: v for k, v in doc.items() if isinstance(v, (dict, Iterator))
-                   or isinstance(v, np.ndarray) and v.ndim == 1 and v.size > 0
-                   and v.dtype.kind in "fiu"}
-        doc = {k: None if k in spliced else v for k, v in doc.items()}
-    text = json.dumps(doc, indent=2, sort_keys=True, default=lambda v: v.tolist())
-    text = text.replace("\n", nl)
-    heads = {key: f"{inner}{json.dumps(key)}: " for key in spliced}
-    places = sorted((text.index(head + "null") + len(head), key) for key, head in heads.items())
-    done, item, cell = 0, inner + "  ", inner + "    "  # the indents of a value's items
-    for at, key in places:
-        yield text[done:at]
-        done, value = at + len("null"), spliced[key]
-        if isinstance(value, dict):
-            yield from _json_chunks(value, inner)
-        elif isinstance(value, np.ndarray):
-            items = map(_json_text(value), value.tolist())
-            yield "[" + item + ("," + item).join(items) + inner + "]"
-        else:
-            sep = "["
-            for row in value:
-                yield sep + item + "[" + cell + ("," + cell).join(row) + item + "]"
-                sep = ","
-            yield inner + "]"
-    yield text[done:]
+    nl is the line break and indent of the line doc starts on. A non-empty
+    dict goes key by key, each value by a recursive call; a non-empty
+    numeric vector as one join in C of json's reprs; a non-empty iterator
+    one row of texts at a time, so u of the limiting JSON (_distinct_rows)
+    never forms an N^2 list. Any other value is json.dumps' text: flat for
+    a scalar (json's C encoder), at indent 2 for a list, tuple or array."""
+    inner, cell = nl + "  ", nl + "    "
+    if isinstance(doc, dict) and doc:
+        for i, key in enumerate(sorted(doc)):
+            yield ("," if i else "{") + inner + json.dumps(key) + ": "
+            yield from _json_chunks(doc[key], inner)
+        yield nl + "}"
+    elif isinstance(doc, np.ndarray) and doc.ndim == 1 and doc.size > 0 and doc.dtype.kind in "fiu":
+        yield "[" + inner + ("," + inner).join(map(_json_text(doc), doc.tolist())) + nl + "]"
+    elif isinstance(doc, Iterator):
+        for i, row in enumerate(doc):
+            yield ("," if i else "[") + inner + "[" + cell + ("," + cell).join(row) + inner + "]"
+        yield nl + "]"
+    else:
+        indent = 2 if isinstance(doc, (list, tuple, np.ndarray)) else None
+        text = json.dumps(doc, indent=indent, sort_keys=True, default=lambda v: v.tolist())
+        yield text.replace("\n", nl)
 
 
 def _meta_comment_lines(meta) -> list:
@@ -174,47 +163,42 @@ def _matrix_table(m, *lines):
     return list(lines), template, (tuple(r.tolist()) for r in m)
 
 
-def _distinct_rows(m, text, cycle):
-    """Each row of the non-empty float matrix m as a tuple of text(v) for its
-    entries, m invariant to the bit under the node map whose powers table
-    is cycle (cycle[p, x] = perm^p(x)). Only the row of the smallest node r
-    of each orbit is read, with text called once per distinct bit pattern
-    (-0.0 keeps its own); row perm^p(r) is row r read at cycle[-p], one
-    itemgetter call. Row r's texts are held from r to its orbit's last
-    node, so the trivial table (each row its own orbit) holds one row at a
-    time, never an N^2 list. The index of each entry's text comes from one
-    np.unique, about 50 bytes per entry read at the peak."""
+def _distinct_rows(ur, text, cycle):
+    """Each row of the float matrix u as a tuple of text(v) for its entries,
+    u invariant to the bit under the node map whose powers table is cycle
+    (cycle[p, x] = perm^p(x)) and ur its non-empty rows of the smallest node
+    r of each orbit. Row perm^p(r) is row r read at cycle[-p], one index
+    gather per row, a row with p = 0 as it is. text is called once per
+    distinct bit pattern of ur (-0.0 keeps its own); one np.unique gives
+    each entry its text index, about 45 bytes per entry of ur at the peak."""
     reps, orbit, power = _orbit_layout(cycle)
-    bits = np.ascontiguousarray(m[reps], dtype=float).view(np.uint64)
+    bits = np.ascontiguousarray(ur, dtype=float).view(np.uint64)
     keys, inv = np.unique(bits, return_inverse=True)  # unlike np.unique(bits), no numpy.ma import
     texts = np.array([*map(text, keys.view(float).tolist())], dtype=object)
-    del keys, bits
-    lift = [tuple, *(itemgetter(*c.tolist()) for c in cycle[:0:-1])]  # lift[p] reads at cycle[-p]
-    held, rows = {}, iter(inv.reshape(len(reps), -1))
-    for x, o, p, last in zip(range(len(orbit)), orbit.tolist(), power.tolist(),
-                             cycle.max(axis=0).tolist()):
-        if p == 0:
-            held[o] = tuple(texts[next(rows)].tolist())
-        yield lift[p](held.pop(o) if x == last else held[o])
+    inv = inv.reshape(len(reps), -1)
+    for o, p in zip(orbit.tolist(), power.tolist()):
+        yield tuple(texts[inv[o] if p == 0 else inv[o, cycle[-p]]].tolist())
 
 
 def _resolve_graph(args):
     if args.tube is not None:
-        if args.command != "gen":  # gen stays O(N); the others solve for an N x N V
-            _check_memory(args.tube)
+        _check_memory(args.tube, args.command == "gen")
         return build_tube_fullerene(args.tube)
     if args.c60:
         return build_c60_blocked()
     return load_graph(args.graph)
 
 
-def _check_memory(n: int) -> None:
-    """Refuse, before the graph is built, an N whose N x N float eigenvectors
-    alone take more than the machine's physical memory."""
-    need, have = 8 * n * n, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+def _check_memory(n: int, gen: bool) -> None:
+    """Refuse, before the graph is built, an N whose build and write (gen)
+    or N x N float eigenvectors (every other command) alone take more than
+    the machine's physical memory."""
+    need = GEN_NODE_BYTES * n if gen else 8 * n * n
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
-        raise MemoryError(f"Unable to allocate {need / 2**30:.3g} GiB for the ({n}, {n}) "
-                          f"eigenvectors, more than the {have / 2**30:.3g} GiB of memory")
+        what = f"to build the {n}-node graph" if gen else f"for the ({n}, {n}) eigenvectors"
+        raise MemoryError(f"Unable to allocate {need / 2**30:.3g} GiB {what}, "
+                          f"more than the {have / 2**30:.3g} GiB of memory")
 
 
 def _parse_observable(spec: str, n: int) -> np.ndarray:
@@ -303,17 +287,18 @@ def _cmd_spectrum(args):
 def _cmd_limiting(args):
     g = _resolve_graph(args)
     s = graph_spectrum(g, args.tol)
-    u = limiting_distribution(s)
+    ur = limiting_orbit_rows(s)
     if args.format == "json":
+        u = _lift(ur, s.orbits)
         payload = {
             "n_nodes": g.n_nodes,
-            "u": _distinct_rows(u, _json_text(u), s.orbits),
+            "u": _distinct_rows(ur, _json_text(ur), s.orbits),
             "row_sum_max_dev": float(np.abs(u.sum(axis=1) - 1.0).max()),
         }
         if _is_automorphism(g, np.arange(g.n_nodes)[::-1]):  # x -> N+1-x is a symmetry
             payload["mirror_residual"] = _mirror_residual(u, 1)
         return g, payload, None
-    texts = _distinct_rows(u, b"%.17g".__mod__, s.orbits)
+    texts = _distinct_rows(ur, b"%.17g".__mod__, s.orbits)
     if args.layout == "matrix":
         return g, None, ([], b",".join([b"%s"] * g.n_nodes) + b"\n", texts)
     line = b"".join(b"\0,%d,%%s\n" % y for y in range(1, g.n_nodes + 1))  # x goes in at \0

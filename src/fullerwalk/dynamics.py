@@ -85,20 +85,22 @@ def cumulative_time_average(s: Spectrum, start: int, end: int, tau_grid) -> np.n
 def limiting_distribution(s: Spectrum) -> np.ndarray:
     """u[x-1, y-1] = sum_j |<y|P_j|x>|^2, the long-time average probability
     of finding the walker at node y after starting at x, as a read-only
-    N x N array; a per-start analysis reads its entries from rows of V.
-    Every row sums to 1 exactly with orthonormal eigenvectors.
+    N x N array lifted from limiting_orbit_rows; a per-start analysis reads
+    its entries from rows of V. Every row sums to 1 exactly with
+    orthonormal eigenvectors."""
+    return _lift(limiting_orbit_rows(s), s.orbits)
 
-    Only the row of the smallest node r of each orbit of the node map perm
-    whose powers table is s.orbits is formed, N/10 rows on a tube and N/2
-    on C60: a cluster with d^2 > N adds P_j[r]^2 with P_j[r] = V_c[r]
-    V_c^T, the others add Z[r] Z^T, with one column v_k o v_l of Z per
-    same-cluster pair, N columns at a time. P_j commutes with perm, so the
-    other rows are u(perm^m r, y) = u(r, perm^-m y). The orbit rows are
-    made (u + u^T)/2 before this lift, u(y, r) being read as u(q, perm^-p r)
-    for y = perm^p q, q the smallest node of y's orbit; u is then symmetric
-    to the bit (float addition commutes) and invariant under perm to the
-    bit, so equal entries share their bits and their text.
-    """
+
+def limiting_orbit_rows(s: Spectrum) -> np.ndarray:
+    """The read-only rows of u of the smallest node r of each orbit of the
+    node map perm whose powers table is s.orbits: N/10 rows on a tube, N/2
+    on C60. A cluster with d^2 > N adds P_j[r]^2 with P_j[r] = V_c[r] V_c^T,
+    the others add Z[r] Z^T, with one column v_k o v_l of Z per
+    same-cluster pair, N columns at a time. P_j commutes with perm, so
+    u(perm^m r, y) = u(r, perm^-m y); the rows are made (u + u^T)/2, u(y, r)
+    read as u(q, perm^-p r) for y = perm^p q. u is thus symmetric (float
+    addition commutes) and invariant under perm to the bit, so equal
+    entries share their bits and their text."""
     n, v, idx, cycle = s.n, s.eigenvectors, s.cluster_index, s.orbits  # cycle[m, x] = perm^m(x)
     reps, orbit, power = _orbit_layout(cycle)
     ur = np.zeros((len(reps), n))
@@ -113,10 +115,16 @@ def limiting_distribution(s: Spectrum) -> np.ndarray:
         for a in range(0, len(lz), 64):  # 64 columns at a time: no second N x N temporary
             z[:, a : a + 64] *= v[:, lz[a : a + 64]]
         ur += z[reps] @ z.T
-    z = None  # frees the last N x N chunk before u is formed
     ur += ur[orbit, cycle[-power, reps[:, None]]]  # u(y, r) = ur[orbit y, perm^-p(y) r]
     ur *= 0.5
-    u = np.empty((n, n))
+    ur.flags.writeable = False
+    return ur
+
+
+def _lift(ur: np.ndarray, cycle: np.ndarray) -> np.ndarray:
+    """The read-only N x N u whose orbit rows under the powers table cycle are ur."""
+    reps = _orbit_layout(cycle)[0]
+    u = np.empty((ur.shape[1],) * 2)
     for m, row in enumerate(cycle):
         u[row[reps]] = ur[:, cycle[-m]]  # perm^-m = perm^(order - m)
     u.flags.writeable = False

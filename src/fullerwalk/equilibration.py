@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import _check_tau_grid
-from .eth import _check_observable
+from .eth import _check_observable, _less_median
 from .graphs import Graph, _check_label
 from .spectral import DEGENERACY_TOL, Spectrum, _check_positive, gap_count, graph_spectrum
 
@@ -180,8 +180,7 @@ def empirical_lhs(s: Spectrum, start: int, o, tau_grid) -> np.ndarray:
     _check_label(start, s.n, "start")
     taus = _check_tau_grid(tau_grid)
     o = _check_observable(o, s.n)
-    # a middle entry of the sorted o: np.median would import numpy.ma
-    o = o - np.sort(o)[len(o) // 2]
+    o = _less_median(o)
     rows = np.flatnonzero(o)
     b = s.eigenvectors[rows]  # a copy, so the product is formed in place
     b = s.cluster_sums(np.multiply(b, s.eigenvectors[start - 1], out=b))

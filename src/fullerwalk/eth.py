@@ -185,7 +185,7 @@ def eth_report(s: Spectrum, o) -> EthReport:
     o = _check_observable(o, s.n)
     n, w = s.n, s.eigenvectors**2
     diag = o @ w
-    oc = o - np.sort(o)[n // 2]
+    oc = _less_median(o)
     off_sq = max(0.0, float((oc**2).sum() - ((oc @ w) ** 2).sum()))
     rms = float(np.sqrt(off_sq / (n * n - n))) if n > 1 else 0.0
     return EthReport(
@@ -196,6 +196,11 @@ def eth_report(s: Spectrum, o) -> EthReport:
         diagonal=diag,
         cluster_averaged_diagonal=s.cluster_means(diag),
     )
+
+
+def _less_median(o: np.ndarray) -> np.ndarray:
+    """o less its middle sorted entry, its median at odd length (np.median imports numpy.ma)."""
+    return o - np.sort(o)[len(o) // 2]
 
 
 def _mirror_residual(a: np.ndarray, axis: int) -> float:

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -29,12 +30,13 @@ from fullerwalk import (
     gibbs_vs_limiting,
     graph_spectrum,
     limiting_distribution,
+    limiting_orbit_rows,
     load_graph,
     pentagon_gibbs,
     position_observable,
     save_graph,
 )
-from fullerwalk import cli
+from fullerwalk import cli, dynamics
 from fullerwalk.cli import (
     _READ_ONLY_WITH,
     _distinct_rows,
@@ -42,7 +44,7 @@ from fullerwalk.cli import (
     build_parser,
     main,
 )
-from fullerwalk.spectral import _powers
+from fullerwalk.spectral import _orbit_layout, _powers
 from oracles import node_projector_widths
 
 REFERENCE_ROW1 = [0.079, 0.024, 0.021, 0.021, 0.024]
@@ -414,10 +416,10 @@ def test_distinct_rows_formats_each_bit_pattern_once():
 def test_distinct_rows_lifts_each_orbit_from_its_smallest_node():
     # a 3-cycle on 0..2 and on 3..5; row perm^p(r) is row r read at cycle[-p]
     cycle = _powers(np.array([1, 2, 0, 4, 5, 3]), 3)
+    ur = np.array([[0.1, -0.0, 0.0, 5e-324, np.inf, 0.1], [2.5, 0.1, -0.0, 1e300, 0.0, 7.0]])
     m = np.empty((6, 6))
-    m[[0, 3]] = [[0.1, -0.0, 0.0, 5e-324, np.inf, 0.1], [2.5, 0.1, -0.0, 1e300, 0.0, 7.0]]
-    for p in (1, 2):
-        m[cycle[p, [0, 3]]] = m[[0, 3]][:, cycle[-p]]
+    for p in (0, 1, 2):
+        m[cycle[p, [0, 3]]] = ur[:, cycle[-p]]
     assert np.array_equal(m[cycle[1]][:, cycle[1]], m)  # invariant under perm
     calls = []
 
@@ -425,14 +427,20 @@ def test_distinct_rows_lifts_each_orbit_from_its_smallest_node():
         calls.append(v)
         return repr(v)
 
-    assert list(_distinct_rows(m, text, cycle)) == [tuple(map(repr, row)) for row in m.tolist()]
+    assert list(_distinct_rows(ur, text, cycle)) == [tuple(map(repr, row)) for row in m.tolist()]
     assert len(calls) == 8  # 0.1, -0.0, 0.0, 5e-324, inf, 2.5, 1e300, 7.0 of rows 0 and 3
 
-    s = graph_spectrum(build_tube_fullerene(130))  # the limiting writer's own case
-    u = limiting_distribution(s)
-    calls.clear()
-    assert list(_distinct_rows(u, text, s.orbits)) == [tuple(map(repr, row)) for row in u.tolist()]
-    assert len(calls) == len(np.unique(u.view(np.uint64)))  # each row permutes an orbit row
+    # the limiting writers' own cases: the C10 orbits of F130 and C60's mirror pairs
+    for g, order in [(build_tube_fullerene(130), 10), (build_c60_blocked(), 2)]:
+        s = graph_spectrum(g)
+        assert len(s.orbits) == order
+        ur, u = limiting_orbit_rows(s), limiting_distribution(s)
+        assert not ur.flags.writeable
+        assert ur.tobytes() == u[_orbit_layout(s.orbits)[0]].tobytes()
+        calls.clear()
+        want = [tuple(map(repr, r)) for r in u.tolist()]
+        assert list(_distinct_rows(ur, text, s.orbits)) == want
+        assert len(calls) == len(np.unique(ur.view(np.uint64)))  # each row permutes an orbit row
 
 
 def test_the_limiting_json_reads_one_row_of_u_per_orbit(tmp_path, monkeypatch):
@@ -505,6 +513,27 @@ def test_limiting_triples_csv_on_f1000_streams_under_320_mib(tmp_path, argv, dat
         return
     with open(out) as fh:
         assert sum(1 for ln in fh if not ln.startswith("#")) == data_lines
+
+
+def test_the_limiting_csv_forms_no_n_by_n_u(tmp_path, monkeypatch):
+    # V is solved before the trace; the orbit rows, one N x N pair chunk and
+    # the row texts stay below 1.5 x 8 N^2 bytes, where a u held through the
+    # write (8 N^2 more) would not, and no u is lifted at all
+    def refuse(ur, cycle):
+        raise AssertionError("the limiting CSV lifted u")
+
+    monkeypatch.setattr(cli, "_lift", refuse)
+    monkeypatch.setattr(dynamics, "_lift", refuse)  # limiting_distribution's
+    n = 1000
+    graph_spectrum(build_tube_fullerene(n))
+    tracemalloc.start()
+    try:
+        out = str(tmp_path / "u.csv")
+        assert run("limiting", "--tube", str(n), "--format", "csv", "-o", out) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
 
 
 def test_limiting_rejects_non_finite_tol(tmp_path, capsys):
@@ -821,6 +850,18 @@ def test_an_oversized_tube_is_refused_before_the_build(tmp_path, n):
     assert proc.returncode == 2
     assert proc.stderr.startswith("fullerwalk: out of memory: Unable to allocate")
     assert f"for the ({n}, {n}) eigenvectors" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [10**8, 10**20])
+def test_gen_refuses_an_oversized_tube_before_the_build(tmp_path, n):
+    # about 550 bytes per node: 10**8 nodes would take 52 GiB
+    out = tmp_path / "g.txt"
+    proc = run_process("gen", "--tube", str(n), "-o", str(out), cap=1 << 30, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("fullerwalk: out of memory: Unable to allocate")
+    assert f"to build the {n}-node graph" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 

@@ -9,16 +9,16 @@ command runs in its own process at one BLAS thread, since another thread
 count may move the last digits of a matrix product. The list covers every
 subcommand, both formats and both limiting layouts, --vectors, C60, F30,
 F130, a --graph file, the C60 graph file, F1000 (spectrum, also with
---vectors, limiting in both formats, the bound with the start node, with
-node 500, a one-node support away from the start, and with the position
-observable, and the position observable's energy-basis matrix), a
-1,100-sample Haar baseline on F130 (more than one block of Haar states),
-the F40 and F2000 graph files, --tol 1e-3, the limiting CSV at --tol 0.3
-(clusters of more than sqrt(N) levels), all three gibbs modes (--beta 1000
-too), a 100,000-point beta sweep in both formats, a bound at epsilon
-1e-18, a 5,000-point bound grid in both formats, a bound to tau 1e5, a
-Haar baseline seeded near 2**128, symmetry, and thirteen commands that
-must fail.
+--vectors, limiting in both formats and both CSV layouts, the bound with
+the start node, with node 500, a one-node support away from the start,
+and with the position observable, and the position observable's
+energy-basis matrix), a 1,100-sample Haar baseline on F130 (more than one
+block of Haar states), the F40 and F2000 graph files, --tol 1e-3, the
+limiting CSV and JSON at --tol 0.3 (clusters of more than sqrt(N) levels),
+all three gibbs modes (--beta 1000 too), a 100,000-point beta sweep in
+both formats, a bound at epsilon 1e-18, a 5,000-point bound grid in both
+formats, a bound to tau 1e5, a Haar baseline seeded near 2**128,
+symmetry, and thirteen commands that must fail.
 
 CSV and graph files must be byte-identical. JSON files must be
 byte-identical apart from the digits of meta.timing_seconds. Exit codes
@@ -97,6 +97,9 @@ def commands() -> list:
     add("limiting-f130-tol", "limiting", *SOURCES["f130"], *tol)
     add("limiting-f130-coarse", "limiting", *SOURCES["f130"], "--tol", "0.3", "--format", "csv",
         ext="csv")  # two clusters with d^2 > N: u's projector route
+    add("limiting-f130-coarse", "limiting", *SOURCES["f130"], "--tol", "0.3")  # and its JSON lift
+    add("limiting-f1000-matrix", "limiting", *big[1], "--format", "csv", "--layout", "matrix",
+        ext="csv")
     add("bound-f130-tol", "bound", *SOURCES["f130"], "--start", "1", *tol)
     add("eth-f130-tol", "eth", *SOURCES["f130"], "--observable", "position", *tol)
     add("gibbs-family-tol", "gibbs", "--family", "30,60", *tol)
